@@ -8,6 +8,12 @@ Four planners over one Gaussian belief engine:
   previous session's tree through importance reweighting and, optionally,
   verbatim wildfire adoption.
 
+The four differ only in how a lookahead level is filled: fresh futures,
+re-used archived futures, or adopted archived subtrees.  Every tree comes
+from ``build_tree``, and every fresh future becomes a node through
+``planner.add_nominal_children``, so with nothing to re-use an incremental
+planner builds its fresh twin's tree bit for bit.
+
 Supporting toolkits: belief distances (``distances``), objective-error
 bounds (``bounds``), an active-SLAM simulation harness (``simulation``), and
 a CLI (``ixbsp run|compare|bounds``).
@@ -45,7 +51,6 @@ from .config import (
     ScenarioConfig,
     WorldConfig,
     load_config,
-    save_config,
 )
 from .distances import (
     ChiSquaredCheck,
@@ -102,8 +107,7 @@ from .planner import (
     BeliefTreeNode,
     PlanningResult,
     best_action,
-    build_tree_ml,
-    build_tree_xbsp,
+    build_tree,
     objective,
     plan_mlbsp,
     plan_xbsp,

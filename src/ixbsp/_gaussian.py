@@ -16,31 +16,38 @@ from .errors import InvalidInput, NumericalError
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def as_spd(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Validate shape/symmetry of an SPD candidate and return a C-contiguous copy."""
+def _factor(mat: np.ndarray, name: str, factorize):
+    """Validate an SPD candidate; return its symmetrized copy and factor.
+
+    The single SPD check: shape and symmetry raise ``InvalidInput``, and a
+    failed factorization (not positive definite) raises ``NumericalError``.
+    """
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
     if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-9 * (1.0 + np.abs(arr).max())):
         raise InvalidInput(f"{name} must be symmetric")
-    return np.ascontiguousarray(0.5 * (arr + arr.T))
-
-
-def chol_lower(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Lower Cholesky factor, mapping LinAlgError onto NumericalError."""
+    sym = np.ascontiguousarray(0.5 * (arr + arr.T))
     try:
-        return np.linalg.cholesky(as_spd(mat, name))
+        return sym, factorize(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{name} is not positive definite") from exc
 
 
+def as_spd(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """Validate an SPD candidate and return a symmetrized C-contiguous copy."""
+    return _factor(mat, name, np.linalg.cholesky)[0]
+
+
+def chol_lower(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """Lower Cholesky factor of a validated SPD matrix."""
+    return _factor(mat, name, np.linalg.cholesky)[1]
+
+
 def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve mat @ x = rhs for SPD mat."""
-    try:
-        c, low = cho_factor(as_spd(mat))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("SPD solve failed: matrix not positive definite") from exc
-    return cho_solve((c, low), np.asarray(rhs, dtype=float))
+    _, factor = _factor(mat, "matrix", cho_factor)
+    return cho_solve(factor, np.asarray(rhs, dtype=float))
 
 
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
@@ -75,23 +82,3 @@ def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     diff = solve_triangular(low, x - mean, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     return -0.5 * (diff @ diff + logdet + x.size * _LOG_2PI)
-
-
-def conditional_gaussian(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    observed_idx: np.ndarray,
-    observed_val: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Condition a joint Gaussian on exact values of a subset of coordinates."""
-    n = mean.size
-    obs = np.asarray(observed_idx, dtype=int)
-    keep = np.setdiff1d(np.arange(n), obs)
-    if obs.size == 0:
-        return mean.copy(), cov.copy()
-    s_oo = cov[np.ix_(obs, obs)]
-    s_ko = cov[np.ix_(keep, obs)]
-    gain = s_ko @ spd_inverse(s_oo)
-    cond_mean = mean[keep] + gain @ (observed_val - mean[obs])
-    cond_cov = cov[np.ix_(keep, keep)] - gain @ s_ko.T
-    return cond_mean, 0.5 * (cond_cov + cond_cov.T)

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateUpdate,
     IncompatibleHistories,
     InvalidBelief,
-    InvalidInput,
     NumericalError,
     UnknownLandmark,
     UnknownVariable,
@@ -462,10 +461,6 @@ class GaussianState:
         sub = VariableIndex(ordered)
         return GaussianState(sub, self.mean[idx], self.cov[np.ix_(idx, idx)])
 
-    def pose_marginal(self, t: int | None = None) -> "GaussianState":
-        var = self.index.newest_pose() if t is None else pose_var(t)
-        return self.marginal([var])
-
 
 @dataclass(frozen=True)
 class PropagatedBelief(GaussianState):
@@ -489,15 +484,6 @@ class GaussianBelief(GaussianState):
     history: tuple[StepRecord, ...] = ()
     root_time: int = 0
     time: int = 0
-
-    def measurements_at(self, t: int) -> MeasurementSet:
-        for rec in self.history:
-            if rec.time == t:
-                return rec.measurements
-        return MeasurementSet()
-
-    def history_span(self) -> tuple[int, int]:
-        return (self.root_time, self.time)
 
 
 def make_prior_belief(

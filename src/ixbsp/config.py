@@ -224,7 +224,3 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return ScenarioConfig.from_json_dict(raw)
-
-
-def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True) + "\n")

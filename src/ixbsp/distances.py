@@ -31,7 +31,6 @@ from .beliefs import (
     GaussianState,
     MeasurementSet,
     StepRecord,
-    VariableIndex,
     canonical_order,
     da_diff,
     wrapped_diff,

@@ -51,17 +51,14 @@ from .errors import (
 )
 from .models import ActionId, MeasModel, MotionModel, wrap_angle_array
 from .planner import (
-    TAG_NOMINAL,
     TAG_REUSED,
     TAG_WILDFIRE,
     BeliefTree,
     BeliefTreeNode,
     PlanningResult,
-    best_action,
-    build_tree_ml,
-    build_tree_xbsp,
-    expand_depth,
-    make_reward_fn,
+    add_nominal_children,
+    build_tree,
+    planning_result,
 )
 from .sampling import (
     MeasurementSample,
@@ -384,20 +381,17 @@ def _copy_children_verbatim(
     arch_tree: BeliefTree,
     arch_child_ids: list[int],
     action_index: int,
-) -> list[BeliefTreeNode]:
+) -> None:
     """Wildfire adoption: archived children become new children untouched."""
-    out = []
     for s_idx, cid in enumerate(arch_child_ids):
         arch = arch_tree.node(cid)
-        node = tree.add_child(
+        tree.add_child(
             parent, action_index, s_idx,
             action=ActionId(action_index), sample=arch.sample,
             belief=arch.belief, prop=arch.prop, reward=arch.reward,
             log_p_step=arch.log_p_step, log_q_step=arch.log_p_step,
             tag=TAG_WILDFIRE, origin=arch.node_id,
         )
-        out.append(node)
-    return out
 
 
 def _reuse_group(
@@ -413,7 +407,7 @@ def _reuse_group(
     rng: np.random.Generator,
     *,
     ml_mode: bool,
-) -> list[BeliefTreeNode]:
+) -> None:
     """Re-use archived futures where representative, refresh the rest.
 
     Archived children are grouped by generating state (state-major order);
@@ -421,7 +415,6 @@ def _reuse_group(
     realization, not the value draw, decides representativeness.
     """
     n_z = tree.n_z
-    created: list[BeliefTreeNode] = []
     slot = 0
     for g in range(0, len(arch_child_ids), n_z):
         group = [arch_tree.node(cid) for cid in arch_child_ids[g:g + n_z]]
@@ -455,62 +448,22 @@ def _reuse_group(
                 belief = update_with_measurements(
                     prop_new, z_set, meas, init_hint=arch_node.belief)
                 sample = MeasurementSample(chi, new_da, z_set, log_p, per_entry_p)
-                node = tree.add_child(
+                tree.add_child(
                     parent, action_index, slot,
                     action=ActionId(action_index), sample=sample, belief=belief,
                     prop=prop_new, reward=reward_fn(belief, parent.belief),
                     log_p_step=log_p, log_q_step=log_q,
                     tag=TAG_REUSED, origin=arch_node.node_id,
                 )
-                created.append(node)
                 slot += 1
         else:
             if ml_mode:
                 fresh = [most_likely_measurement(prop_new, meas)]
             else:
                 fresh = sample_state_futures(prop_new, meas, n_z, rng)
-            for sample in fresh:
-                belief = update_with_measurements(prop_new, sample.z_set, meas)
-                node = tree.add_child(
-                    parent, action_index, slot,
-                    action=ActionId(action_index), sample=sample, belief=belief,
-                    prop=prop_new, reward=reward_fn(belief, parent.belief),
-                    log_p_step=sample.log_density, log_q_step=sample.log_density,
-                    tag=TAG_NOMINAL, origin=None,
-                )
-                created.append(node)
-                slot += 1
-    return created
-
-
-def _fresh_action(
-    tree: BeliefTree,
-    parent: BeliefTreeNode,
-    action_index: int,
-    prop_new: PropagatedBelief,
-    meas: MeasModel,
-    reward_fn,
-    rng: np.random.Generator,
-    *,
-    ml_mode: bool,
-) -> list[BeliefTreeNode]:
-    """Nominal expansion of a single action slot."""
-    if ml_mode:
-        samples = [most_likely_measurement(prop_new, meas)]
-    else:
-        samples = sample_future_measurements(prop_new, meas, tree.n_x, tree.n_z, rng)
-    out = []
-    for s_idx, sample in enumerate(samples):
-        belief = update_with_measurements(prop_new, sample.z_set, meas)
-        node = tree.add_child(
-            parent, action_index, s_idx,
-            action=ActionId(action_index), sample=sample, belief=belief,
-            prop=prop_new, reward=reward_fn(belief, parent.belief),
-            log_p_step=sample.log_density, log_q_step=sample.log_density,
-            tag=TAG_NOMINAL, origin=None,
-        )
-        out.append(node)
-    return out
+            add_nominal_children(tree, parent, action_index, prop_new, fresh,
+                                 meas, reward_fn, first_slot=slot)
+            slot += len(fresh)
 
 
 def inc_update_belief_tree(
@@ -523,17 +476,19 @@ def inc_update_belief_tree(
     reward_fn,
     *,
     ml_mode: bool,
+    adopt: bool,
 ) -> None:
     """Build the overlap levels of ``tree`` by re-using the archived branch.
 
-    Level by level: wildfire-adopted parents copy all their archived children
-    verbatim; every other parent searches the same-level archived propagated
-    beliefs per action, then adopts / re-uses / refreshes according to the
-    distance zones.  Appends one depth timing per level.
+    Level by level: a wildfire-adopted parent copies all the children of its
+    archived counterpart verbatim.  With ``adopt`` the root counts as adopted
+    from the selected branch, so the whole branch is copied.  Every other
+    parent searches the same-level archived propagated beliefs per action,
+    then adopts / re-uses / draws fresh futures according to the distance
+    zones.  Appends one depth timing per level.
     """
     arch_tree = archive.tree
-    l = archive.overlap
-    overlap_depths = cfg.horizon - l
+    overlap_depths = cfg.horizon - archive.overlap
 
     # archived levels under the selected branch
     arch_levels: list[list[int]] = [[branch_id]]
@@ -554,10 +509,12 @@ def inc_update_belief_tree(
                 ids = pnode.children[a]
                 if ids:
                     candidates.append(((pid, a), arch_tree.node(ids[0]).prop))
-        scan = _CandidateScan(candidates) if candidates else None
-        for parent in list(tree.nodes_at_depth(depth - 1)):
-            if parent.tag == TAG_WILDFIRE and parent.origin is not None:
-                counterpart = arch_tree.node(parent.origin)
+        scan = _CandidateScan(candidates)
+        for parent in tree.nodes_at_depth(depth - 1):
+            source = branch_id if adopt and depth == 1 else (
+                parent.origin if parent.tag == TAG_WILDFIRE else None)
+            if source is not None:
+                counterpart = arch_tree.node(source)
                 for a in range(tree.n_u):
                     _copy_children_verbatim(
                         tree, parent, arch_tree, counterpart.children[a], a)
@@ -565,10 +522,6 @@ def inc_update_belief_tree(
             for a in range(tree.n_u):
                 prop_new = propagate(parent.belief, ActionId(a), motion)
                 rng = node_rng(tree.base_seed, parent.path + (a,))
-                if scan is None:
-                    _fresh_action(tree, parent, a, prop_new, meas, reward_fn,
-                                  rng, ml_mode=ml_mode)
-                    continue
                 dist, (c_pid, c_a) = scan.closest(prop_new)
                 arch_child_ids = arch_tree.node(c_pid).children[c_a]
                 cand_prop = arch_tree.node(arch_child_ids[0]).prop
@@ -581,32 +534,13 @@ def inc_update_belief_tree(
                                  arch_child_ids, cfg, meas, reward_fn, rng,
                                  ml_mode=ml_mode)
                 else:
-                    _fresh_action(tree, parent, a, prop_new, meas, reward_fn,
-                                  rng, ml_mode=ml_mode)
-        tree.depth_times.append(time.perf_counter() - t0)
-
-
-def _adopt_branch_verbatim(
-    tree: BeliefTree,
-    archive: PlanningArchive,
-    branch_id: int,
-    overlap_depths: int,
-) -> None:
-    """Whole-branch wildfire adoption: the archived subtree is copied as is."""
-    arch_tree = archive.tree
-    frontier = {tree.root_id: branch_id}
-    for _ in range(overlap_depths):
-        t0 = time.perf_counter()
-        nxt: dict[int, int] = {}
-        for new_id, arch_id in frontier.items():
-            parent = tree.node(new_id)
-            counterpart = arch_tree.node(arch_id)
-            for a in range(tree.n_u):
-                created = _copy_children_verbatim(
-                    tree, parent, arch_tree, counterpart.children[a], a)
-                for node in created:
-                    nxt[node.node_id] = node.origin
-        frontier = nxt
+                    if ml_mode:
+                        samples = [most_likely_measurement(prop_new, meas)]
+                    else:
+                        samples = sample_future_measurements(
+                            prop_new, meas, tree.n_x, tree.n_z, rng)
+                    add_nominal_children(tree, parent, a, prop_new, samples,
+                                         meas, reward_fn)
         tree.depth_times.append(time.perf_counter() - t0)
 
 
@@ -639,63 +573,31 @@ def _plan_incremental(
     *,
     ml_mode: bool,
 ) -> PlanningResult:
-    method = "imlbsp" if ml_mode else "ixbsp"
     root = planning_root(posterior)
-    reward_fn = make_reward_fn(cfg.reward, goal)
+    info: dict = {"mode": "no_archive", "branch_dist": None, "branch_id": None}
+    overlap_depths = cfg.horizon - cfg.overlap
+    reuse_levels = None
+    if archive is not None:
+        _check_archive(archive, posterior, cfg, ml_mode=ml_mode)
+        dist, branch_id = select_closest_branch(posterior, root, archive, cfg)
+        info = {"mode": "fresh", "branch_dist": dist, "branch_id": branch_id}
+        overlap_depths = cfg.horizon - archive.overlap
+        if dist <= cfg.epsilon_c:
+            branch_index = archive.tree.node(branch_id).belief.index
+            adopt = (cfg.use_wildfire and dist <= cfg.epsilon_wf
+                     and _covers(branch_index, root.index))
+            info["mode"] = "adopt" if adopt else "update"
 
-    def finish(tree: BeliefTree, info: dict) -> PlanningResult:
-        act, seq, val, values = best_action(tree, objective_fn=mis_objective)
-        overlap_depths = cfg.horizon - (archive.overlap if archive else cfg.overlap)
-        return PlanningResult(
-            tree=tree, method=method, objectives=values, best_seq=seq,
-            best_action=act, objective=val, counts=tree.tag_counts(),
-            timing={
-                "total_s": float(sum(tree.depth_times)),
-                "overlap_s": float(sum(tree.depth_times[:overlap_depths])),
-                "extension_s": float(sum(tree.depth_times[overlap_depths:])),
-            },
-            reuse_info=info,
-        )
+            def reuse_levels(tree: BeliefTree, reward_fn) -> None:
+                inc_update_belief_tree(tree, archive, branch_id, cfg, motion,
+                                       meas, reward_fn, ml_mode=ml_mode,
+                                       adopt=adopt)
 
-    if archive is None:
-        builder = build_tree_ml if ml_mode else build_tree_xbsp
-        tree = builder(root, cfg, motion, meas, goal, base_seed)
-        return finish(tree, {"mode": "no_archive", "branch_dist": None,
-                             "branch_id": None})
-
-    _check_archive(archive, posterior, cfg, ml_mode=ml_mode)
-    dist, branch_id = select_closest_branch(posterior, root, archive, cfg)
-    if dist > cfg.epsilon_c:
-        builder = build_tree_ml if ml_mode else build_tree_xbsp
-        tree = builder(root, cfg, motion, meas, goal, base_seed)
-        return finish(tree, {"mode": "fresh", "branch_dist": dist,
-                             "branch_id": branch_id})
-
-    overlap_depths = cfg.horizon - archive.overlap
-    tree = BeliefTree(
-        planning_time=root.time, horizon=cfg.horizon, n_u=cfg.n_u,
-        n_x=1 if ml_mode else cfg.n_x, n_z=1 if ml_mode else cfg.n_z,
-        base_seed=base_seed,
-    )
-    tree.add_root(root)
-    branch_index = archive.tree.node(branch_id).belief.index
-    if (cfg.use_wildfire and dist <= cfg.epsilon_wf
-            and _covers(branch_index, root.index)):
-        mode = "adopt"
-        _adopt_branch_verbatim(tree, archive, branch_id, overlap_depths)
-    else:
-        mode = "update"
-        inc_update_belief_tree(tree, archive, branch_id, cfg, motion, meas,
-                               reward_fn, ml_mode=ml_mode)
-
-    frontier = tree.nodes_at_depth(overlap_depths)
-    for _ in range(overlap_depths, cfg.horizon):
-        t0 = time.perf_counter()
-        frontier = expand_depth(tree, frontier, motion, meas, reward_fn,
-                                most_likely=ml_mode)
-        tree.depth_times.append(time.perf_counter() - t0)
-    return finish(tree, {"mode": mode, "branch_dist": dist,
-                         "branch_id": branch_id})
+    tree = build_tree(root, cfg, motion, meas, goal, base_seed,
+                      most_likely=ml_mode, reuse_levels=reuse_levels)
+    return planning_result(tree, "imlbsp" if ml_mode else "ixbsp",
+                           overlap_depths, objective_fn=mis_objective,
+                           reuse_info=info)
 
 
 def plan_ixbsp(

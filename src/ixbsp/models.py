@@ -128,11 +128,6 @@ class MotionModel:
     def state_dim(self) -> int:
         return POSE_DIM if self.kind == "unicycle" else self.f_mat.shape[0]
 
-    def n_actions(self) -> int:
-        if self.kind == "unicycle":
-            return len(self.primitives)
-        return len(self.controls) if self.controls is not None else 0
-
     def step_mean(self, x: np.ndarray, action: ActionId) -> np.ndarray:
         """Noise-free transition f(x, u)."""
         x = np.asarray(x, dtype=float)
@@ -192,10 +187,6 @@ class MeasModel:
         if self.kind == "linear" and self.h_mat is None:
             raise InvalidInput("linear measurement model needs h_mat")
 
-    @property
-    def z_dim(self) -> int:
-        return 2 if self.kind == "range_bearing" else self.h_mat.shape[0]
-
     def predict(self, pose: np.ndarray, landmark: np.ndarray | None = None) -> np.ndarray:
         """Noise-free measurement h(pose, landmark)."""
         if self.kind == "linear":
@@ -243,12 +234,3 @@ class MeasModel:
         heading = pose[2] + bearing
         return np.array([pose[0] + rng * math.cos(heading),
                          pose[1] + rng * math.sin(heading)])
-
-
-def residual_wrap(kind: str, residual: np.ndarray) -> np.ndarray:
-    """Wrap the angular component of a model residual in place."""
-    if kind == "unicycle":
-        residual[2] = wrap_angle(residual[2])
-    elif kind == "range_bearing":
-        residual[1] = wrap_angle(residual[1])
-    return residual

@@ -12,6 +12,14 @@ level by level:
 with unit weights for freshly sampled trees.  The argmax over sequences (ties
 to the lowest enumeration index) gives the action to execute.
 
+All four planners share one expansion path.  ``build_tree`` makes every
+session's tree: an incremental planner first fills the overlap levels from
+its archive (``incremental.inc_update_belief_tree``), then one timed level
+loop expands fresh levels down to the horizon.  Wherever a fresh future
+becomes a node, in a fresh level or in a re-used action slot, it goes
+through ``add_nominal_children``.  ``planning_result`` scores the tree and
+splits its depth timings.
+
 Per-node random streams are keyed by the node's path from the root, so a tree
 build is deterministic under any traversal or parallel order.
 """
@@ -44,8 +52,6 @@ from .sampling import (
     sample_future_measurements,
 )
 
-RewardSpec = RewardConfig
-
 TAG_NOMINAL = "nominal"
 TAG_REUSED = "reused"
 TAG_WILDFIRE = "wildfire"
@@ -63,7 +69,7 @@ def distance_to_goal(belief: GaussianState, goal: np.ndarray) -> float:
 def reward_info_distance(
     belief: GaussianState,
     prev_belief: GaussianState,
-    spec: RewardSpec,
+    spec: RewardConfig,
     goal: np.ndarray,
 ) -> float:
     """Immediate reward of reaching ``belief`` from ``prev_belief``.
@@ -108,9 +114,6 @@ class BeliefTreeNode:
     origin: int | None = None
     children: list[list[int]] = field(default_factory=list)
 
-    def step_weight_neutral(self) -> bool:
-        return self.cum_log_p == self.cum_log_q
-
 
 @dataclass
 class BeliefTree:
@@ -125,10 +128,6 @@ class BeliefTree:
     nodes: list[BeliefTreeNode] = field(default_factory=list)
     depth_times: list[float] = field(default_factory=list)
     root_id: int = 0
-
-    @property
-    def samples_per_action(self) -> int:
-        return self.n_x * self.n_z
 
     def node(self, node_id: int) -> BeliefTreeNode:
         return self.nodes[node_id]
@@ -214,58 +213,43 @@ class PlanningResult:
     reuse_info: dict[str, float | int | str | None] = field(default_factory=dict)
 
 
-def expand_depth(
+def add_nominal_children(
     tree: BeliefTree,
-    parents: list[BeliefTreeNode],
-    motion: MotionModel,
+    parent: BeliefTreeNode,
+    action_index: int,
+    prop: PropagatedBelief,
+    samples: list[MeasurementSample],
     meas: MeasModel,
     reward_fn,
-    *,
-    most_likely: bool = False,
-    forced_samples: dict[tuple[int, ...], list[MeasurementSample]] | None = None,
+    first_slot: int = 0,
 ) -> list[BeliefTreeNode]:
-    """Expand one fresh (nominal) level under every parent node.
+    """Turn fresh measurement futures into nominal children of ``parent``.
 
-    ``forced_samples`` maps (parent path + (action,)) to the exact samples to
-    use instead of drawing, for replay-style verification.
+    The one place a drawn future becomes a node: condition ``prop`` on the
+    sample, score the step, append.  Slots count up from ``first_slot``, so a
+    partly re-used action slot can continue its own numbering.
     """
     created: list[BeliefTreeNode] = []
-    per_action = 1 if most_likely else tree.samples_per_action
-    for parent in parents:
-        for a in range(tree.n_u):
-            prop = propagate(parent.belief, ActionId(a), motion)
-            key = parent.path + (a,)
-            if forced_samples is not None and key in forced_samples:
-                samples = forced_samples[key]
-                if len(samples) != per_action:
-                    raise InvalidInput(
-                        f"forced sample count {len(samples)} != {per_action}")
-            elif most_likely:
-                samples = [most_likely_measurement(prop, meas)]
-            else:
-                rng = node_rng(tree.base_seed, key)
-                samples = sample_future_measurements(prop, meas, tree.n_x, tree.n_z, rng)
-            for s_idx, sample in enumerate(samples):
-                belief = update_with_measurements(prop, sample.z_set, meas)
-                node = tree.add_child(
-                    parent, a, s_idx,
-                    action=ActionId(a), sample=sample, belief=belief, prop=prop,
-                    reward=reward_fn(belief, parent.belief),
-                    log_p_step=sample.log_density,
-                    log_q_step=sample.log_density,
-                    tag=TAG_NOMINAL, origin=None,
-                )
-                created.append(node)
+    for s_idx, sample in enumerate(samples, first_slot):
+        belief = update_with_measurements(prop, sample.z_set, meas)
+        created.append(tree.add_child(
+            parent, action_index, s_idx,
+            action=ActionId(action_index), sample=sample, belief=belief, prop=prop,
+            reward=reward_fn(belief, parent.belief),
+            log_p_step=sample.log_density,
+            log_q_step=sample.log_density,
+            tag=TAG_NOMINAL, origin=None,
+        ))
     return created
 
 
-def make_reward_fn(spec: RewardSpec, goal: np.ndarray):
+def make_reward_fn(spec: RewardConfig, goal: np.ndarray):
     def fn(belief: GaussianState, prev_belief: GaussianState) -> float:
         return reward_info_distance(belief, prev_belief, spec, goal)
     return fn
 
 
-def _build_tree(
+def build_tree(
     root_belief: GaussianBelief,
     cfg: ScenarioConfig,
     motion: MotionModel,
@@ -274,8 +258,17 @@ def _build_tree(
     base_seed: int,
     *,
     most_likely: bool,
-    forced_samples: dict[tuple[int, ...], list[MeasurementSample]] | None = None,
+    reuse_levels=None,
 ) -> BeliefTree:
+    """Lookahead tree of one session, for every planner.
+
+    ``most_likely`` selects one model-mean future per action instead of
+    n_x * n_z sampled ones.  ``reuse_levels(tree, reward_fn)``, when given,
+    first builds the overlap levels from an archived tree (appending one
+    depth timing per level).  Fresh levels fill the rest down to the
+    horizon: every candidate action under every deepest node, each level
+    timed the same way.
+    """
     tree = BeliefTree(
         planning_time=root_belief.time, horizon=cfg.horizon,
         n_u=cfg.n_u, n_x=1 if most_likely else cfg.n_x,
@@ -283,42 +276,26 @@ def _build_tree(
     )
     tree.add_root(root_belief)
     reward_fn = make_reward_fn(cfg.reward, goal)
-    frontier = [tree.root]
-    for _ in range(cfg.horizon):
+    if reuse_levels is not None:
+        reuse_levels(tree, reward_fn)
+    built = tree.nodes[-1].depth
+    frontier = tree.nodes_at_depth(built)
+    for _ in range(built, cfg.horizon):
         t0 = time.perf_counter()
-        frontier = expand_depth(
-            tree, frontier, motion, meas, reward_fn,
-            most_likely=most_likely, forced_samples=forced_samples,
-        )
+        parents, frontier = frontier, []
+        for parent in parents:
+            for a in range(tree.n_u):
+                prop = propagate(parent.belief, ActionId(a), motion)
+                if most_likely:
+                    samples = [most_likely_measurement(prop, meas)]
+                else:
+                    rng = node_rng(tree.base_seed, parent.path + (a,))
+                    samples = sample_future_measurements(
+                        prop, meas, tree.n_x, tree.n_z, rng)
+                frontier += add_nominal_children(tree, parent, a, prop, samples,
+                                                 meas, reward_fn)
         tree.depth_times.append(time.perf_counter() - t0)
     return tree
-
-
-def build_tree_xbsp(
-    root_belief: GaussianBelief,
-    cfg: ScenarioConfig,
-    motion: MotionModel,
-    meas: MeasModel,
-    goal: np.ndarray,
-    base_seed: int,
-    forced_samples: dict[tuple[int, ...], list[MeasurementSample]] | None = None,
-) -> BeliefTree:
-    """Full-expectation lookahead tree: n_x * n_z sampled futures per action."""
-    return _build_tree(root_belief, cfg, motion, meas, goal, base_seed,
-                       most_likely=False, forced_samples=forced_samples)
-
-
-def build_tree_ml(
-    root_belief: GaussianBelief,
-    cfg: ScenarioConfig,
-    motion: MotionModel,
-    meas: MeasModel,
-    goal: np.ndarray,
-    base_seed: int,
-) -> BeliefTree:
-    """Maximum-likelihood lookahead tree: one model-mean future per action."""
-    return _build_tree(root_belief, cfg, motion, meas, goal, base_seed,
-                       most_likely=True)
 
 
 def objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
@@ -354,11 +331,25 @@ def best_action(
     return ActionId(best_seq[0]), best_seq, best_val, values
 
 
-def _timing_from_tree(tree: BeliefTree, overlap_depths: int) -> dict[str, float]:
+def planning_result(
+    tree: BeliefTree,
+    method: str,
+    overlap_depths: int,
+    *,
+    objective_fn=None,
+    reuse_info: dict[str, float | int | str | None] | None = None,
+) -> PlanningResult:
+    """Score a built tree and split its depth timings at ``overlap_depths``."""
+    act, seq, val, values = best_action(tree, objective_fn)
     total = float(sum(tree.depth_times))
     overlap = float(sum(tree.depth_times[:overlap_depths]))
-    return {"total_s": total, "overlap_s": overlap,
-            "extension_s": total - overlap}
+    return PlanningResult(
+        tree=tree, method=method, objectives=values, best_seq=seq,
+        best_action=act, objective=val, counts=tree.tag_counts(),
+        timing={"total_s": total, "overlap_s": overlap,
+                "extension_s": total - overlap},
+        reuse_info=reuse_info if reuse_info is not None else {},
+    )
 
 
 def plan_xbsp(
@@ -370,14 +361,9 @@ def plan_xbsp(
     base_seed: int,
 ) -> PlanningResult:
     """One full-expectation planning session from the given posterior root."""
-    root = planning_root(root_belief)
-    tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed)
-    act, seq, val, values = best_action(tree)
-    return PlanningResult(
-        tree=tree, method="xbsp", objectives=values, best_seq=seq,
-        best_action=act, objective=val, counts=tree.tag_counts(),
-        timing=_timing_from_tree(tree, cfg.horizon - cfg.overlap),
-    )
+    tree = build_tree(planning_root(root_belief), cfg, motion, meas, goal,
+                      base_seed, most_likely=False)
+    return planning_result(tree, "xbsp", cfg.horizon - cfg.overlap)
 
 
 def plan_mlbsp(
@@ -389,11 +375,6 @@ def plan_mlbsp(
     base_seed: int,
 ) -> PlanningResult:
     """One maximum-likelihood planning session."""
-    root = planning_root(root_belief)
-    tree = build_tree_ml(root, cfg, motion, meas, goal, base_seed)
-    act, seq, val, values = best_action(tree)
-    return PlanningResult(
-        tree=tree, method="mlbsp", objectives=values, best_seq=seq,
-        best_action=act, objective=val, counts=tree.tag_counts(),
-        timing=_timing_from_tree(tree, cfg.horizon - cfg.overlap),
-    )
+    tree = build_tree(planning_root(root_belief), cfg, motion, meas, goal,
+                      base_seed, most_likely=True)
+    return planning_result(tree, "mlbsp", cfg.horizon - cfg.overlap)

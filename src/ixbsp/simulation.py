@@ -58,9 +58,6 @@ class WorldModel:
         if xmin >= xmax or ymin >= ymax:
             raise InvalidInput("bounds rectangle is empty")
 
-    def landmark_positions(self) -> dict[int, np.ndarray]:
-        return {i: np.asarray(p, dtype=float) for i, p in self.landmarks}
-
     def to_json_dict(self) -> dict:
         return {
             "landmarks": [[i, list(p)] for i, p in self.landmarks],
@@ -449,8 +446,9 @@ def run_rollout(
 
         action = results[planner_kind].best_action
         actions.append(action.index)
-        for label, kind, _ in runners:
-            if kind in ("ixbsp", "imlbsp"):
+        for label, kind, run_cfg in runners:
+            # a horizon-1 tree holds only the executed level: nothing to re-use
+            if kind in ("ixbsp", "imlbsp") and run_cfg.horizon > 1:
                 archives[label] = PlanningArchive(results[label].tree,
                                                   (action.index,))
 
@@ -487,6 +485,6 @@ def win_fraction(errors_a: np.ndarray, errors_b: np.ndarray) -> float:
     b = np.asarray(errors_b, dtype=float)
     if a.shape != b.shape or a.size == 0:
         raise InvalidInput("need matching non-empty error arrays")
-    wins = np.count_nonzero(a < b)
-    ties = np.count_nonzero(a == b)
+    wins = int(np.count_nonzero(a < b))
+    ties = int(np.count_nonzero(a == b))
     return (wins + 0.5 * ties) / a.size

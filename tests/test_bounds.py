@@ -24,7 +24,7 @@ from ixbsp.bounds import (
 from ixbsp.distances import sqrt_j_moments
 from ixbsp.errors import IncompatibleTrees, InvalidInput, UnsupportedModel
 from ixbsp.models import landmark_var
-from ixbsp.planner import build_tree_xbsp, objective
+from ixbsp.planner import build_tree, objective
 
 from _util import tiny_cfg
 
@@ -93,8 +93,8 @@ class TestSampledBound:
                1: (np.array([1.0, -2.5]), np.eye(2))}
         prior = make_prior_belief(np.zeros(3), cfg.prior_cov(), landmarks=lms)
         root = planning_root(prior)
-        return build_tree_xbsp(root, cfg, cfg.motion_model(), cfg.meas_model(),
-                               np.array([5.0, 0.0]), seed)
+        return build_tree(root, cfg, cfg.motion_model(), cfg.meas_model(),
+                          np.array([5.0, 0.0]), seed, most_likely=False)
 
     def test_identical_trees_give_exact_zero_interval(self):
         tree = self._tree(3)

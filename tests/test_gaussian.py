@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from _util import random_spd
 from ixbsp._gaussian import (
     as_spd,
     chol_lower,
-    conditional_gaussian,
     gaussian_logpdf,
     spd_inverse,
     spd_logdet,
@@ -80,33 +77,3 @@ class TestLogpdf:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             gaussian_logpdf(np.zeros(2), np.zeros(3), np.eye(3))
-
-
-class TestConditional:
-    def test_matches_block_formula(self):
-        rng = np.random.default_rng(6)
-        cov = random_spd(rng, 5)
-        mean = rng.standard_normal(5)
-        obs_idx = np.array([1, 3])
-        free_idx = np.array([0, 2, 4])
-        val = rng.standard_normal(2)
-
-        c_mean, c_cov = conditional_gaussian(mean, cov, obs_idx, val)
-
-        s_oo = cov[np.ix_(obs_idx, obs_idx)]
-        s_fo = cov[np.ix_(free_idx, obs_idx)]
-        s_ff = cov[np.ix_(free_idx, free_idx)]
-        gain = s_fo @ np.linalg.inv(s_oo)
-        assert np.allclose(c_mean, mean[free_idx] + gain @ (val - mean[obs_idx]))
-        assert np.allclose(c_cov, s_ff - gain @ s_fo.T)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=3))
-    def test_conditioning_shrinks_variance(self, which):
-        rng = np.random.default_rng(100 + which)
-        cov = random_spd(rng, 4)
-        mean = rng.standard_normal(4)
-        _, c_cov = conditional_gaussian(mean, cov, np.array([which]),
-                                        np.array([0.0]))
-        free = [i for i in range(4) if i != which]
-        assert np.all(np.diag(c_cov) <= np.diag(cov)[free] + 1e-12)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixbsp.beliefs import (
     MeasurementEntry,
@@ -41,7 +43,7 @@ from ixbsp.planner import (
     TAG_NOMINAL,
     TAG_REUSED,
     TAG_WILDFIRE,
-    build_tree_xbsp,
+    build_tree,
     objective,
     plan_mlbsp,
     plan_xbsp,
@@ -99,7 +101,7 @@ class TestMisObjective:
         cfg = tiny_cfg(n_x=2)
         prior, motion, meas, goal = _setup(cfg)
         root = planning_root(prior)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=3)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=3, most_likely=False)
         for seq in tree.candidate_sequences():
             assert mis_objective(tree, seq) == objective(tree, seq)
 
@@ -116,7 +118,8 @@ class TestMisObjective:
     def test_record_shape_matches_tree(self):
         cfg = tiny_cfg(n_x=2)
         prior, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(planning_root(prior), cfg, motion, meas, goal, 0)
+        tree = build_tree(planning_root(prior), cfg, motion, meas, goal, 0,
+                          most_likely=False)
         rec = mis_record(tree, (0, 0))
         assert len(rec) == cfg.horizon
         assert len(rec[0].rewards) == 2
@@ -203,7 +206,8 @@ class TestSelectClosestBranch:
 class TestCandidateScan:
     def _candidates(self, cfg, seed):
         prior, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(planning_root(prior), cfg, motion, meas, goal, seed)
+        tree = build_tree(planning_root(prior), cfg, motion, meas, goal, seed,
+                          most_likely=False)
         cands = []
         for n in tree.nodes_at_depth(1):
             for a in range(tree.n_u):
@@ -337,6 +341,23 @@ class TestIncrementalPlanners:
             assert node.belief is arch.belief
             assert node.origin == arch.node_id
 
+    def test_wildfire_adoption_spans_every_overlap_level(self):
+        cfg = tiny_cfg(n_u=2, n_x=2, horizon=3, epsilon_c=1e9, epsilon_wf=1e9)
+        posterior, archive, motion, meas, goal = self._session_pair(cfg)
+        res = plan_ixbsp(posterior, archive, cfg, motion, meas, goal, base_seed=1)
+        assert res.reuse_info["mode"] == "adopt"
+        branch = archive.tree.node(res.reuse_info["branch_id"])
+        for depth in (1, 2):
+            level = res.tree.nodes_at_depth(depth)
+            assert len(level) == 4 ** depth
+            for node in level:
+                arch = archive.tree.node(node.origin)
+                assert node.tag == TAG_WILDFIRE
+                assert node.belief is arch.belief
+                assert arch.path == branch.path + node.path
+        assert {n.tag for n in res.tree.nodes_at_depth(3)} == {TAG_NOMINAL}
+        assert res.counts == {TAG_NOMINAL: 64, TAG_REUSED: 0, TAG_WILDFIRE: 20}
+
     def test_distance_gate_forces_fresh_build(self):
         cfg = tiny_cfg(n_x=2, epsilon_c=0.0, epsilon_wf=0.0, use_wildfire=False)
         posterior, archive, motion, meas, goal = self._session_pair(cfg)
@@ -377,3 +398,46 @@ class TestIncrementalPlanners:
         assert res.reuse_info["mode"] == "update"
         assert res.counts[TAG_REUSED] > 0
         assert [len(res.tree.nodes_at_depth(d)) for d in (1, 2)] == [3, 9]
+
+
+def _assert_same_plan(fresh, inc):
+    """Bit-for-bit equal trees and objectives."""
+    assert inc.objectives == fresh.objectives
+    assert (inc.best_seq, inc.objective) == (fresh.best_seq, fresh.objective)
+    assert len(inc.tree.nodes) == len(fresh.tree.nodes)
+    for a, b in zip(fresh.tree.nodes[1:], inc.tree.nodes[1:]):
+        assert (b.path, b.tag, b.reward) == (a.path, a.tag, a.reward)
+        assert np.array_equal(b.belief.mean, a.belief.mean)
+        assert np.array_equal(b.belief.cov, a.belief.cov)
+        assert np.array_equal(b.sample.chi, a.sample.chi)
+
+
+_PLANNER_PAIRS = {False: (plan_xbsp, plan_ixbsp), True: (plan_mlbsp, plan_iml)}
+
+
+class TestNothingReusedEqualsFresh:
+    """With nothing to re-use, an incremental planner is its fresh twin."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), horizon=st.integers(1, 3),
+           ml=st.booleans())
+    def test_without_archive(self, seed, horizon, ml):
+        cfg = tiny_cfg(horizon=horizon, n_x=2 if horizon < 3 else 1)
+        prior, motion, meas, goal = _setup(cfg)
+        fresh, inc = _PLANNER_PAIRS[ml]
+        _assert_same_plan(fresh(prior, cfg, motion, meas, goal, seed),
+                          inc(prior, None, cfg, motion, meas, goal, seed))
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans())
+    def test_fresh_mode_under_archive(self, seed, ml):
+        cfg = tiny_cfg(n_x=2, epsilon_c=0.0, epsilon_wf=0.0, use_wildfire=False)
+        prior, motion, meas, goal = _setup(cfg)
+        fresh, inc = _PLANNER_PAIRS[ml]
+        res0 = fresh(prior, cfg, motion, meas, goal, 0)
+        act = res0.best_action.index
+        archive = PlanningArchive(res0.tree, (act,))
+        posterior = _execute(prior, act, motion, meas, jitter=0.01)
+        res = inc(posterior, archive, cfg, motion, meas, goal, seed)
+        assert res.reuse_info["mode"] == "fresh"
+        _assert_same_plan(fresh(posterior, cfg, motion, meas, goal, seed), res)

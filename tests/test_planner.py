@@ -17,8 +17,7 @@ from ixbsp.planner import (
     TAG_WILDFIRE,
     BeliefTree,
     best_action,
-    build_tree_ml,
-    build_tree_xbsp,
+    build_tree,
     distance_to_goal,
     make_reward_fn,
     objective,
@@ -87,7 +86,7 @@ class TestTreeShape:
     def test_expectation_tree_node_counts(self):
         cfg = tiny_cfg(n_u=3, n_x=3, n_z=1, horizon=3)
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=0)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=0, most_likely=False)
         per_depth = [len(tree.nodes_at_depth(d)) for d in range(4)]
         assert per_depth == [1, 9, 81, 729]
         assert len(tree.nodes) == 1 + 9 + 81 + 729
@@ -95,7 +94,7 @@ class TestTreeShape:
     def test_most_likely_tree_node_counts(self):
         cfg = tiny_cfg(n_u=3, horizon=3)
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_ml(root, cfg, motion, meas, goal, base_seed=0)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=0, most_likely=True)
         assert [len(tree.nodes_at_depth(d)) for d in range(4)] == [1, 3, 9, 27]
 
     def test_two_step_tree_with_four_actions(self):
@@ -103,14 +102,14 @@ class TestTreeShape:
                 ("right", 1.0, -90.0), ("back", 1.0, 180.0))
         cfg = tiny_cfg(n_u=4, n_x=1, n_z=1, horizon=2, primitives=prim)
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=1)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=1, most_likely=False)
         assert len(tree.nodes) == 1 + 4 + 16
 
     def test_paths_and_depths(self):
         cfg = tiny_cfg(n_u=2, n_x=2, n_z=1, horizon=2,
                        primitives=(("forward", 1.0, 0.0), ("left", 1.0, 90.0)))
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=2)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=2, most_likely=False)
         assert len(tree.candidate_sequences()) == 4
         for seq in tree.candidate_sequences():
             assert len(tree.paths_for_seq(seq, 1)) == 2
@@ -125,7 +124,7 @@ class TestTreeShape:
         cfg = tiny_cfg(n_u=2, n_x=1, n_z=1, horizon=2,
                        primitives=(("forward", 1.0, 0.0), ("left", 1.0, 90.0)))
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=3)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=3, most_likely=False)
         with pytest.raises(UnknownSequence):
             objective(tree, (5, 0))
         with pytest.raises(UnknownSequence):
@@ -137,7 +136,7 @@ class TestObjective:
         cfg = tiny_cfg(n_u=2, n_x=2, n_z=2, horizon=2,
                        primitives=(("forward", 1.0, 0.0), ("left", 1.0, 90.0)))
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=4)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=4, most_likely=False)
         seq = (1, 0)
         d1 = [tree.node(c) for c in tree.root.children[1]]
         d2 = [tree.node(c) for n in d1 for c in n.children[0]]
@@ -148,7 +147,7 @@ class TestObjective:
     def test_best_action_is_argmax(self):
         cfg = tiny_cfg(n_x=2)
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=5)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=5, most_likely=False)
         act, seq, val, values = best_action(tree)
         assert val == max(values.values())
         assert values[seq] == val
@@ -157,7 +156,7 @@ class TestObjective:
     def test_ties_resolve_to_lowest_sequence(self):
         cfg = tiny_cfg(n_x=1)
         root, motion, meas, goal = _setup(cfg)
-        tree = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=6)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=6, most_likely=False)
         act, seq, val, _ = best_action(tree, objective_fn=lambda t, s: 7.25)
         assert seq == tuple([0] * cfg.horizon)
         assert act == ActionId(0)
@@ -168,8 +167,8 @@ class TestDeterminism:
     def test_same_seed_identical_tree(self):
         cfg = tiny_cfg(n_x=2)
         root, motion, meas, goal = _setup(cfg)
-        t1 = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=9)
-        t2 = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=9)
+        t1 = build_tree(root, cfg, motion, meas, goal, base_seed=9, most_likely=False)
+        t2 = build_tree(root, cfg, motion, meas, goal, base_seed=9, most_likely=False)
         assert len(t1.nodes) == len(t2.nodes)
         for a, b in zip(t1.nodes, t2.nodes):
             if a.depth == 0:
@@ -181,8 +180,8 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         cfg = tiny_cfg(n_x=2)
         root, motion, meas, goal = _setup(cfg)
-        t1 = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=9)
-        t2 = build_tree_xbsp(root, cfg, motion, meas, goal, base_seed=10)
+        t1 = build_tree(root, cfg, motion, meas, goal, base_seed=9, most_likely=False)
+        t2 = build_tree(root, cfg, motion, meas, goal, base_seed=10, most_likely=False)
         chis1 = [n.sample.chi for n in t1.nodes if n.depth > 0]
         chis2 = [n.sample.chi for n in t2.nodes if n.depth > 0]
         assert any(not np.array_equal(a, b) for a, b in zip(chis1, chis2))
@@ -190,8 +189,8 @@ class TestDeterminism:
     def test_most_likely_tree_ignores_seed(self):
         cfg = tiny_cfg()
         root, motion, meas, goal = _setup(cfg)
-        t1 = build_tree_ml(root, cfg, motion, meas, goal, base_seed=0)
-        t2 = build_tree_ml(root, cfg, motion, meas, goal, base_seed=999)
+        t1 = build_tree(root, cfg, motion, meas, goal, base_seed=0, most_likely=True)
+        t2 = build_tree(root, cfg, motion, meas, goal, base_seed=999, most_likely=True)
         for a, b in zip(t1.nodes, t2.nodes):
             assert np.array_equal(a.belief.mean, b.belief.mean)
             assert a.reward == b.reward

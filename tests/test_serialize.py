@@ -10,7 +10,7 @@ import pytest
 from ixbsp.beliefs import make_prior_belief, planning_root
 from ixbsp.errors import InvalidInput
 from ixbsp.incremental import mis_objective
-from ixbsp.planner import build_tree_xbsp, objective
+from ixbsp.planner import build_tree, objective
 from ixbsp.serialize import (
     TREE_FORMAT,
     belief_from_json_dict,
@@ -44,8 +44,8 @@ def _tree(seed=3, cfg=None):
            1: (np.array([1.0, -2.5]), np.eye(2))}
     prior = make_prior_belief(np.zeros(3), cfg.prior_cov(), landmarks=lms)
     root = planning_root(prior)
-    return build_tree_xbsp(root, cfg, cfg.motion_model(), cfg.meas_model(),
-                           np.array([5.0, 0.0]), seed), cfg
+    return build_tree(root, cfg, cfg.motion_model(), cfg.meas_model(),
+                      np.array([5.0, 0.0]), seed, most_likely=False), cfg
 
 
 class TestBeliefRoundTrip:

@@ -175,6 +175,19 @@ class TestRollout:
         m3 = self._run("ixbsp", seed=6)
         assert m3.actions != m1.actions or m3.estimation_err != m1.estimation_err
 
+    @pytest.mark.parametrize("fresh, incremental",
+                             [("xbsp", "ixbsp"), ("mlbsp", "imlbsp")])
+    def test_horizon_one_incremental_matches_fresh(self, fresh, incremental):
+        # a horizon-1 tree holds only the executed level: nothing is archived
+        cfg = tiny_cfg(max_sessions=3, horizon=1)
+        ref = self._run(fresh, cfg=cfg)
+        inc = self._run(incremental, cfg=cfg)
+        assert len(inc.sessions) == len(ref.sessions) > 1
+        assert inc.actions == ref.actions
+        assert [r.objective for r in inc.sessions] == \
+               [r.objective for r in ref.sessions]
+        assert {r.reuse_mode for r in inc.sessions} == {"no_archive"}
+
     def test_metrics_are_internally_consistent(self):
         m = self._run("xbsp")
         assert len(m.actions) == len(m.sessions) >= 1
