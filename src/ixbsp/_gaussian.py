@@ -2,8 +2,9 @@
 
 Thin wrappers around Cholesky factorizations so every module spells SPD
 solves, log-determinants and density evaluations the same way.  All inputs
-are plain ``numpy`` arrays; covariance arguments must be symmetric positive
-definite or ``NumericalError`` is raised.
+are plain ``numpy`` arrays; covariance arguments must be finite and
+symmetric (else ``InvalidInput``) and positive definite (else
+``NumericalError``).
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 def _factor(mat: np.ndarray, name: str, factorize):
     """Validate an SPD candidate; return its symmetrized copy and factor.
 
-    The single SPD check: shape and symmetry raise ``InvalidInput``, and a
-    failed factorization (not positive definite) raises ``NumericalError``.
+    The single SPD check: shape, a non-finite entry and asymmetry beyond
+    ``1e-9 * (1 + max|A|)`` raise ``InvalidInput``, and a failed
+    factorization (not positive definite) raises ``NumericalError``.
     """
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
-    if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-9 * (1.0 + np.abs(arr).max())):
+    scale = np.abs(arr).max()  # NaN or inf when any entry is
+    if not np.isfinite(scale):
+        raise InvalidInput(f"{name} must be finite")
+    if np.abs(arr - arr.T).max() > 1e-9 * (1.0 + scale):
         raise InvalidInput(f"{name} must be symmetric")
     sym = np.ascontiguousarray(0.5 * (arr + arr.T))
     try:

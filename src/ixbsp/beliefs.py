@@ -21,17 +21,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._gaussian import chol_lower, spd_inverse, whitener
+from ._gaussian import as_spd, chol_lower, spd_inverse, whitener
 from .errors import (
     DaMismatch,
     DegenerateUpdate,
     IncompatibleHistories,
     InvalidBelief,
+    InvalidInput,
     NumericalError,
     UnknownLandmark,
     UnknownVariable,
 )
 from .models import (
+    LANDMARK_DIM,
+    POSE_DIM,
     ActionId,
     MeasModel,
     MotionModel,
@@ -68,24 +71,39 @@ def canonical_order(vars_: Iterable[VariableId]) -> tuple[VariableId, ...]:
 
 @dataclass(frozen=True, slots=True)
 class VariableIndex:
-    """Ordered variable layout of a joint state vector."""
+    """Ordered variable layout of a joint state vector.
+
+    The offset map and the heading mask are computed once, at construction.
+    They stay out of ``==``, ``hash`` and ``repr``, and pickling sends only
+    ``vars`` and rebuilds them.
+    """
 
     vars: tuple[VariableId, ...]
     offsets: tuple[int, ...] = field(default=())
     dim: int = 0
+    _offset_map: dict[VariableId, int] = field(init=False, repr=False, compare=False)
+    _theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        offs = []
+        offset_map: dict[VariableId, int] = {}
         total = 0
-        seen = set()
         for v in self.vars:
-            if v in seen:
+            if v in offset_map:
                 raise InvalidBelief(f"duplicate variable {v}")
-            seen.add(v)
-            offs.append(total)
+            offset_map[v] = total
             total += v.dim
-        object.__setattr__(self, "offsets", tuple(offs))
+        theta = np.zeros(total, dtype=bool)
+        for v, off in offset_map.items():
+            if v.kind == "pose":
+                theta[off + 2] = True
+        theta.flags.writeable = False
+        object.__setattr__(self, "offsets", tuple(offset_map.values()))
         object.__setattr__(self, "dim", total)
+        object.__setattr__(self, "_offset_map", offset_map)
+        object.__setattr__(self, "_theta", theta)
+
+    def __reduce__(self):
+        return (VariableIndex, (self.vars,))
 
     @classmethod
     def of(cls, vars_: Iterable[VariableId]) -> "VariableIndex":
@@ -93,10 +111,6 @@ class VariableIndex:
 
     def __contains__(self, var: VariableId) -> bool:
         return var in self._offset_map
-
-    @property
-    def _offset_map(self) -> dict[VariableId, int]:
-        return {v: o for v, o in zip(self.vars, self.offsets)}
 
     def offset(self, var: VariableId) -> int:
         try:
@@ -116,12 +130,8 @@ class VariableIndex:
         return np.asarray(idx, dtype=int)
 
     def theta_mask(self) -> np.ndarray:
-        """Boolean mask of heading coordinates (third slot of each pose)."""
-        mask = np.zeros(self.dim, dtype=bool)
-        for v, off in zip(self.vars, self.offsets):
-            if v.kind == "pose":
-                mask[off + 2] = True
-        return mask
+        """Read-only boolean mask of heading coordinates (third slot of each pose)."""
+        return self._theta
 
     def newest_pose(self) -> VariableId:
         poses = [v for v in self.vars if v.kind == "pose"]
@@ -253,6 +263,16 @@ class StepRecord:
 # ---------------------------------------------------------------------------
 # factors
 
+# A factor's place in an index: one slice per involved variable, and their
+# stacked coordinates.  ``whitened(x, layout)`` returns the whitened
+# residual, its jacobian and those coordinates.
+Layout = tuple[tuple[slice, ...], np.ndarray]
+
+
+def factor_layout(factor: Factor, index: VariableIndex) -> Layout:
+    vars_ = factor.involved()
+    return tuple(index.slice_of(v) for v in vars_), index.indices_of(vars_)
+
 
 @dataclass(frozen=True)
 class DensePriorFactor:
@@ -273,12 +293,12 @@ class DensePriorFactor:
     def involved(self) -> tuple[VariableId, ...]:
         return self.vars_
 
-    def whitened(self, x: np.ndarray, index: VariableIndex):
-        idx = index.indices_of(self.vars_)
+    def whitened(self, x: np.ndarray, layout: Layout):
+        _, idx = layout
         e = x[idx] - self.mean
         e[self._theta] = wrap_angle_array(e[self._theta])
         a = self._wt  # jacobian of e wrt the stacked vars is identity
-        return self._wt @ e, None, a, idx
+        return self._wt @ e, a, idx
 
     def dim(self) -> int:
         return self.mean.size
@@ -294,7 +314,7 @@ class MotionFactor:
     model: MotionModel
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_wt", whitener(self.model.noise_cov).T)
+        object.__setattr__(self, "_wt", self.model.noise_wt)
 
     @property
     def step_time(self) -> int:
@@ -303,9 +323,8 @@ class MotionFactor:
     def involved(self) -> tuple[VariableId, ...]:
         return (pose_var(self.t_from), pose_var(self.t_to))
 
-    def whitened(self, x: np.ndarray, index: VariableIndex):
-        sl_f = index.slice_of(pose_var(self.t_from))
-        sl_t = index.slice_of(pose_var(self.t_to))
+    def whitened(self, x: np.ndarray, layout: Layout):
+        (sl_f, sl_t), idx = layout
         xf, xt = x[sl_f], x[sl_t]
         pred = self.model.step_mean(xf, self.action)
         e = xt - pred
@@ -317,9 +336,7 @@ class MotionFactor:
         a = np.zeros((d, 2 * d))
         a[:, :d] = -wt @ f_jac
         a[:, d:] = wt
-        idx = np.concatenate([np.arange(sl_f.start, sl_f.stop),
-                              np.arange(sl_t.start, sl_t.stop)])
-        return wt @ e, None, a, idx
+        return wt @ e, a, idx
 
     def dim(self) -> int:
         return self.model.state_dim
@@ -336,7 +353,7 @@ class MeasurementFactor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", _freeze(self.z))
-        object.__setattr__(self, "_wt", whitener(self.model.noise_cov).T)
+        object.__setattr__(self, "_wt", self.model.noise_wt)
 
     @property
     def step_time(self) -> int:
@@ -347,24 +364,21 @@ class MeasurementFactor:
             return (pose_var(self.t),)
         return (pose_var(self.t), landmark_var(self.lm))
 
-    def whitened(self, x: np.ndarray, index: VariableIndex):
-        sl_p = index.slice_of(pose_var(self.t))
-        pose = x[sl_p]
+    def whitened(self, x: np.ndarray, layout: Layout):
+        slices, idx = layout
+        pose = x[slices[0]]
         wt = self._wt
         if self.model.kind == "linear" or self.lm is None:
             e = self.model.predict(pose) - self.z
-            a = wt @ self.model.h_mat
-            idx = np.arange(sl_p.start, sl_p.stop)
-            return wt @ e, None, a, idx
-        sl_l = index.slice_of(landmark_var(self.lm))
-        lmv = x[sl_l]
+            return wt @ e, wt @ self.model.h_mat, idx
+        lmv = x[slices[1]]
         e = self.model.predict(pose, lmv) - self.z
         e[1] = wrap_angle(e[1])
         h_pose, h_lm = self.model.jacobians(pose, lmv)
-        a = np.hstack([wt @ h_pose, wt @ h_lm])
-        idx = np.concatenate([np.arange(sl_p.start, sl_p.stop),
-                              np.arange(sl_l.start, sl_l.stop)])
-        return wt @ e, None, a, idx
+        a = np.empty((2, POSE_DIM + LANDMARK_DIM))
+        a[:, :POSE_DIM] = wt @ h_pose
+        a[:, POSE_DIM:] = wt @ h_lm
+        return wt @ e, a, idx
 
     def dim(self) -> int:
         return self.z.size
@@ -388,17 +402,26 @@ def solve_factors(
     """Gauss-Newton on the stacked whitened system; returns (mean, cov, iters).
 
     The solve is deterministic: fixed iteration order, fixed stopping rule.
-    Linear systems converge in a single step.
+    Linear systems converge in a single step.  Each factor's layout (its
+    slices, index array and the flat positions of its information block) is
+    resolved once per solve, not once per iteration; the arithmetic and its
+    order are those of resolving it every iteration.
     """
     x = wrap_state(index, np.asarray(init, dtype=float))
     d = index.dim
+    plan = []
+    for f in factors:
+        layout = factor_layout(f, index)
+        idx = layout[1]
+        plan.append((f, layout, (idx[:, None] * d + idx).ravel()))
     iters = 0
     for _ in range(max_iter):
         lam = np.zeros((d, d))
+        lam_flat = lam.reshape(-1)  # a view: writes land in lam
         rhs = np.zeros(d)
-        for f in factors:
-            ew, _, a, idx = f.whitened(x, index)
-            lam[np.ix_(idx, idx)] += a.T @ a
+        for f, layout, block in plan:
+            ew, a, idx = f.whitened(x, layout)
+            lam_flat[block] += (a.T @ a).ravel()
             rhs[idx] -= a.T @ ew
         try:
             low = chol_lower(lam, "information matrix")
@@ -411,9 +434,10 @@ def solve_factors(
             break
     # covariance at the final linearization point
     lam = np.zeros((d, d))
-    for f in factors:
-        _, _, a, idx = f.whitened(x, index)
-        lam[np.ix_(idx, idx)] += a.T @ a
+    lam_flat = lam.reshape(-1)
+    for f, layout, block in plan:
+        _, a, _ = f.whitened(x, layout)
+        lam_flat[block] += (a.T @ a).ravel()
     try:
         cov = spd_inverse(lam)
     except NumericalError as exc:
@@ -441,14 +465,14 @@ class GaussianState:
                 f"mean dim {mean.size} != index dim {self.index.dim}")
         if cov.shape != (self.index.dim, self.index.dim):
             raise InvalidBelief(f"covariance shape {cov.shape} inconsistent")
-        if not np.allclose(cov, cov.T, atol=1e-9 * (1.0 + np.abs(cov).max())):
-            raise InvalidBelief("covariance must be symmetric")
         try:
-            chol_lower(cov)
+            sym = as_spd(cov)
+        except InvalidInput as exc:  # non-finite or asymmetric
+            raise InvalidBelief(str(exc)) from exc
         except NumericalError as exc:
             raise InvalidBelief("covariance must be positive definite") from exc
         object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "cov", _freeze(0.5 * (cov + cov.T)))
+        object.__setattr__(self, "cov", _freeze(sym))
 
     @property
     def dim(self) -> int:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._gaussian import whitener
 from .errors import InvalidInput, UnsupportedModel
 
 POSE_DIM = 3
@@ -38,6 +40,27 @@ def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     wrapped = np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi)
     wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped)
     return wrapped - np.pi
+
+
+class _NoiseWhitener:
+    """Mixin for models with a ``noise_cov``: its whitener, computed once."""
+
+    @cached_property
+    def noise_wt(self) -> np.ndarray:
+        """Read-only ``whitener(noise_cov).T``; ``noise_wt @ r`` whitens a residual.
+
+        Every factor built from one model shares this array instead of
+        factorizing the same covariance again.
+        """
+        wt = whitener(self.noise_cov).T
+        wt.flags.writeable = False
+        return wt
+
+    def __getstate__(self) -> dict:
+        # pickling leaves the cache out; the receiver recomputes it
+        state = dict(self.__dict__)
+        state.pop("noise_wt", None)
+        return state
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -100,7 +123,7 @@ DEFAULT_PRIMITIVES: tuple[Primitive, ...] = (
 
 
 @dataclass(frozen=True)
-class MotionModel:
+class MotionModel(_NoiseWhitener):
     """Process model; ``kind`` selects the transition map.
 
     kind == "unicycle": primitives index into ``primitives``; ``noise_cov`` is
@@ -163,7 +186,7 @@ class MotionModel:
 
 
 @dataclass(frozen=True)
-class MeasModel:
+class MeasModel(_NoiseWhitener):
     """Observation model; ``kind`` selects the map.
 
     kind == "range_bearing": z = (range, bearing) to a landmark with additive

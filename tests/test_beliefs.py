@@ -3,28 +3,41 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _util import random_spd
+from ixbsp import beliefs
+from ixbsp._gaussian import chol_lower, spd_inverse
 from ixbsp.beliefs import (
+    LANDMARK_INIT_VAR,
     DaDiff,
     DensePriorFactor,
     GaussianBelief,
     MeasurementEntry,
+    MeasurementFactor,
     MeasurementSet,
+    MotionFactor,
     StepRecord,
     VariableIndex,
     canonical_order,
     da_diff,
+    factor_layout,
     incremental_update,
     make_prior_belief,
     planning_root,
     propagate,
     rebuild_from_scratch,
+    solve_factors,
     update_with_measurements,
+    wrap_state,
     wrapped_diff,
 )
+from ixbsp.serialize import belief_from_json_dict, belief_to_json_dict
 from ixbsp.errors import DaMismatch, InvalidBelief, UnknownLandmark, UnknownVariable
 from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
 
@@ -58,6 +71,53 @@ class TestVariableIndex:
         idx = VariableIndex.of([landmark_var(0), pose_var(0), pose_var(1)])
         mask = idx.theta_mask()
         assert mask.tolist() == [False, False, False, False, True, False, False, True]
+
+    def test_theta_mask_is_read_only(self):
+        idx = VariableIndex.of([pose_var(0), landmark_var(1)])
+        mask = idx.theta_mask()
+        with pytest.raises(ValueError):
+            mask[0] = True
+        assert idx.theta_mask() is mask
+
+    def test_cached_offsets_agree_with_a_recomputation(self):
+        vars_ = canonical_order([pose_var(3), landmark_var(7), pose_var(1),
+                                 landmark_var(2), pose_var(2)])
+        idx = VariableIndex(vars_)
+        off = 0
+        for v in vars_:
+            assert v in idx
+            assert idx.offset(v) == off
+            assert idx.slice_of(v) == slice(off, off + v.dim)
+            assert idx.theta_mask()[off:off + v.dim].tolist() == (
+                [False, False, True] if v.kind == "pose" else [False, False])
+            off += v.dim
+        assert idx.dim == off
+        assert pose_var(9) not in idx and landmark_var(1) not in idx
+
+    def test_equal_vars_give_equal_hashable_indexes(self):
+        vars_ = (landmark_var(0), pose_var(1), pose_var(2))
+        a, b = VariableIndex(vars_), VariableIndex(tuple(vars_))
+        assert a == b and hash(a) == hash(b)
+        assert a != VariableIndex(vars_[:2])
+        assert len({a, b}) == 1
+        assert "_offset_map" not in repr(a) and "_theta" not in repr(a)
+
+    def test_pickle_and_serialize_round_trips_keep_offsets(self):
+        idx = VariableIndex.of([pose_var(0), landmark_var(4), pose_var(1)])
+        payload = pickle.dumps(idx)
+        assert b"_offset_map" not in payload and b"_theta" not in payload
+        back = pickle.loads(payload)
+        assert back == idx and back.offsets == idx.offsets
+        assert all(back.offset(v) == idx.offset(v) for v in idx.vars)
+        assert np.array_equal(back.theta_mask(), idx.theta_mask())
+        assert not back.theta_mask().flags.writeable
+
+        belief = make_prior_belief(np.zeros(3), np.eye(3),
+                                   landmarks={4: (np.ones(2), np.eye(2))})
+        again = belief_from_json_dict(belief_to_json_dict(belief))
+        assert again.index == belief.index
+        assert all(again.index.offset(v) == belief.index.offset(v)
+                   for v in belief.index.vars)
 
     def test_wrapped_diff_wraps_heading_only(self):
         idx = VariableIndex.of([pose_var(0)])
@@ -332,3 +392,125 @@ class TestPlanningRoot:
         mm = marg.marginal([pose_var(3)])
         assert np.allclose(fm.mean, mm.mean, atol=1e-9)
         assert np.allclose(fm.cov, mm.cov, atol=1e-9)
+
+
+class TestFactorWhiteners:
+    def test_factors_of_one_model_share_one_whitener(self):
+        motion = MotionModel(noise_cov=np.array([[0.3, 0.1, 0.0],
+                                                 [0.1, 0.2, 0.0],
+                                                 [0.0, 0.0, 0.01]]))
+        meas = MeasModel()
+        m1 = MotionFactor(0, 1, ActionId(0), motion)
+        m2 = MotionFactor(1, 2, ActionId(2), motion)
+        z1 = MeasurementFactor(1, 0, np.array([3.0, 0.1]), meas)
+        z2 = MeasurementFactor(2, 1, np.array([4.0, -0.2]), meas)
+        assert m1._wt is m2._wt is motion.noise_wt
+        assert z1._wt is z2._wt is meas.noise_wt
+        for model in (motion, meas):
+            w = model.noise_wt.T
+            assert np.allclose(w @ w.T, np.linalg.inv(model.noise_cov))
+            assert not model.noise_wt.flags.writeable
+            back = pickle.loads(pickle.dumps(model))  # sent without its cache
+            assert "noise_wt" not in back.__dict__
+            assert np.array_equal(back.noise_wt, model.noise_wt)
+            assert not back.noise_wt.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# solve_factors against the loop it replaced
+
+
+def _reference_solve(factors, index, init, max_iter):
+    """Gauss-Newton with every layout and ``np.ix_`` block rebuilt per iteration."""
+    x = wrap_state(index, np.asarray(init, dtype=float))
+    d = index.dim
+    iters = 0
+    for _ in range(max_iter):
+        lam = np.zeros((d, d))
+        rhs = np.zeros(d)
+        for f in factors:
+            ew, a, idx = f.whitened(x, factor_layout(f, index))
+            lam[np.ix_(idx, idx)] += a.T @ a
+            rhs[idx] -= a.T @ ew
+        low = chol_lower(lam, "information matrix")
+        delta = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+        x = wrap_state(index, x + delta)
+        iters += 1
+        if float(np.max(np.abs(delta))) < beliefs._GN_TOL:
+            break
+    lam = np.zeros((d, d))
+    for f in factors:
+        _, a, idx = f.whitened(x, factor_layout(f, index))
+        lam[np.ix_(idx, idx)] += a.T @ a
+    return x, spd_inverse(lam), iters
+
+
+def _range_bearing_problem(rng, n_lm, n_steps, new_lm):
+    """Dense prior over landmarks and pose 0, a motion chain, range-bearing
+    measurements of every landmark, and optionally one landmark first seen
+    at the last step (weak ``DensePriorFactor`` plus its measurement)."""
+    motion = MotionModel()
+    meas = MeasModel(fov=2 * math.pi, min_range=0.0)
+    lms = {j: rng.uniform(-8.0, 8.0, 2) + np.array([0.0, 12.0]) for j in range(n_lm)}
+    prior_vars = canonical_order([landmark_var(j) for j in lms] + [pose_var(0)])
+    prior_index = VariableIndex(prior_vars)
+    truth = {pose_var(0): np.array([0.0, 0.0, rng.uniform(-math.pi, math.pi)])}
+    truth.update({landmark_var(j): p for j, p in lms.items()})
+    prior_mean = np.concatenate([truth[v] for v in prior_vars])
+    prior_mean = prior_mean + 0.1 * rng.standard_normal(prior_index.dim)
+    factors = [DensePriorFactor(prior_vars, prior_mean,
+                                random_spd(rng, prior_index.dim, 0.05), step_time=0)]
+    for t in range(1, n_steps + 1):
+        act = ActionId(int(rng.integers(0, 3)))
+        truth[pose_var(t)] = motion.step_mean(truth[pose_var(t - 1)], act)
+        factors.append(MotionFactor(t - 1, t, act, motion))
+        for j in lms:
+            z = meas.predict(truth[pose_var(t)], lms[j]) + 0.02 * rng.standard_normal(2)
+            factors.append(MeasurementFactor(t, j, z, meas))
+    if new_lm:
+        j = n_lm
+        pos = truth[pose_var(n_steps)][:2] + np.array([3.0, 4.0])
+        truth[landmark_var(j)] = pos
+        z = meas.predict(truth[pose_var(n_steps)], pos)
+        factors.append(DensePriorFactor((landmark_var(j),), meas.invert(
+            truth[pose_var(n_steps)], z), LANDMARK_INIT_VAR * np.eye(2),
+            step_time=n_steps))
+        factors.append(MeasurementFactor(n_steps, j, z, meas))
+    index = VariableIndex.of(truth)
+    init = np.concatenate([truth[v] for v in index.vars])
+    return factors, index, init + 0.2 * rng.standard_normal(index.dim)
+
+
+def _linear_problem(rng, n_steps):
+    f_mat = np.eye(3) + 0.05 * rng.standard_normal((3, 3))
+    motion = MotionModel(kind="linear", f_mat=f_mat, j_mat=rng.standard_normal((3, 1)),
+                         controls=np.array([[1.0], [-0.5]]),
+                         noise_cov=random_spd(rng, 3, 0.1))
+    meas = MeasModel(kind="linear", h_mat=rng.standard_normal((2, 3)),
+                     noise_cov=random_spd(rng, 2, 0.1))
+    factors = [DensePriorFactor((pose_var(0),), rng.standard_normal(3),
+                                random_spd(rng, 3), step_time=0)]
+    for t in range(1, n_steps + 1):
+        factors.append(MotionFactor(t - 1, t, ActionId(int(rng.integers(0, 2))), motion))
+        factors.append(MeasurementFactor(t, None, rng.standard_normal(2), meas))
+    index = VariableIndex.of(pose_var(t) for t in range(n_steps + 1))
+    return factors, index, rng.standard_normal(index.dim)
+
+
+class TestSolveFactorsBitIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
+           n_steps=st.integers(1, 3), new_lm=st.booleans(),
+           linear=st.booleans(), max_iter=st.sampled_from([1, 2, 5, 60]))
+    def test_equals_per_iteration_reference(self, seed, n_lm, n_steps, new_lm,
+                                            linear, max_iter):
+        rng = np.random.default_rng(seed)
+        if linear:
+            factors, index, init = _linear_problem(rng, n_steps)
+        else:
+            factors, index, init = _range_bearing_problem(rng, n_lm, n_steps, new_lm)
+        mean, cov, iters = solve_factors(factors, index, init, max_iter=max_iter)
+        ref_mean, ref_cov, ref_iters = _reference_solve(factors, index, init, max_iter)
+        assert iters == ref_iters
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(cov, ref_cov)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -16,7 +18,9 @@ from ixbsp._gaussian import (
     spd_solve,
     whitener,
 )
-from ixbsp.errors import InvalidInput, NumericalError
+from ixbsp.beliefs import GaussianState, VariableIndex
+from ixbsp.errors import InvalidBelief, InvalidInput, NumericalError
+from ixbsp.models import landmark_var
 
 
 class TestSpdKernels:
@@ -61,6 +65,66 @@ class TestSpdKernels:
     def test_non_spd_raises(self):
         with pytest.raises((InvalidInput, NumericalError)):
             chol_lower(np.array([[0.0]]))
+
+
+def _bad_matrices():
+    base = np.array([[2.0, 0.3], [0.3, 1.0]])
+    nan = base.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    inf = base.copy()
+    inf[1, 1] = np.inf
+    neg_inf = base.copy()
+    neg_inf[0, 0] = -np.inf
+    asym = base.copy()
+    asym[0, 1] += 1e-3
+    return {"nan": nan, "inf": inf, "-inf": neg_inf, "asymmetric": asym}
+
+
+BAD = _bad_matrices()
+
+
+class TestRejectsBadInput:
+    """Non-finite or asymmetric input raises a typed error and warns nothing."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("kernel", [
+        as_spd, chol_lower, lambda m: spd_solve(m, np.ones(2))],
+        ids=["as_spd", "chol_lower", "spd_solve"])
+    def test_kernels(self, kernel, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput,
+                               match="symmetric" if kind == "asymmetric" else "finite"):
+                kernel(BAD[kind])
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_gaussian_state(self, kind):
+        index = VariableIndex((landmark_var(0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBelief,
+                               match="symmetric" if kind == "asymmetric" else "finite"):
+                GaussianState(index, np.zeros(2), BAD[kind])
+
+    def test_gaussian_state_keeps_its_messages(self):
+        index = VariableIndex((landmark_var(0),))
+        with pytest.raises(InvalidBelief, match="^covariance must be symmetric$"):
+            GaussianState(index, np.zeros(2), BAD["asymmetric"])
+        with pytest.raises(InvalidBelief, match="^covariance must be positive definite$"):
+            GaussianState(index, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_symmetry_tolerance_is_absolute_in_the_scale(self):
+        # asymmetry up to 1e-9 * (1 + max|A|) passes and is symmetrized away
+        cov = np.array([[1.0e3, 0.0], [0.0, 1.0]])
+        tol = 1e-9 * (1.0 + 1.0e3)
+        ok = cov.copy()
+        ok[0, 1] = 0.9 * tol
+        out = as_spd(ok)
+        assert np.array_equal(out, out.T)
+        bad = cov.copy()
+        bad[0, 1] = 1.1 * tol
+        with pytest.raises(InvalidInput, match="symmetric"):
+            as_spd(bad)
 
 
 class TestLogpdf:
