@@ -12,7 +12,9 @@ The four differ only in how a lookahead level is filled: fresh futures,
 re-used archived futures, or adopted archived subtrees.  Every tree comes
 from ``build_tree``, and every fresh future becomes a node through
 ``planner.add_nominal_children``, so with nothing to re-use an incremental
-planner builds its fresh twin's tree bit for bit.
+planner builds its fresh twin's tree bit for bit.  A re-used archived belief
+is brought up to the new planning root by one ``update_with_measurements``
+call, warm-started from the archived mean.
 
 Supporting toolkits: belief distances (``distances``), objective-error
 bounds (``bounds``), an active-SLAM simulation harness (``simulation``), and
@@ -25,11 +27,9 @@ from .beliefs import (
     MeasurementSet,
     PropagatedBelief,
     VariableIndex,
-    incremental_update,
     make_prior_belief,
     planning_root,
     propagate,
-    rebuild_from_scratch,
     update_with_measurements,
 )
 from .bounds import (
@@ -79,7 +79,6 @@ from .errors import (
     UnsupportedModel,
 )
 from .incremental import (
-    MisStep,
     PlanningArchive,
     balance_weight,
     closest_belief,

@@ -84,6 +84,9 @@ def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     if x.shape != mean.shape:
         raise InvalidInput(f"point/mean shape mismatch: {x.shape} vs {mean.shape}")
     low = chol_lower(cov)
-    diff = solve_triangular(low, x - mean, lower=True)
+    diff = x - mean
+    if not np.isfinite(diff).all():  # NaN or inf when either input is
+        raise InvalidInput("point and mean must be finite")
+    diff = solve_triangular(low, diff, lower=True, check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     return -0.5 * (diff @ diff + logdet + x.size * _LOG_2PI)

@@ -2,12 +2,10 @@
 
 A belief is the Gauss-Newton solution of a small nonlinear least-squares
 problem: a dense prior anchoring the root variables plus motion and
-measurement factors for every step since.  Keeping the factor list on the
-belief makes three things cheap and exact:
-
-* from-scratch rebuilds (same factors, cold start) for equivalence checks,
-* incremental updates (factor surgery + warm start) for reuse,
-* deterministic replays, since the solver has no randomness.
+measurement factors for every step since.  The solver has no randomness, so
+the same factor list always gives the same belief.  Re-using an archived
+belief against a new planning root is one ``update_with_measurements`` call
+whose ``init_hint`` warm-starts the solve from the archived mean.
 
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings, covariances come from the information matrix at the final
@@ -25,7 +23,6 @@ from ._gaussian import as_spd, chol_lower, spd_inverse, whitener
 from .errors import (
     DaMismatch,
     DegenerateUpdate,
-    IncompatibleHistories,
     InvalidBelief,
     InvalidInput,
     NumericalError,
@@ -465,6 +462,8 @@ class GaussianState:
                 f"mean dim {mean.size} != index dim {self.index.dim}")
         if cov.shape != (self.index.dim, self.index.dim):
             raise InvalidBelief(f"covariance shape {cov.shape} inconsistent")
+        if not np.isfinite(mean).all():
+            raise InvalidBelief("mean must be finite")
         try:
             sym = as_spd(cov)
         except InvalidInput as exc:  # non-finite or asymmetric
@@ -669,129 +668,3 @@ def update_with_measurements(
         time=prop.time,
     )
 
-
-def rebuild_from_scratch(belief: GaussianBelief) -> GaussianBelief:
-    """Re-solve the belief's own factor list cold-started from the prior chain.
-
-    Used as the independent check that cached solutions match a fresh solve.
-    """
-    init = np.zeros(belief.index.dim)
-    # seed from dense priors, then dead-reckon poses along motion factors
-    for f in belief.factors:
-        if isinstance(f, DensePriorFactor):
-            idx = belief.index.indices_of(f.vars_)
-            init[idx] = f.mean
-    for f in belief.factors:
-        if isinstance(f, MotionFactor):
-            sl_f = belief.index.slice_of(pose_var(f.t_from))
-            sl_t = belief.index.slice_of(pose_var(f.t_to))
-            init[sl_t] = f.model.step_mean(init[sl_f], f.action)
-    mean, cov, _ = solve_factors(belief.factors, belief.index, init)
-    return GaussianBelief(
-        index=belief.index, mean=mean, cov=cov, factors=belief.factors,
-        history=belief.history, root_time=belief.root_time, time=belief.time,
-    )
-
-
-def incremental_update(
-    reused: GaussianBelief,
-    root: GaussianBelief,
-    steps: Sequence[StepRecord],
-    motion_model: MotionModel,
-    meas_model: MeasModel,
-) -> tuple[GaussianBelief, dict[str, int]]:
-    """Re-hang a reused belief off a new root by factor surgery, then re-solve.
-
-    ``steps`` describe the target history from ``root.time`` to the reused
-    belief's time (absolute times, one record per step).  Factors that the
-    reused belief already carries are kept; stale ones (old anchor, steps at
-    or before the new root, DA-removed or re-valued measurements) are
-    replaced.  The solution equals a from-scratch build of the target factor
-    list; warm-starting from the reused mean only saves iterations.
-
-    Returns the updated belief and surgery counters.
-    """
-    if not steps and root.time == reused.time:
-        return root, {"kept": 0, "removed": len(reused.factors), "added": 0}
-    expect_t = root.time + 1
-    for rec in steps:
-        if rec.time != expect_t:
-            raise IncompatibleHistories(
-                f"step times must run {root.time + 1}..{reused.time}, got {rec.time}")
-        expect_t += 1
-    if expect_t != reused.time + 1:
-        raise IncompatibleHistories(
-            f"target history ends at {expect_t - 1}, reused belief at {reused.time}")
-
-    target_meas: dict[int, MeasurementSet] = {rec.time: rec.measurements for rec in steps}
-    target_actions: dict[int, ActionId] = {rec.time: rec.action for rec in steps}
-
-    kept: list[Factor] = []
-    removed = 0
-    reused_meas_keys: set[tuple[int, int]] = set()
-    for f in reused.factors:
-        if isinstance(f, DensePriorFactor):
-            removed += 1  # old anchor (or stale landmark init) always replaced
-            continue
-        if isinstance(f, MotionFactor):
-            if f.t_to <= root.time:
-                removed += 1
-                continue
-            if target_actions.get(f.t_to) != f.action:
-                removed += 1
-                continue
-            kept.append(f)
-            continue
-        if isinstance(f, MeasurementFactor):
-            if f.t <= root.time or f.t not in target_meas:
-                removed += 1
-                continue
-            want = target_meas[f.t].get((f.t, f.lm)) if f.lm is not None else None
-            if want is None or not np.array_equal(want.value, f.z):
-                removed += 1  # DA-removed or re-valued
-                continue
-            kept.append(f)
-            reused_meas_keys.add((f.t, f.lm))
-            continue
-        removed += 1
-
-    if len(root.factors) == 1 and isinstance(root.factors[0], DensePriorFactor):
-        anchor = root.factors[0]
-    else:
-        # compress a multi-factor root into its solved moments
-        anchor = DensePriorFactor(root.index.vars, root.mean, root.cov,
-                                  step_time=root.time)
-    added: list[Factor] = [anchor]
-    have_motion = {f.t_to for f in kept if isinstance(f, MotionFactor)}
-    for rec in steps:
-        if rec.time not in have_motion:
-            added.append(MotionFactor(rec.time - 1, rec.time, rec.action, motion_model))
-        for entry in rec.measurements:
-            if (entry.t, entry.lm) in reused_meas_keys:
-                continue
-            lm = entry.lm if meas_model.kind == "range_bearing" else None
-            if lm is not None and landmark_var(lm) not in root.index:
-                raise UnknownLandmark(f"landmark {lm} not in planning root")
-            added.append(MeasurementFactor(entry.t, lm, entry.value, meas_model))
-
-    factors = tuple(added) + tuple(kept)
-    vars_: set[VariableId] = set(root.index.vars)
-    for t in target_actions:
-        vars_.add(pose_var(t))
-    index = VariableIndex.of(vars_)
-
-    init = np.zeros(index.dim)
-    for v in index.vars:
-        if v in reused.index:
-            init[index.slice_of(v)] = reused.mean[reused.index.slice_of(v)]
-        elif v in root.index:
-            init[index.slice_of(v)] = root.mean[root.index.slice_of(v)]
-    mean, cov, iters = solve_factors(factors, index, init)
-    history = tuple(steps)
-    belief = GaussianBelief(
-        index=index, mean=mean, cov=cov, factors=factors,
-        history=history, root_time=root.time, time=reused.time,
-    )
-    stats = {"kept": len(kept), "removed": removed, "added": len(added),
-             "iterations": iters}
-    return belief, stats

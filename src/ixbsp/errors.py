@@ -27,10 +27,6 @@ class DegenerateUpdate(IxbspError):
     """A measurement update produced a non-PD information matrix."""
 
 
-class IncompatibleHistories(IxbspError):
-    """Two beliefs or histories share no common span to align on."""
-
-
 class DaMismatch(IxbspError):
     """Measurement entries disagree with the supplied data association."""
 

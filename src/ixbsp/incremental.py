@@ -27,12 +27,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 from ._gaussian import spd_inverse
 from .beliefs import (
     GaussianBelief,
+    GaussianState,
     MeasurementSet,
     PropagatedBelief,
     VariableIndex,
@@ -119,66 +121,28 @@ def balance_weight(
     return float(np.exp(cum_log_p - log_den))
 
 
-@dataclass(frozen=True, slots=True)
-class MisStep:
-    """Everything the reweighted objective needs about one lookahead step."""
-
-    rewards: tuple[float, ...]
-    cum_log_p: tuple[float, ...]
-    cum_log_q: tuple[float, ...]
-    tags: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.rewards)
-        if not (len(self.cum_log_p) == len(self.cum_log_q) == len(self.tags) == n):
-            raise IncompleteRecord("step record fields disagree in length")
-        if n == 0:
-            raise IncompleteRecord("step record has no paths")
-
-    def weights(self) -> list[float]:
-        n_reused = sum(1 for t in self.tags if t == TAG_REUSED)
-        n_nominal = len(self.tags) - n_reused
-        return [
-            balance_weight(lp, lq, n_reused, n_nominal)
-            for lp, lq in zip(self.cum_log_p, self.cum_log_q)
-        ]
-
-
-MisRecord = list[MisStep]
-
-
-def mis_record(tree: BeliefTree, seq: tuple[int, ...]) -> MisRecord:
-    """Per-step path records of one candidate sequence."""
-    record: MisRecord = []
-    for depth in range(1, tree.horizon + 1):
-        nodes = tree.paths_for_seq(seq, depth)
-        record.append(MisStep(
-            rewards=tuple(n.reward for n in nodes),
-            cum_log_p=tuple(n.cum_log_p for n in nodes),
-            cum_log_q=tuple(n.cum_log_q for n in nodes),
-            tags=tuple(n.tag for n in nodes),
-        ))
-    return record
-
-
-def mis_objective_from_record(record: MisRecord) -> float:
-    total = 0.0
-    for step in record:
-        weights = step.weights()
-        acc = 0.0
-        for w, r in zip(weights, step.rewards):
-            acc += w * r
-        total += acc / len(step.rewards)
-    return total
-
-
 def mis_objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
     """Importance-reweighted sampled objective of one candidate sequence.
 
-    On a tree with no re-used paths this equals the unweighted objective
-    exactly (all weights are the float 1.0).
+    Each step averages its paths' rewards, each weighted by the balance
+    heuristic over the step's tag counts.  On a tree with no re-used paths
+    this equals the unweighted objective exactly (all weights are the float
+    1.0).
     """
-    return mis_objective_from_record(mis_record(tree, seq))
+    total = 0.0
+    for depth in range(1, tree.horizon + 1):
+        nodes = tree.paths_for_seq(seq, depth)
+        if not nodes:
+            raise IncompleteRecord(f"sequence {seq} has no paths at depth {depth}")
+        n_reused = sum(1 for n in nodes if n.tag == TAG_REUSED)
+        n_nominal = len(nodes) - n_reused
+        weights = [balance_weight(n.cum_log_p, n.cum_log_q, n_reused, n_nominal)
+                   for n in nodes]
+        acc = 0.0
+        for w, n in zip(weights, nodes):
+            acc += w * n.reward
+        total += acc / len(nodes)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +185,23 @@ def select_closest_branch(
         )
         winner = cands[best]
         return d_sqrt_j(root, winner.belief), winner.node_id
-    best_dist = math.inf
-    winner = cands[0]
-    for n in cands:
-        dist = d_sqrt_j(root, n.belief)
-        if dist < best_dist:
-            best_dist = dist
-            winner = n
-    return best_dist, winner.node_id
+    return closest_belief(root, [(n.node_id, n.belief) for n in cands])
+
+
+_K = TypeVar("_K")
 
 
 def closest_belief(
-    target: PropagatedBelief,
-    candidates: list[tuple[tuple[int, int], PropagatedBelief]],
-) -> tuple[float, tuple[int, int]]:
-    """Min sqrt-J scan over archived propagated beliefs; first found wins ties."""
+    target: GaussianState,
+    candidates: list[tuple[_K, GaussianState]],
+) -> tuple[float, _K]:
+    """Min sqrt-J scan over keyed candidate beliefs; first found wins ties."""
     if not candidates:
-        raise EmptyCandidates("no archived propagated beliefs to compare")
+        raise EmptyCandidates("no archived beliefs to compare")
     best_dist = math.inf
     best_key = candidates[0][0]
-    for key, prop in candidates:
-        dist = d_sqrt_j(target, prop)
+    for key, belief in candidates:
+        dist = d_sqrt_j(target, belief)
         if dist < best_dist:
             best_dist = dist
             best_key = key

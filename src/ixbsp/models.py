@@ -177,13 +177,6 @@ class MotionModel(_NoiseWhitener):
             )
         return self.f_mat.copy()
 
-    def wrap_state(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "unicycle":
-            out = np.asarray(x, dtype=float).copy()
-            out[2] = wrap_angle(out[2])
-            return out
-        return np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True)
 class MeasModel(_NoiseWhitener):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,7 +148,7 @@ def simulate_step(
     ``t_next``, and its data association (sorted (time, landmark) keys).
     """
     new_gt = motion.step_mean(gt_pose, action) + _noise_draw(motion.noise_cov, rng)
-    new_gt = motion.wrap_state(new_gt)
+    new_gt[2] = wrap_angle(new_gt[2])
     entries: list[MeasurementEntry] = []
     for lm_id, pos in world.landmarks:
         pos_arr = np.asarray(pos, dtype=float)
@@ -191,7 +191,7 @@ def factor_reuse_counts(
     """
     tree = result.tree
     root_index = tree.node(tree.root_id).belief.index
-    overlap_depths = tree.horizon - 1 if tree.horizon > 1 else tree.horizon
+    overlap_depths = tree.horizon - 1  # rollouts archive one executed action
     reused = removed = reusable = 0
     arch_nodes = archive.tree.nodes if archive is not None else None
     for node in tree.nodes:
@@ -286,26 +286,12 @@ class RolloutMetrics:
             "actions": list(self.actions),
             "cumulative_time_s": self.cumulative_time("full"),
             "cumulative_overlap_time_s": self.cumulative_time("overlap-only"),
-            "sessions": [vars_of(r) for r in self.sessions],
+            "sessions": [asdict(r) for r in self.sessions],
             "shadow_sessions": {
-                k: [vars_of(r) for r in rows]
+                k: [asdict(r) for r in rows]
                 for k, rows in self.shadow_sessions.items()
             },
         }
-
-
-def vars_of(rec: SessionRecord) -> dict:
-    return {
-        "session": rec.session, "planner": rec.planner, "time_s": rec.time_s,
-        "overlap_time_s": rec.overlap_time_s, "objective": rec.objective,
-        "chosen_seq": list(rec.chosen_seq), "nominal": rec.nominal,
-        "reused": rec.reused, "wildfire": rec.wildfire,
-        "dist_to_goal": rec.dist_to_goal, "reuse_mode": rec.reuse_mode,
-        "reused_factors": rec.reused_factors,
-        "removed_factors": rec.removed_factors,
-        "reusable_factors": rec.reusable_factors,
-        "over_time_budget": rec.over_time_budget,
-    }
 
 
 def plan_session(
@@ -405,7 +391,8 @@ def run_rollout(
     belief = make_prior_belief(pose0, prior_cov, t=0)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(211,)))
-    gt = motion.wrap_state(pose0 + _noise_draw(prior_cov, rng))
+    gt = pose0 + _noise_draw(prior_cov, rng)
+    gt[2] = wrap_angle(gt[2])
 
     runners = [(planner_kind, planner_kind, cfg)]
     runners += [(lab, kind, overrides.get(lab, cfg)) for lab, kind in shadows]

@@ -1,4 +1,4 @@
-"""Joint Gaussian beliefs: layout, propagation, conditioning, factor surgery."""
+"""Joint Gaussian beliefs: layout, propagation, conditioning, planning roots."""
 
 from __future__ import annotations
 
@@ -27,11 +27,9 @@ from ixbsp.beliefs import (
     canonical_order,
     da_diff,
     factor_layout,
-    incremental_update,
     make_prior_belief,
     planning_root,
     propagate,
-    rebuild_from_scratch,
     solve_factors,
     update_with_measurements,
     wrap_state,
@@ -285,75 +283,35 @@ class TestConditioning:
         assert after < before
 
 
-class TestRebuildAndSurgery:
-    def _chain(self, root, steps, motion, meas):
-        b = root
-        for rec in steps:
-            prop = propagate(b, rec.action, motion)
-            b = update_with_measurements(prop, rec.measurements, meas)
-        return b
+def _chain(root, steps, motion, meas):
+    b = root
+    for rec in steps:
+        prop = propagate(b, rec.action, motion)
+        b = update_with_measurements(prop, rec.measurements, meas)
+    return b
 
-    def _two_landmark_setup(self):
-        motion = MotionModel()
-        meas = MeasModel(fov=2 * math.pi, min_range=0.0,
-                         noise_cov=np.diag([0.3**2, math.radians(2.0) ** 2]))
-        root = make_prior_belief(
-            np.array([0.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.05]),
-            landmarks={0: (np.array([3.0, 1.0]), np.eye(2) * 2.0),
-                       1: (np.array([5.0, -2.0]), np.eye(2) * 2.0)},
-        )
-        steps = (
-            StepRecord(1, ActionId(0), MeasurementSet((_entry(1, 0, [2.2, 0.5]),))),
-            StepRecord(2, ActionId(1), MeasurementSet((_entry(2, 0, [1.9, -0.8]),
-                                                       _entry(2, 1, [3.6, -1.1])))),
-        )
-        return motion, meas, root, steps
 
-    def test_rebuild_from_scratch_matches(self):
-        motion, meas, root, steps = self._two_landmark_setup()
-        b = self._chain(root, steps, motion, meas)
-        rb = rebuild_from_scratch(b)
-        assert np.allclose(rb.mean, b.mean, atol=1e-8)
-        assert np.allclose(rb.cov, b.cov, atol=1e-8)
-
-    def test_incremental_update_matches_from_scratch(self):
-        motion, meas, root, steps = self._two_landmark_setup()
-        reused = self._chain(root, steps, motion, meas)
-
-        # new session: shifted prior, one re-valued measurement at t=2
-        root2 = make_prior_belief(
-            np.array([0.2, -0.1, 0.05]), np.diag([1.5, 1.5, 0.08]),
-            landmarks={0: (np.array([3.1, 0.9]), np.eye(2) * 1.5),
-                       1: (np.array([4.8, -2.1]), np.eye(2) * 1.5)},
-        )
-        steps2 = (
-            steps[0],
-            StepRecord(2, ActionId(1), MeasurementSet((_entry(2, 0, [2.0, -0.7]),
-                                                       _entry(2, 1, [3.6, -1.1])))),
-        )
-        updated, stats = incremental_update(reused, root2, steps2, motion, meas)
-        fresh = self._chain(root2, steps2, motion, meas)
-        assert np.allclose(updated.mean, fresh.mean, atol=1e-6)
-        assert np.allclose(updated.cov, fresh.cov, atol=1e-6)
-        # the untouched t=1 measurement and both motion factors survive surgery
-        assert stats["kept"] >= 2
-        assert stats["removed"] >= 2  # old anchor + re-valued entry
-
-    def test_incremental_update_rejects_gapped_history(self):
-        from ixbsp.errors import IncompatibleHistories
-
-        motion, meas, root, steps = self._two_landmark_setup()
-        reused = self._chain(root, steps, motion, meas)
-        with pytest.raises(IncompatibleHistories):
-            incremental_update(reused, root, (steps[1],), motion, meas)
+def _two_landmark_setup():
+    motion = MotionModel()
+    meas = MeasModel(fov=2 * math.pi, min_range=0.0,
+                     noise_cov=np.diag([0.3**2, math.radians(2.0) ** 2]))
+    root = make_prior_belief(
+        np.array([0.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.05]),
+        landmarks={0: (np.array([3.0, 1.0]), np.eye(2) * 2.0),
+                   1: (np.array([5.0, -2.0]), np.eye(2) * 2.0)},
+    )
+    steps = (
+        StepRecord(1, ActionId(0), MeasurementSet((_entry(1, 0, [2.2, 0.5]),))),
+        StepRecord(2, ActionId(1), MeasurementSet((_entry(2, 0, [1.9, -0.8]),
+                                                   _entry(2, 1, [3.6, -1.1])))),
+    )
+    return motion, meas, root, steps
 
 
 class TestPlanningRoot:
     def test_marginal_moments_and_reanchored_factor(self):
-        motion, meas, root, steps = (
-            TestRebuildAndSurgery()._two_landmark_setup()
-        )
-        b = TestRebuildAndSurgery()._chain(root, steps, motion, meas)
+        motion, meas, root, steps = _two_landmark_setup()
+        b = _chain(root, steps, motion, meas)
         pr = planning_root(b)
         keep = canonical_order(list(b.index.landmarks()) + [b.index.newest_pose()])
         assert pr.index.vars == keep

@@ -106,6 +106,24 @@ class TestRejectsBadInput:
                                match="symmetric" if kind == "asymmetric" else "finite"):
                 GaussianState(index, np.zeros(2), BAD[kind])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gaussian_state_mean(self, bad):
+        index = VariableIndex((landmark_var(0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBelief, match="^mean must be finite$"):
+                GaussianState(index, np.array([bad, 0.0]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["point", "mean"])
+    def test_logpdf_point_and_mean(self, where, bad):
+        vec = np.array([bad, 0.0])
+        args = (vec, np.zeros(2)) if where == "point" else (np.zeros(2), vec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="finite"):
+                gaussian_logpdf(*args, np.eye(2))
+
     def test_gaussian_state_keeps_its_messages(self):
         index = VariableIndex((landmark_var(0),))
         with pytest.raises(InvalidBelief, match="^covariance must be symmetric$"):

@@ -26,14 +26,12 @@ from ixbsp.errors import (
     InvalidInput,
 )
 from ixbsp.incremental import (
-    MisStep,
     PlanningArchive,
     _CandidateScan,
     balance_weight,
     closest_belief,
     is_rep_sample,
     mis_objective,
-    mis_record,
     plan_iml,
     plan_ixbsp,
     select_closest_branch,
@@ -43,6 +41,7 @@ from ixbsp.planner import (
     TAG_NOMINAL,
     TAG_REUSED,
     TAG_WILDFIRE,
+    BeliefTree,
     build_tree,
     objective,
     plan_mlbsp,
@@ -105,32 +104,100 @@ class TestMisObjective:
         for seq in tree.candidate_sequences():
             assert mis_objective(tree, seq) == objective(tree, seq)
 
-    def test_step_weights_follow_tag_counts(self):
-        step = MisStep(rewards=(1.0, 2.0, 4.0),
-                       cum_log_p=(-1.0, -1.5, -2.0),
-                       cum_log_q=(-1.4, -1.5, -2.6),
-                       tags=(TAG_REUSED, TAG_NOMINAL, TAG_REUSED))
-        w = step.weights()
-        assert w[1] == 1.0  # densities agree
-        assert w[0] == pytest.approx(balance_weight(-1.0, -1.4, 2, 1))
-        assert w[2] == pytest.approx(balance_weight(-2.0, -2.6, 2, 1))
+    @staticmethod
+    def _hand_tree(horizon, steps):
+        """Single-action tree whose nodes carry the given (reward, log p,
+        log q, tag) tuples; each level hangs under the first node above."""
+        prior, _, _, _ = _setup(tiny_cfg())
+        tree = BeliefTree(planning_time=0, horizon=horizon, n_u=1,
+                          n_x=1, n_z=1, base_seed=0)
+        parent = tree.add_root(prior)
+        for level in steps:
+            children = [
+                tree.add_child(parent, 0, s, action=ActionId(0), sample=None,
+                               belief=prior, prop=None, reward=r,
+                               log_p_step=lp, log_q_step=lq, tag=tag)
+                for s, (r, lp, lq, tag) in enumerate(level)
+            ]
+            parent = children[0]
+        return tree
 
-    def test_record_shape_matches_tree(self):
-        cfg = tiny_cfg(n_x=2)
-        prior, motion, meas, goal = _setup(cfg)
-        tree = build_tree(planning_root(prior), cfg, motion, meas, goal, 0,
-                          most_likely=False)
-        rec = mis_record(tree, (0, 0))
-        assert len(rec) == cfg.horizon
-        assert len(rec[0].rewards) == 2
-        assert len(rec[1].rewards) == 4
+    def test_step_weights_follow_tag_counts(self):
+        tree = self._hand_tree(1, [[(1.0, -1.0, -1.4, TAG_REUSED),
+                                    (2.0, -1.5, -1.5, TAG_NOMINAL),
+                                    (4.0, -2.0, -2.6, TAG_REUSED)]])
+        w0 = balance_weight(-1.0, -1.4, 2, 1)
+        w2 = balance_weight(-2.0, -2.6, 2, 1)
+        assert w0 != 1.0 and w2 != 1.0
+        acc = 0.0  # the middle path's densities agree, so its weight is 1.0
+        for w, r in ((w0, 1.0), (1.0, 2.0), (w2, 4.0)):
+            acc += w * r
+        assert mis_objective(tree, (0,)) == 0.0 + acc / 3
 
     def test_malformed_step_rejected(self):
+        level = [(1.0, 0.0, 0.0, TAG_NOMINAL)]
+        tree = self._hand_tree(2, [level, level])
+        assert mis_objective(tree, (0, 0)) == 2.0
+        tree.node(1).children[0] = []  # empty slot at depth 2
         with pytest.raises(IncompleteRecord):
-            MisStep(rewards=(1.0,), cum_log_p=(0.0, 0.0), cum_log_q=(0.0,),
-                    tags=(TAG_NOMINAL,))
+            mis_objective(tree, (0, 0))
+        tree.root.children[0] = []  # empty slot at depth 1
         with pytest.raises(IncompleteRecord):
-            MisStep(rewards=(), cum_log_p=(), cum_log_q=(), tags=())
+            mis_objective(tree, (0, 0))
+
+
+def _record_objective(tree, seq):
+    """Record-based MIS objective: every step's path record is collected
+    first, then each step's weights, then the weighted sum in path order."""
+    record = []
+    for depth in range(1, tree.horizon + 1):
+        nodes = tree.paths_for_seq(seq, depth)
+        record.append((tuple(n.reward for n in nodes),
+                       tuple(n.cum_log_p for n in nodes),
+                       tuple(n.cum_log_q for n in nodes),
+                       tuple(n.tag for n in nodes)))
+    total = 0.0
+    for rewards, cum_log_p, cum_log_q, tags in record:
+        n_reused = sum(1 for t in tags if t == TAG_REUSED)
+        n_nominal = len(tags) - n_reused
+        weights = [balance_weight(lp, lq, n_reused, n_nominal)
+                   for lp, lq in zip(cum_log_p, cum_log_q)]
+        acc = 0.0
+        for w, r in zip(weights, rewards):
+            acc += w * r
+        total += acc / len(rewards)
+    return total
+
+
+_REUSE_CFGS = {
+    "update": dict(n_x=2, use_wildfire=False),
+    "adopt": dict(n_x=2, epsilon_c=1e9, epsilon_wf=1e9),
+}
+
+
+class TestMisObjectiveMatchesRecord:
+    """The one-pass objective equals the record-based computation bit for
+    bit on re-used trees, in both sampled and ML mode."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans(),
+           mode=st.sampled_from(sorted(_REUSE_CFGS)),
+           jitter=st.sampled_from([0.0, 0.005, 0.01]))
+    def test_every_sequence(self, seed, ml, mode, jitter):
+        cfg = tiny_cfg(**_REUSE_CFGS[mode])
+        prior, motion, meas, goal = _setup(cfg)
+        fresh, inc = _PLANNER_PAIRS[ml]
+        res0 = fresh(prior, cfg, motion, meas, goal, 0)
+        act = res0.best_action.index
+        archive = PlanningArchive(res0.tree, (act,))
+        posterior = _execute(prior, act, motion, meas, jitter=jitter)
+        res = inc(posterior, archive, cfg, motion, meas, goal, seed)
+        assert res.reuse_info["mode"] == mode
+        tags = {n.tag for n in res.tree.nodes[1:]}
+        assert (TAG_REUSED if mode == "update" else TAG_WILDFIRE) in tags
+        for seq in res.tree.candidate_sequences():
+            assert repr(mis_objective(res.tree, seq)) == repr(
+                _record_objective(res.tree, seq))
 
 
 class TestArchiveValidation:

@@ -187,6 +187,7 @@ class TestRollout:
         assert [r.objective for r in inc.sessions] == \
                [r.objective for r in ref.sessions]
         assert {r.reuse_mode for r in inc.sessions} == {"no_archive"}
+        assert {r.reusable_factors for r in ref.sessions + inc.sessions} == {0}
 
     def test_metrics_are_internally_consistent(self):
         m = self._run("xbsp")
