@@ -3,7 +3,10 @@
 A belief is the Gauss-Newton solution of a small nonlinear least-squares
 problem: a dense prior anchoring the root variables plus motion and
 measurement factors for every step since.  The solver has no randomness, so
-the same factor list always gives the same belief.  Re-using an archived
+the same factor list always gives the same belief.  The factor list is also
+the belief's only record of what it absorbed: each step's time is its
+``MotionFactor.t_to`` and each measurement entry is one
+``MeasurementFactor`` (``distances.d_da`` reads both).  Re-using an archived
 belief against a new planning root is one ``update_with_measurements`` call
 whose ``init_hint`` warm-starts the solve from the archived mean.
 
@@ -147,6 +150,17 @@ def wrap_state(index: VariableIndex, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def overlay(index: VariableIndex, x: np.ndarray,
+            src_index: VariableIndex, src: np.ndarray) -> np.ndarray:
+    """Copy of ``x`` (laid out by ``index``) with every variable that
+    ``src_index`` also holds taken from ``src``."""
+    out = np.array(x, dtype=float)
+    for v in index.vars:
+        if v in src_index:
+            out[index.slice_of(v)] = src[src_index.slice_of(v)]
+    return out
+
+
 def wrapped_diff(index: VariableIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b with heading coordinates wrapped to (-pi, pi]."""
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -203,9 +217,6 @@ class MeasurementSet:
                 return e
         return None
 
-    def merged(self, other: "MeasurementSet") -> "MeasurementSet":
-        return MeasurementSet(self.entries + other.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class DaDiff:
@@ -248,15 +259,6 @@ def da_diff(a: MeasurementSet, b: MeasurementSet) -> DaDiff:
                   kept=tuple(sorted(kept, key=lambda kv: kv[0])))
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
-    """One executed or simulated lookahead step: action then measurements."""
-
-    time: int
-    action: ActionId
-    measurements: MeasurementSet
-
-
 # ---------------------------------------------------------------------------
 # factors
 
@@ -278,7 +280,6 @@ class DensePriorFactor:
     vars_: tuple[VariableId, ...]
     mean: np.ndarray
     cov: np.ndarray
-    step_time: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", _freeze(self.mean))
@@ -297,9 +298,6 @@ class DensePriorFactor:
         a = self._wt  # jacobian of e wrt the stacked vars is identity
         return self._wt @ e, a, idx
 
-    def dim(self) -> int:
-        return self.mean.size
-
 
 @dataclass(frozen=True)
 class MotionFactor:
@@ -312,10 +310,6 @@ class MotionFactor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_wt", self.model.noise_wt)
-
-    @property
-    def step_time(self) -> int:
-        return self.t_to
 
     def involved(self) -> tuple[VariableId, ...]:
         return (pose_var(self.t_from), pose_var(self.t_to))
@@ -335,16 +329,17 @@ class MotionFactor:
         a[:, d:] = wt
         return wt @ e, a, idx
 
-    def dim(self) -> int:
-        return self.model.state_dim
-
 
 @dataclass(frozen=True)
 class MeasurementFactor:
-    """Observation factor z = h(x_t, l_j) + v (or z = H x_t + v for linear)."""
+    """Observation factor z = h(x_t, l_j) + v (or z = H x_t + v for linear).
+
+    ``lm`` is the observed entry's landmark id as given; a linear model
+    involves the pose only and ignores it.
+    """
 
     t: int
-    lm: int | None
+    lm: int
     z: np.ndarray
     model: MeasModel
 
@@ -352,12 +347,8 @@ class MeasurementFactor:
         object.__setattr__(self, "z", _freeze(self.z))
         object.__setattr__(self, "_wt", self.model.noise_wt)
 
-    @property
-    def step_time(self) -> int:
-        return self.t
-
     def involved(self) -> tuple[VariableId, ...]:
-        if self.model.kind == "linear" or self.lm is None:
+        if self.model.kind == "linear":
             return (pose_var(self.t),)
         return (pose_var(self.t), landmark_var(self.lm))
 
@@ -365,7 +356,7 @@ class MeasurementFactor:
         slices, idx = layout
         pose = x[slices[0]]
         wt = self._wt
-        if self.model.kind == "linear" or self.lm is None:
+        if self.model.kind == "linear":
             e = self.model.predict(pose) - self.z
             return wt @ e, wt @ self.model.h_mat, idx
         lmv = x[slices[1]]
@@ -376,9 +367,6 @@ class MeasurementFactor:
         a[:, :POSE_DIM] = wt @ h_pose
         a[:, POSE_DIM:] = wt @ h_lm
         return wt @ e, a, idx
-
-    def dim(self) -> int:
-        return self.z.size
 
 
 Factor = DensePriorFactor | MotionFactor | MeasurementFactor
@@ -487,13 +475,13 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class PropagatedBelief(GaussianState):
-    """Belief after an action, before measurements: b-minus over one extra pose."""
+    """Belief after an action, before measurements: b-minus over one extra pose.
+
+    ``factors`` ends with the action's ``MotionFactor``.
+    """
 
     factors: tuple[Factor, ...] = ()
-    history: tuple[StepRecord, ...] = ()
-    root_time: int = 0
     time: int = 0
-    action: ActionId = ActionId(0)
 
     def new_pose(self) -> VariableId:
         return pose_var(self.time)
@@ -501,11 +489,14 @@ class PropagatedBelief(GaussianState):
 
 @dataclass(frozen=True)
 class GaussianBelief(GaussianState):
-    """Posterior belief: solved factor list plus the history that built it."""
+    """Posterior belief: the solution of its factor list.
+
+    The factor list is the belief's whole record: one ``MotionFactor`` per
+    step absorbed since the root prior, whose ``t_to`` is the step's time,
+    and one ``MeasurementFactor`` per measurement entry.
+    """
 
     factors: tuple[Factor, ...] = ()
-    history: tuple[StepRecord, ...] = ()
-    root_time: int = 0
     time: int = 0
 
 
@@ -531,11 +522,9 @@ def make_prior_belief(
         sl = index.slice_of(v)
         mean[sl] = means[v]
         cov[sl, sl] = covs[v]
-    prior = DensePriorFactor(index.vars, mean, cov, step_time=t)
-    return GaussianBelief(
-        index=index, mean=mean, cov=cov, factors=(prior,), history=(),
-        root_time=t, time=t,
-    )
+    prior = DensePriorFactor(index.vars, mean, cov)
+    return GaussianBelief(index=index, mean=mean, cov=cov, factors=(prior,),
+                          time=t)
 
 
 def planning_root(belief: GaussianBelief) -> GaussianBelief:
@@ -546,12 +535,9 @@ def planning_root(belief: GaussianBelief) -> GaussianBelief:
     """
     keep = canonical_order(list(belief.index.landmarks()) + [belief.index.newest_pose()])
     marg = belief.marginal(keep)
-    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov,
-                             step_time=belief.time)
-    return GaussianBelief(
-        index=marg.index, mean=marg.mean, cov=marg.cov, factors=(prior,),
-        history=(), root_time=belief.time, time=belief.time,
-    )
+    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov)
+    return GaussianBelief(index=marg.index, mean=marg.mean, cov=marg.cov,
+                          factors=(prior,), time=belief.time)
 
 
 def propagate(
@@ -587,12 +573,8 @@ def propagate(
     cov[d_old:, d_old:] = f_jac @ belief.cov[sl, sl] @ f_jac.T + model.noise_cov
 
     factor = MotionFactor(cur.index, new_t, action, model)
-    return PropagatedBelief(
-        index=index, mean=mean, cov=cov,
-        factors=belief.factors + (factor,),
-        history=belief.history, root_time=belief.root_time,
-        time=new_t, action=action,
-    )
+    return PropagatedBelief(index=index, mean=mean, cov=cov,
+                            factors=belief.factors + (factor,), time=new_t)
 
 
 def update_with_measurements(
@@ -611,21 +593,15 @@ def update_with_measurements(
     ``init_hint`` warm-starts the solve from another solution's values over
     shared variables; it changes iteration count, never the solution.
     """
-    step = StepRecord(prop.time, prop.action, measurements)
     if len(measurements) == 0:
-        return GaussianBelief(
-            index=prop.index, mean=prop.mean, cov=prop.cov,
-            factors=prop.factors, history=prop.history + (step,),
-            root_time=prop.root_time, time=prop.time,
-        )
+        return GaussianBelief(index=prop.index, mean=prop.mean, cov=prop.cov,
+                              factors=prop.factors, time=prop.time)
 
     new_factors: list[Factor] = []
     index = prop.index
-    init = prop.mean.copy()
+    init = prop.mean
     if init_hint is not None:
-        for v in index.vars:
-            if v in init_hint.index:
-                init[index.slice_of(v)] = init_hint.mean[init_hint.index.slice_of(v)]
+        init = overlay(index, init, init_hint.index, init_hint.mean)
     pose_sl = index.slice_of(prop.new_pose())
     pose_mean = prop.mean[pose_sl]
 
@@ -642,29 +618,19 @@ def update_with_measurements(
     if new_lms:
         vars_ = canonical_order(index.vars + tuple(landmark_var(j) for j, _ in new_lms))
         new_index = VariableIndex(vars_)
-        new_init = np.zeros(new_index.dim)
-        for v in index.vars:
-            new_init[new_index.slice_of(v)] = init[index.slice_of(v)]
+        new_init = overlay(new_index, np.zeros(new_index.dim), index, init)
         for j, guess in new_lms:
             new_init[new_index.slice_of(landmark_var(j))] = guess
-            new_factors.append(
-                DensePriorFactor(
-                    (landmark_var(j),), guess,
-                    LANDMARK_INIT_VAR * np.eye(2), step_time=prop.time,
-                )
-            )
+            new_factors.append(DensePriorFactor(
+                (landmark_var(j),), guess, LANDMARK_INIT_VAR * np.eye(2)))
         index = new_index
         init = new_init
 
     for entry in measurements:
-        lm = entry.lm if model.kind == "range_bearing" else None
-        new_factors.append(MeasurementFactor(entry.t, lm, entry.value, model))
+        new_factors.append(MeasurementFactor(entry.t, entry.lm, entry.value, model))
 
     factors = prop.factors + tuple(new_factors)
     mean, cov, _ = solve_factors(factors, index, init)
-    return GaussianBelief(
-        index=index, mean=mean, cov=cov, factors=factors,
-        history=prop.history + (step,), root_time=prop.root_time,
-        time=prop.time,
-    )
+    return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
+                          time=prop.time)
 

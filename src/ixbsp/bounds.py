@@ -332,9 +332,6 @@ class _AffineMap:
         """Batch evaluation: xi of shape (m, n_xi) -> means of shape (m, d)."""
         return self.const + xi @ self.lin.T
 
-    def gaussian(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.const, self.lin @ self.lin.T
-
 
 @dataclass(frozen=True, slots=True)
 class _Drive:

@@ -7,11 +7,16 @@ Three subcommands share one flag vocabulary::
     ixbsp bounds  --out out/ --seeds 0
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration problem.  All
-randomness flows from the manifest seeds; ``run`` outputs are therefore
-byte-identical across repeated executions, including under parallel workers
-(results are merged in task order, never completion order).  Wall-clock times
-are reported only in JSON summaries, never in CSVs, to keep the CSVs
-deterministic.  ``IXBSP_THREADS`` caps the worker pool.
+randomness flows from the manifest seeds, and results are merged in task
+order, never completion order, so repeated executions (also under parallel
+workers) reproduce every output except wall-clock times.  The CSVs of ``run``
+(``sessions_*.csv``) and ``bounds`` hold no wall-clock time and are
+byte-identical across executions; ``run`` reports times only in its JSON
+summaries.  ``compare`` does write wall-clock times to CSV: the
+``time_full_s`` and ``time_overlap_s`` columns of ``compare_sessions.csv``,
+every ratio in ``compare_ratios.csv`` and ``mean_time_s``/``median_time_s``
+in ``compare_table.csv``; its other columns are deterministic.
+``IXBSP_THREADS`` caps the worker pool.
 """
 
 from __future__ import annotations

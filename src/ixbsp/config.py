@@ -1,9 +1,10 @@
 """Scenario configuration.
 
 ``ScenarioConfig`` collects every knob a planning experiment needs: sampling
-budgets, reuse thresholds, world geometry, noise magnitudes, reward shape and
-seeds.  Configs round-trip through plain JSON dicts so the CLI, the snapshot
-files and the test harness all speak the same schema.
+budgets, reuse thresholds, world geometry, noise magnitudes and reward shape.
+Rollout seeds are not part of it; they come from the CLI's ``--seeds``.
+Configs round-trip through plain JSON dicts so the CLI, the snapshot files
+and the test harness all speak the same schema.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ DISTANCE_KINDS = ("sqrt_j", "da_key")
 REP_TESTS = ("per_coordinate", "mahalanobis")
 REWARD_KINDS = ("info_and_distance", "distance_with_cov_penalty")
 PLANNER_NAMES = ("xbsp", "mlbsp", "ixbsp", "imlbsp")
+# noise and prior standard deviations; each must be positive
+_STD_FIELDS = ("prior_pos_std", "prior_heading_std_deg", "motion_pos_std",
+               "motion_heading_std_deg", "meas_range_std", "meas_bearing_std_deg")
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +114,6 @@ class ScenarioConfig:
 
     world: WorldConfig = field(default_factory=WorldConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
-    seeds: tuple[int, ...] = (0,)
 
     def validate(self) -> None:
         if self.n_u < 1 or self.n_u > len(self.primitives):
@@ -121,18 +124,23 @@ class ScenarioConfig:
             raise ConfigError("horizon must be >= 1")
         if not 1 <= self.overlap <= self.horizon:
             raise ConfigError("overlap must be in [1, horizon]")
-        if self.epsilon_c < 0.0 or self.epsilon_wf < 0.0:
+        # ``not x >= 0`` also rejects NaN, which every comparison fails
+        if not (self.epsilon_c >= 0.0 and self.epsilon_wf >= 0.0):
             raise ConfigError("thresholds must be non-negative")
         if self.epsilon_wf > self.epsilon_c:
             raise ConfigError("epsilon_wf must not exceed epsilon_c")
-        if self.beta_sigma <= 0.0 and math.isfinite(self.beta_sigma):
+        if not self.beta_sigma > 0.0:
             raise ConfigError("beta_sigma must be positive (or inf)")
+        for name in _STD_FIELDS:
+            std = getattr(self, name)
+            if not (std > 0.0 and math.isfinite(std)):
+                raise ConfigError(f"{name} must be positive and finite")
+        if not self.goal_tolerance >= 0.0:
+            raise ConfigError("goal_tolerance must be non-negative")
         if self.distance not in DISTANCE_KINDS:
             raise ConfigError(f"distance must be one of {DISTANCE_KINDS}")
         if self.rep_test not in REP_TESTS:
             raise ConfigError(f"rep_test must be one of {REP_TESTS}")
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
         self.reward.validate()
@@ -174,7 +182,6 @@ class ScenarioConfig:
     def to_json_dict(self) -> dict[str, Any]:
         raw = asdict(self)
         raw["primitives"] = [list(p) for p in self.primitives]
-        raw["seeds"] = list(self.seeds)
         raw["world"] = asdict(self.world)
         raw["world"]["start_xy"] = list(self.world.start_xy)
         raw["reward"] = asdict(self.reward)
@@ -201,8 +208,6 @@ class ScenarioConfig:
                 data["primitives"] = tuple(
                     (str(n), float(d), float(a)) for n, d, a in data["primitives"]
                 )
-            if "seeds" in data:
-                data["seeds"] = tuple(int(s) for s in data["seeds"])
             cfg = cls(**data)
             cfg.validate()
         except (TypeError, ValueError) as exc:

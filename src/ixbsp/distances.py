@@ -12,7 +12,8 @@ which for Gaussians has the closed form
 Beliefs over different variable sets are first aligned on the intersection of
 their variable ids (exact Gaussian marginals); heading differences are
 wrapped.  A cheap structural alternative orders candidates by how much their
-data associations differ, without ever producing a thresholdable scalar.
+data associations differ, read from their factor lists, without ever
+producing a thresholdable scalar.
 
 The incremental block implements the update algebra: how the squared distance
 of a belief pair changes when both sides absorb a measurement update, the
@@ -28,9 +29,12 @@ import numpy as np
 
 from ._gaussian import as_spd, spd_inverse, spd_logdet, spd_solve
 from .beliefs import (
+    GaussianBelief,
     GaussianState,
+    MeasurementEntry,
+    MeasurementFactor,
     MeasurementSet,
-    StepRecord,
+    MotionFactor,
     canonical_order,
     da_diff,
     wrapped_diff,
@@ -123,32 +127,34 @@ def d_sqrt_j(p: GaussianState, q: GaussianState) -> float:
     return sqrt_j_moments(diff, pa.cov, qa.cov)
 
 
-def _span_measurements(history: tuple[StepRecord, ...], t_lo: int, t_hi: int) -> MeasurementSet:
-    merged = MeasurementSet()
-    for rec in history:
-        if t_lo <= rec.time <= t_hi:
-            merged = merged.merged(rec.measurements)
-    return merged
+def _absorbed_times(belief: GaussianBelief) -> list[int]:
+    return [f.t_to for f in belief.factors if isinstance(f, MotionFactor)]
 
 
-def d_da(
-    ref_history: tuple[StepRecord, ...],
-    cand_history: tuple[StepRecord, ...],
-) -> tuple[int, float]:
+def _span_measurements(belief: GaussianBelief, t_lo: int, t_hi: int) -> MeasurementSet:
+    return MeasurementSet(tuple(
+        MeasurementEntry(f.t, f.lm, f.z) for f in belief.factors
+        if isinstance(f, MeasurementFactor) and t_lo <= f.t <= t_hi))
+
+
+def d_da(ref: GaussianBelief, cand: GaussianBelief) -> tuple[int, float]:
     """Data-association divergence key over the overlapping time span.
 
-    Lexicographic: (#added + #removed associations, L2 gap over kept values).
-    Orders candidates only; it is never compared against scalar thresholds.
+    The span runs over the steps both factor lists absorbed (their
+    ``MotionFactor`` times); the entries are their ``MeasurementFactor``s in
+    that span.  Lexicographic: (#added + #removed associations, L2 gap over
+    kept values).  Orders candidates only; it is never compared against
+    scalar thresholds.
     """
-    if not ref_history or not cand_history:
-        raise IncompatibleStates("histories must both be non-empty")
-    t_lo = max(ref_history[0].time, cand_history[0].time)
-    t_hi = min(ref_history[-1].time, cand_history[-1].time)
+    ref_times, cand_times = _absorbed_times(ref), _absorbed_times(cand)
+    if not ref_times or not cand_times:
+        raise IncompatibleStates("beliefs must both hold at least one step")
+    t_lo = max(min(ref_times), min(cand_times))
+    t_hi = min(max(ref_times), max(cand_times))
     if t_lo > t_hi:
-        raise IncompatibleStates("histories do not overlap in time")
-    ref = _span_measurements(ref_history, t_lo, t_hi)
-    cand = _span_measurements(cand_history, t_lo, t_hi)
-    diff = da_diff(cand, ref)
+        raise IncompatibleStates("beliefs' steps do not overlap in time")
+    diff = da_diff(_span_measurements(cand, t_lo, t_hi),
+                   _span_measurements(ref, t_lo, t_hi))
     return diff.key()
 
 

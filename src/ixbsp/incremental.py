@@ -38,6 +38,7 @@ from .beliefs import (
     MeasurementSet,
     PropagatedBelief,
     VariableIndex,
+    overlay,
     planning_root,
     propagate,
     update_with_measurements,
@@ -181,7 +182,7 @@ def select_closest_branch(
     if cfg.distance == "da_key":
         best = min(
             range(len(cands)),
-            key=lambda i: d_da(posterior.history, cands[i].belief.history),
+            key=lambda i: d_da(posterior, cands[i].belief),
         )
         winner = cands[best]
         return d_sqrt_j(root, winner.belief), winner.node_id
@@ -316,21 +317,6 @@ def is_rep_sample(
     return md2 <= beta_sigma**2 * diff.size
 
 
-def _hybrid_state(
-    chi: np.ndarray, chi_index: VariableIndex, prop: PropagatedBelief
-) -> np.ndarray:
-    """Archived realization re-expressed over the new propagated index.
-
-    Shared variables copy the archived values; variables the archive never
-    knew (landmarks mapped since) take the new propagated mean.
-    """
-    out = prop.mean.copy()
-    for v in prop.index.vars:
-        if v in chi_index:
-            out[prop.index.slice_of(v)] = chi[chi_index.slice_of(v)]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tree update
 
@@ -347,9 +333,8 @@ def _copy_children_verbatim(
         arch = arch_tree.node(cid)
         tree.add_child(
             parent, action_index, s_idx,
-            action=ActionId(action_index), sample=arch.sample,
-            belief=arch.belief, prop=arch.prop, reward=arch.reward,
-            log_p_step=arch.log_p_step, log_q_step=arch.log_p_step,
+            sample=arch.sample, belief=arch.belief, prop=arch.prop,
+            reward=arch.reward, log_q_step=arch.sample.log_density,
             tag=TAG_WILDFIRE, origin=arch.node_id,
         )
 
@@ -388,9 +373,11 @@ def _reuse_group(
                 cfg.beta_sigma, cfg.rep_test,
             )
         if accepted:
-            chi = _hybrid_state(lead.sample.chi, arch_prop.index, prop_new)
-            new_da = predicted_da(prop_new, meas, chi)
-            da_keys = set(new_da)
+            # the archived realization over the new index; landmarks mapped
+            # since keep the new propagated mean
+            chi = overlay(prop_new.index, prop_new.mean, arch_prop.index,
+                          lead.sample.chi)
+            da_keys = set(predicted_da(prop_new, meas, chi))
             for arch_node in group:
                 kept = tuple(e for e in arch_node.sample.z_set if e.key in da_keys)
                 added_da = tuple(sorted(
@@ -407,12 +394,11 @@ def _reuse_group(
                         log_q += per_entry_p[e.key]
                 belief = update_with_measurements(
                     prop_new, z_set, meas, init_hint=arch_node.belief)
-                sample = MeasurementSample(chi, new_da, z_set, log_p, per_entry_p)
+                sample = MeasurementSample(chi, z_set, log_p, per_entry_p)
                 tree.add_child(
                     parent, action_index, slot,
-                    action=ActionId(action_index), sample=sample, belief=belief,
-                    prop=prop_new, reward=reward_fn(belief, parent.belief),
-                    log_p_step=log_p, log_q_step=log_q,
+                    sample=sample, belief=belief, prop=prop_new,
+                    reward=reward_fn(belief, parent.belief), log_q_step=log_q,
                     tag=TAG_REUSED, origin=arch_node.node_id,
                 )
                 slot += 1

@@ -83,9 +83,6 @@ class VariableId:
     def dim(self) -> int:
         return POSE_DIM if self.kind == "pose" else LANDMARK_DIM
 
-    def label(self) -> str:
-        return f"{'x' if self.kind == 'pose' else 'l'}{self.index}"
-
 
 def pose_var(t: int) -> VariableId:
     return VariableId("pose", t)

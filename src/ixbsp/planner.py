@@ -95,18 +95,22 @@ def reward_info_distance(
 
 @dataclass(slots=True)
 class BeliefTreeNode:
-    """One posterior node of the lookahead tree.  Mutated only during build."""
+    """One posterior node of the lookahead tree.  Mutated only during build.
+
+    A child's action index is ``path[-2]`` and its sample slot ``path[-1]``.
+    Its step log density under the nominal generator is
+    ``sample.log_density``; ``log_q_step`` is the archived one.  Only the
+    root has no sample and no propagated belief.
+    """
 
     node_id: int
     parent: int | None
     depth: int
     path: tuple[int, ...]
-    action: ActionId | None
     sample: MeasurementSample | None
     belief: GaussianBelief
     prop: PropagatedBelief | None
     reward: float = 0.0
-    log_p_step: float = 0.0
     log_q_step: float = 0.0
     cum_log_p: float = 0.0
     cum_log_q: float = 0.0
@@ -140,8 +144,8 @@ class BeliefTree:
         if self.nodes:
             raise InvalidInput("tree already has a root")
         node = BeliefTreeNode(
-            node_id=0, parent=None, depth=0, path=(), action=None,
-            sample=None, belief=belief, prop=None,
+            node_id=0, parent=None, depth=0, path=(), sample=None,
+            belief=belief, prop=None,
             children=[[] for _ in range(self.n_u)],
         )
         self.nodes.append(node)
@@ -162,7 +166,7 @@ class BeliefTree:
             children=[[] for _ in range(self.n_u)],
             **kwargs,
         )
-        node.cum_log_p = parent.cum_log_p + node.log_p_step
+        node.cum_log_p = parent.cum_log_p + node.sample.log_density
         node.cum_log_q = parent.cum_log_q + node.log_q_step
         self.nodes.append(node)
         parent.children[action_index].append(node.node_id)
@@ -234,9 +238,8 @@ def add_nominal_children(
         belief = update_with_measurements(prop, sample.z_set, meas)
         created.append(tree.add_child(
             parent, action_index, s_idx,
-            action=ActionId(action_index), sample=sample, belief=belief, prop=prop,
+            sample=sample, belief=belief, prop=prop,
             reward=reward_fn(belief, parent.belief),
-            log_p_step=sample.log_density,
             log_q_step=sample.log_density,
             tag=TAG_NOMINAL, origin=None,
         ))

@@ -36,13 +36,12 @@ from .models import MeasModel, landmark_var, wrap_angle
 class MeasurementSample:
     """One sampled future: a state realization and the measurements it yielded.
 
-    ``log_density`` and ``entry_log_densities`` are evaluated under the
-    generating propagated belief at creation time, so re-use never has to
-    reconstruct the generator.
+    The realized data association is ``z_set.keys()``.  ``log_density`` and
+    ``entry_log_densities`` are evaluated under the generating propagated
+    belief at creation time, so re-use never has to reconstruct the generator.
     """
 
     chi: np.ndarray
-    da: tuple[tuple[int, int], ...]
     z_set: MeasurementSet
     log_density: float
     entry_log_densities: dict[tuple[int, int], float]
@@ -126,7 +125,7 @@ def sample_state_futures(
     for _ in range(n_z):
         z_set = _measure_at(prop, model, chi, da, rng)
         total, per_entry = measurement_likelihood_density(z_set, prop, model)
-        out.append(MeasurementSample(chi, da, z_set, total, per_entry))
+        out.append(MeasurementSample(chi, z_set, total, per_entry))
     return out
 
 
@@ -158,7 +157,7 @@ def most_likely_measurement(
     da = predicted_da(prop, model, chi)
     z_set = _measure_at(prop, model, chi, da, rng=None)
     total, per_entry = measurement_likelihood_density(z_set, prop, model)
-    return MeasurementSample(chi, da, z_set, total, per_entry)
+    return MeasurementSample(chi, z_set, total, per_entry)
 
 
 def entry_predictive(

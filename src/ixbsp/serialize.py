@@ -1,10 +1,18 @@
 """Versioned JSON snapshots of lookahead trees.
 
 A snapshot captures everything needed to analyse or re-score a planning
-session offline: tree structure, per-node posterior moments, sampled
-measurements, importance densities, tags and rewards.  Loaded beliefs carry
-solved moments but empty factor lists, so they support distances, objectives
-and action selection; they are not meant to seed further factor-graph solves.
+session offline: tree structure, per-node posterior and propagated moments,
+sampled measurements, importance densities, tags and rewards.  Loaded
+beliefs carry solved moments but empty factor lists, so they support
+distances, objectives and action selection; they are not meant to seed
+further factor-graph solves.
+
+Nothing that another stored field determines is written: a node's action is
+``path[-2]``, its nominal step density is ``sample.log_density`` (the
+cumulative densities are rebuilt from the parent chain on load), and a
+sample's data association is its measurement keys.  Posterior and
+propagated beliefs share one codec.  A document of any other format
+version, including ``ixbsp-tree-v1``, is rejected with ``InvalidInput``.
 
 Covariances are stored packed (lower triangle, row major) to halve snapshot
 size; all arrays round-trip bit exactly through Python floats.
@@ -24,11 +32,11 @@ from .beliefs import (
     VariableIndex,
 )
 from .errors import InvalidInput
-from .models import ActionId, VariableId
+from .models import VariableId
 from .planner import BeliefTree, BeliefTreeNode
 from .sampling import MeasurementSample
 
-TREE_FORMAT = "ixbsp-tree-v1"
+TREE_FORMAT = "ixbsp-tree-v2"
 
 
 def pack_sym(mat: np.ndarray) -> list[float]:
@@ -66,54 +74,31 @@ def _zset_from_list(data: list[list[Any]]) -> MeasurementSet:
         for t, lm, vals in data))
 
 
-def belief_to_json_dict(belief: GaussianBelief) -> dict[str, Any]:
+def belief_to_json_dict(belief: GaussianBelief | PropagatedBelief) -> dict[str, Any]:
+    """Moments, layout and time of a posterior or propagated belief."""
     return {
         "vars": _index_to_list(belief.index),
         "mean": [float(v) for v in belief.mean],
         "cov_packed": pack_sym(belief.cov),
-        "root_time": belief.root_time,
         "time": belief.time,
     }
 
 
-def belief_from_json_dict(data: dict[str, Any]) -> GaussianBelief:
+def belief_from_json_dict(data: dict[str, Any], cls=GaussianBelief):
+    """Inverse of ``belief_to_json_dict``; ``cls`` is ``GaussianBelief`` or
+    ``PropagatedBelief``, which hold the same fields."""
     index = _index_from_list(data["vars"])
-    return GaussianBelief(
+    return cls(
         index=index,
         mean=np.asarray(data["mean"], dtype=float),
         cov=unpack_sym(data["cov_packed"], index.dim),
-        root_time=int(data["root_time"]),
         time=int(data["time"]),
-    )
-
-
-def _prop_to_json_dict(prop: PropagatedBelief) -> dict[str, Any]:
-    return {
-        "vars": _index_to_list(prop.index),
-        "mean": [float(v) for v in prop.mean],
-        "cov_packed": pack_sym(prop.cov),
-        "root_time": prop.root_time,
-        "time": prop.time,
-        "action": prop.action.index,
-    }
-
-
-def _prop_from_json_dict(data: dict[str, Any]) -> PropagatedBelief:
-    index = _index_from_list(data["vars"])
-    return PropagatedBelief(
-        index=index,
-        mean=np.asarray(data["mean"], dtype=float),
-        cov=unpack_sym(data["cov_packed"], index.dim),
-        root_time=int(data["root_time"]),
-        time=int(data["time"]),
-        action=ActionId(int(data["action"])),
     )
 
 
 def _sample_to_json_dict(sample: MeasurementSample) -> dict[str, Any]:
     return {
         "chi": [float(v) for v in sample.chi],
-        "da": [list(pair) for pair in sample.da],
         "z": _zset_to_list(sample.z_set),
         "log_density": sample.log_density,
         "entry_log_densities": [
@@ -125,7 +110,6 @@ def _sample_to_json_dict(sample: MeasurementSample) -> dict[str, Any]:
 def _sample_from_json_dict(data: dict[str, Any]) -> MeasurementSample:
     return MeasurementSample(
         chi=np.asarray(data["chi"], dtype=float),
-        da=tuple((int(t), int(lm)) for t, lm in data["da"]),
         z_set=_zset_from_list(data["z"]),
         log_density=float(data["log_density"]),
         entry_log_densities={
@@ -141,12 +125,10 @@ def _node_to_json_dict(node: BeliefTreeNode) -> dict[str, Any]:
         "parent": node.parent,
         "depth": node.depth,
         "path": list(node.path),
-        "action": None if node.action is None else node.action.index,
         "sample": None if node.sample is None else _sample_to_json_dict(node.sample),
         "belief": belief_to_json_dict(node.belief),
-        "prop": None if node.prop is None else _prop_to_json_dict(node.prop),
+        "prop": None if node.prop is None else belief_to_json_dict(node.prop),
         "reward": node.reward,
-        "log_p_step": node.log_p_step,
         "log_q_step": node.log_q_step,
         "tag": node.tag,
         "origin": node.origin,
@@ -155,19 +137,17 @@ def _node_to_json_dict(node: BeliefTreeNode) -> dict[str, Any]:
 
 
 def _node_from_json_dict(data: dict[str, Any]) -> BeliefTreeNode:
-    action = data["action"]
     sample = data["sample"]
+    prop = data["prop"]
     return BeliefTreeNode(
         node_id=int(data["node_id"]),
         parent=None if data["parent"] is None else int(data["parent"]),
         depth=int(data["depth"]),
         path=tuple(int(a) for a in data["path"]),
-        action=None if action is None else ActionId(int(action)),
         sample=None if sample is None else _sample_from_json_dict(sample),
         belief=belief_from_json_dict(data["belief"]),
-        prop=None if data["prop"] is None else _prop_from_json_dict(data["prop"]),
+        prop=None if prop is None else belief_from_json_dict(prop, PropagatedBelief),
         reward=float(data["reward"]),
-        log_p_step=float(data["log_p_step"]),
         log_q_step=float(data["log_q_step"]),
         tag=str(data["tag"]),
         origin=None if data["origin"] is None else int(data["origin"]),
@@ -204,7 +184,9 @@ def tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
     tree.nodes = [_node_from_json_dict(n) for n in data["nodes"]]
     for node in tree.nodes:
         if node.parent is not None:
+            if node.sample is None:
+                raise InvalidInput(f"node {node.node_id} has a parent but no sample")
             parent = tree.nodes[node.parent]
-            node.cum_log_p = parent.cum_log_p + node.log_p_step
+            node.cum_log_p = parent.cum_log_p + node.sample.log_density
             node.cum_log_q = parent.cum_log_q + node.log_q_step
     return tree

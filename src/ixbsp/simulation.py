@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .beliefs import (
 from .config import PLANNER_NAMES, ScenarioConfig, WorldConfig
 from .errors import InvalidInput
 from .incremental import PlanningArchive, plan_iml, plan_ixbsp
-from .models import ActionId, MeasModel, MotionModel, wrap_angle
+from .models import ActionId, MeasModel, MotionModel, landmark_var, wrap_angle
 from .planner import TAG_REUSED, TAG_WILDFIRE, BeliefTree, PlanningResult, plan_mlbsp, plan_xbsp
 
 
@@ -199,10 +199,7 @@ def factor_reuse_counts(
             continue
         if node.depth <= overlap_depths:
             reusable += sum(
-                1 for e in node.sample.z_set
-                if any(v.kind == "landmark" and v.index == e.lm
-                       for v in root_index.vars)
-            )
+                1 for e in node.sample.z_set if landmark_var(e.lm) in root_index)
         if node.tag not in (TAG_REUSED, TAG_WILDFIRE) or node.origin is None:
             continue
         if arch_nodes is None:

@@ -15,14 +15,11 @@ from ixbsp import beliefs
 from ixbsp._gaussian import chol_lower, spd_inverse
 from ixbsp.beliefs import (
     LANDMARK_INIT_VAR,
-    DaDiff,
     DensePriorFactor,
-    GaussianBelief,
     MeasurementEntry,
     MeasurementFactor,
     MeasurementSet,
     MotionFactor,
-    StepRecord,
     VariableIndex,
     canonical_order,
     da_diff,
@@ -250,7 +247,8 @@ class TestConditioning:
         post = update_with_measurements(prop, MeasurementSet(), MeasModel())
         assert np.array_equal(post.mean, prop.mean)
         assert np.array_equal(post.cov, prop.cov)
-        assert len(post.history) == 1 and len(post.history[0].measurements) == 0
+        # the step is recorded by its motion factor alone
+        assert post.factors == prop.factors and post.time == prop.time == 1
 
     def test_unknown_landmark_raises_without_init_flag(self):
         b = make_prior_belief(np.zeros(3), np.eye(3) * 0.1)
@@ -284,10 +282,11 @@ class TestConditioning:
 
 
 def _chain(root, steps, motion, meas):
+    """Absorb (action, measurement set) steps into ``root``."""
     b = root
-    for rec in steps:
-        prop = propagate(b, rec.action, motion)
-        b = update_with_measurements(prop, rec.measurements, meas)
+    for action, z_set in steps:
+        prop = propagate(b, action, motion)
+        b = update_with_measurements(prop, z_set, meas)
     return b
 
 
@@ -301,9 +300,9 @@ def _two_landmark_setup():
                    1: (np.array([5.0, -2.0]), np.eye(2) * 2.0)},
     )
     steps = (
-        StepRecord(1, ActionId(0), MeasurementSet((_entry(1, 0, [2.2, 0.5]),))),
-        StepRecord(2, ActionId(1), MeasurementSet((_entry(2, 0, [1.9, -0.8]),
-                                                   _entry(2, 1, [3.6, -1.1])))),
+        (ActionId(0), MeasurementSet((_entry(1, 0, [2.2, 0.5]),))),
+        (ActionId(1), MeasurementSet((_entry(2, 0, [1.9, -0.8]),
+                                      _entry(2, 1, [3.6, -1.1])))),
     )
     return motion, meas, root, steps
 
@@ -319,8 +318,7 @@ class TestPlanningRoot:
         assert np.allclose(pr.mean, ref.mean)
         assert np.allclose(pr.cov, ref.cov)
         assert len(pr.factors) == 1 and isinstance(pr.factors[0], DensePriorFactor)
-        assert pr.time == b.time and pr.root_time == b.time
-        assert pr.history == ()
+        assert pr.time == b.time
 
     def test_future_planning_matches_full_joint_linear(self):
         # for linear models, conditioning on a future measurement gives the
@@ -417,7 +415,7 @@ def _range_bearing_problem(rng, n_lm, n_steps, new_lm):
     prior_mean = np.concatenate([truth[v] for v in prior_vars])
     prior_mean = prior_mean + 0.1 * rng.standard_normal(prior_index.dim)
     factors = [DensePriorFactor(prior_vars, prior_mean,
-                                random_spd(rng, prior_index.dim, 0.05), step_time=0)]
+                                random_spd(rng, prior_index.dim, 0.05))]
     for t in range(1, n_steps + 1):
         act = ActionId(int(rng.integers(0, 3)))
         truth[pose_var(t)] = motion.step_mean(truth[pose_var(t - 1)], act)
@@ -431,8 +429,7 @@ def _range_bearing_problem(rng, n_lm, n_steps, new_lm):
         truth[landmark_var(j)] = pos
         z = meas.predict(truth[pose_var(n_steps)], pos)
         factors.append(DensePriorFactor((landmark_var(j),), meas.invert(
-            truth[pose_var(n_steps)], z), LANDMARK_INIT_VAR * np.eye(2),
-            step_time=n_steps))
+            truth[pose_var(n_steps)], z), LANDMARK_INIT_VAR * np.eye(2)))
         factors.append(MeasurementFactor(n_steps, j, z, meas))
     index = VariableIndex.of(truth)
     init = np.concatenate([truth[v] for v in index.vars])
@@ -447,10 +444,10 @@ def _linear_problem(rng, n_steps):
     meas = MeasModel(kind="linear", h_mat=rng.standard_normal((2, 3)),
                      noise_cov=random_spd(rng, 2, 0.1))
     factors = [DensePriorFactor((pose_var(0),), rng.standard_normal(3),
-                                random_spd(rng, 3), step_time=0)]
+                                random_spd(rng, 3))]
     for t in range(1, n_steps + 1):
         factors.append(MotionFactor(t - 1, t, ActionId(int(rng.integers(0, 2))), motion))
-        factors.append(MeasurementFactor(t, None, rng.standard_normal(2), meas))
+        factors.append(MeasurementFactor(t, -1, rng.standard_normal(2), meas))
     index = VariableIndex.of(pose_var(t) for t in range(n_steps + 1))
     return factors, index, rng.standard_normal(index.dim)
 

@@ -1,0 +1,62 @@
+"""Scenario config validation: bad numbers are config errors at load time."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+
+from ixbsp.cli import main
+from ixbsp.config import ScenarioConfig, load_config
+from ixbsp.errors import ConfigError
+
+from _util import tiny_cfg
+
+NAN = float("nan")
+
+BAD_NUMBERS = [
+    dict(epsilon_c=NAN, epsilon_wf=NAN),
+    dict(epsilon_c=NAN),
+    dict(epsilon_wf=NAN),
+    dict(goal_tolerance=NAN),
+    dict(goal_tolerance=-0.5),
+    dict(beta_sigma=NAN),
+    dict(beta_sigma=-math.inf),
+    dict(prior_pos_std=0.0),
+    dict(prior_heading_std_deg=-1.0),
+    dict(motion_pos_std=0.0, motion_heading_std_deg=0.0),
+    dict(motion_heading_std_deg=-0.5),
+    dict(meas_range_std=0.0),
+    dict(meas_bearing_std_deg=NAN),
+]
+
+
+@pytest.mark.parametrize("overrides", BAD_NUMBERS, ids=lambda kw: ",".join(
+    f"{k}={v}" for k, v in kw.items()))
+def test_bad_number_rejected(overrides, tmp_path):
+    with pytest.raises(ConfigError):
+        tiny_cfg(**overrides)
+    # the same values through a JSON file (Python's json reads NaN/-Infinity)
+    raw = tiny_cfg().to_json_dict()
+    raw.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    # the CLI reports a config error (exit 2), not a failed run (exit 1)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--planners", "mlbsp"]) == 2
+
+
+def test_infinite_beta_sigma_and_zero_tolerance_kept():
+    cfg = tiny_cfg(beta_sigma=math.inf, goal_tolerance=0.0)
+    assert cfg.beta_sigma == math.inf and cfg.goal_tolerance == 0.0
+
+
+def test_seeds_is_not_a_config_key():
+    raw = tiny_cfg().to_json_dict()
+    assert "seeds" not in raw
+    raw["seeds"] = [0]
+    with pytest.raises(ConfigError, match="seeds"):
+        ScenarioConfig.from_json_dict(raw)

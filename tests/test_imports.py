@@ -1,0 +1,70 @@
+"""Every module uses every name it imports (no linter is installed)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "ixbsp").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py")),
+    key=lambda p: str(p.relative_to(ROOT)),
+)
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import except ``from __future__``."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, including inside string annotations and
+    ``__all__``."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for attr in ("annotation", "returns"):
+            ann = getattr(node, attr, None)
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used(ast.parse(ann.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return sorted((name, line) for name, line in _imported(tree).items()
+                  if name not in used)
+
+
+def test_detector_flags_only_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from math import pi, tau\n"
+        "x: 'Path | None' = None\n"
+        "from pathlib import Path\n"
+        "print(system.argv, pi)\n"
+    )
+    assert unused_imports(source) == [("os", 2), ("tau", 3)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -36,7 +36,7 @@ from ixbsp.incremental import (
     plan_ixbsp,
     select_closest_branch,
 )
-from ixbsp.models import ActionId, landmark_var, pose_var
+from ixbsp.models import ActionId, landmark_var
 from ixbsp.planner import (
     TAG_NOMINAL,
     TAG_REUSED,
@@ -47,6 +47,7 @@ from ixbsp.planner import (
     plan_mlbsp,
     plan_xbsp,
 )
+from ixbsp.sampling import MeasurementSample
 
 from _util import tiny_cfg
 
@@ -114,9 +115,11 @@ class TestMisObjective:
         parent = tree.add_root(prior)
         for level in steps:
             children = [
-                tree.add_child(parent, 0, s, action=ActionId(0), sample=None,
+                tree.add_child(parent, 0, s,
+                               sample=MeasurementSample(np.zeros(0),
+                                                        MeasurementSet(), lp, {}),
                                belief=prior, prop=None, reward=r,
-                               log_p_step=lp, log_q_step=lq, tag=tag)
+                               log_q_step=lq, tag=tag)
                 for s, (r, lp, lq, tag) in enumerate(level)
             ]
             parent = children[0]

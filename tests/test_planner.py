@@ -10,16 +10,14 @@ import pytest
 from ixbsp.beliefs import DensePriorFactor, make_prior_belief, propagate, update_with_measurements
 from ixbsp.config import RewardConfig
 from ixbsp.errors import UnknownSequence
-from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
+from ixbsp.models import ActionId, pose_var
 from ixbsp.planner import (
     TAG_NOMINAL,
     TAG_REUSED,
     TAG_WILDFIRE,
-    BeliefTree,
     best_action,
     build_tree,
     distance_to_goal,
-    make_reward_fn,
     objective,
     plan_mlbsp,
     plan_xbsp,

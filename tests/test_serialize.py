@@ -7,10 +7,24 @@ import json
 import numpy as np
 import pytest
 
-from ixbsp.beliefs import make_prior_belief, planning_root
+from ixbsp.beliefs import (
+    PropagatedBelief,
+    make_prior_belief,
+    planning_root,
+    propagate,
+    update_with_measurements,
+)
 from ixbsp.errors import InvalidInput
-from ixbsp.incremental import mis_objective
-from ixbsp.planner import build_tree, objective
+from ixbsp.incremental import PlanningArchive, mis_objective, plan_iml, plan_ixbsp
+from ixbsp.planner import (
+    TAG_REUSED,
+    TAG_WILDFIRE,
+    build_tree,
+    objective,
+    plan_mlbsp,
+    plan_xbsp,
+)
+from ixbsp.sampling import most_likely_measurement
 from ixbsp.serialize import (
     TREE_FORMAT,
     belief_from_json_dict,
@@ -38,12 +52,15 @@ class TestPackedSymmetric:
             unpack_sym([1.0, 2.0], 3)
 
 
-def _tree(seed=3, cfg=None):
-    cfg = cfg or tiny_cfg(n_x=2)
+def _prior(cfg):
     lms = {0: (np.array([3.0, 1.5]), np.eye(2)),
            1: (np.array([1.0, -2.5]), np.eye(2))}
-    prior = make_prior_belief(np.zeros(3), cfg.prior_cov(), landmarks=lms)
-    root = planning_root(prior)
+    return make_prior_belief(np.zeros(3), cfg.prior_cov(), landmarks=lms)
+
+
+def _tree(seed=3, cfg=None):
+    cfg = cfg or tiny_cfg(n_x=2)
+    root = planning_root(_prior(cfg))
     return build_tree(root, cfg, cfg.motion_model(), cfg.meas_model(),
                       np.array([5.0, 0.0]), seed, most_likely=False), cfg
 
@@ -58,42 +75,89 @@ class TestBeliefRoundTrip:
             assert b2.index == b.index
             assert np.array_equal(b2.mean, b.mean)
             assert np.array_equal(b2.cov, b.cov)
-            assert (b2.root_time, b2.time) == (b.root_time, b.time)
+            assert b2.time == b.time
 
     def test_loaded_beliefs_are_analysis_grade(self):
         prior = make_prior_belief(np.zeros(3), np.eye(3),
                                   landmarks={0: (np.ones(2), np.eye(2))})
         b2 = belief_from_json_dict(belief_to_json_dict(prior))
         assert b2.factors == ()
-        assert b2.history == ()
+
+
+_REUSE_CFGS = {
+    "update": dict(n_x=2, use_wildfire=False),
+    "adopt": dict(n_x=2, epsilon_c=1e9, epsilon_wf=1e9),
+}
+
+
+def _planner_trees():
+    """(label, tree) for all four planners; each incremental planner plans
+    once without an archive, and once from its previous session's tree in
+    each re-use mode."""
+    out = []
+    for fresh, inc in ((plan_xbsp, plan_ixbsp), (plan_mlbsp, plan_iml)):
+        for mode, overrides in _REUSE_CFGS.items():
+            cfg = tiny_cfg(**overrides)
+            prior = _prior(cfg)
+            motion, meas = cfg.motion_model(), cfg.meas_model()
+            goal = np.array([5.0, 0.0])
+            res0 = inc(prior, None, cfg, motion, meas, goal, 3)
+            act = res0.best_action
+            prop = propagate(prior, act, motion)
+            posterior = update_with_measurements(
+                prop, most_likely_measurement(prop, meas).z_set, meas)
+            archive = PlanningArchive(res0.tree, (act.index,))
+            res1 = inc(posterior, archive, cfg, motion, meas, goal, 4)
+            assert res1.reuse_info["mode"] == mode
+            out.append((f"{inc.__name__}-{mode}", res1.tree))
+            if mode == "update":
+                out.append((inc.__name__, res0.tree))
+                out.append((fresh.__name__,
+                            fresh(prior, cfg, motion, meas, goal, 3).tree))
+    return out
+
+
+def _assert_same_belief(a, b):
+    assert type(a) is type(b)
+    assert a.index == b.index and a.time == b.time
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
 
 
 class TestTreeRoundTrip:
     def test_structure_scores_and_tags_survive(self):
-        tree, cfg = _tree()
-        raw = json.loads(json.dumps(tree_to_json_dict(tree)))
-        assert raw["format"] == TREE_FORMAT
-        tree2 = tree_from_json_dict(raw)
-        assert (tree2.horizon, tree2.n_u, tree2.n_x, tree2.n_z) == \
-               (tree.horizon, tree.n_u, tree.n_x, tree.n_z)
-        assert tree2.base_seed == tree.base_seed
-        assert tree2.planning_time == tree.planning_time
-        assert len(tree2.nodes) == len(tree.nodes)
-        for a, b in zip(tree.nodes, tree2.nodes):
-            assert (a.node_id, a.parent, a.depth, a.path, a.tag, a.origin) == \
-                   (b.node_id, b.parent, b.depth, b.path, b.tag, b.origin)
-            assert a.reward == b.reward
-            assert a.children == b.children
-            if a.sample is not None:
+        """Every kept tree, node, sample and belief field survives bit for
+        bit, for trees of all four planners, with and without an archive."""
+        tags = set()
+        for label, tree in _planner_trees():
+            raw = json.loads(json.dumps(tree_to_json_dict(tree)))
+            assert raw["format"] == TREE_FORMAT
+            tree2 = tree_from_json_dict(raw)
+            for name in ("planning_time", "horizon", "n_u", "n_x", "n_z",
+                         "base_seed", "root_id"):
+                assert getattr(tree2, name) == getattr(tree, name), (label, name)
+            assert len(tree2.nodes) == len(tree.nodes)
+            for a, b in zip(tree.nodes, tree2.nodes):
+                tags.add(a.tag)
+                assert (a.node_id, a.parent, a.depth, a.path, a.tag, a.origin,
+                        a.children) == (b.node_id, b.parent, b.depth, b.path,
+                                        b.tag, b.origin, b.children), label
+                # float ``==``: equal values, whatever the float type
+                assert (a.reward, a.log_q_step, a.cum_log_p, a.cum_log_q) == \
+                       (b.reward, b.log_q_step, b.cum_log_p, b.cum_log_q)
+                _assert_same_belief(a.belief, b.belief)
+                assert (a.prop is None) == (b.prop is None) == (a.depth == 0)
+                assert (a.sample is None) == (b.sample is None) == (a.depth == 0)
+                if a.depth == 0:
+                    continue
+                assert isinstance(b.prop, PropagatedBelief)
+                _assert_same_belief(a.prop, b.prop)
                 assert np.array_equal(a.sample.chi, b.sample.chi)
-                assert a.sample.da == b.sample.da
                 assert a.sample.log_density == b.sample.log_density
-                assert a.sample.entry_log_densities == \
-                       b.sample.entry_log_densities
+                assert a.sample.entry_log_densities == b.sample.entry_log_densities
                 assert a.sample.z_set.keys() == b.sample.z_set.keys()
-            if a.prop is not None:
-                assert a.prop.action == b.prop.action
-                assert np.array_equal(a.prop.mean, b.prop.mean)
+                for ea, eb in zip(a.sample.z_set, b.sample.z_set):
+                    assert np.array_equal(ea.value, eb.value)
+        assert {TAG_REUSED, TAG_WILDFIRE} <= tags
 
     def test_cumulative_densities_rebuilt_from_parent_chain(self):
         tree, _ = _tree()
@@ -116,8 +180,16 @@ class TestTreeRoundTrip:
     def test_unknown_format_rejected(self):
         tree, _ = _tree()
         raw = tree_to_json_dict(tree)
-        raw["format"] = "ixbsp-tree-v999"
-        with pytest.raises(InvalidInput):
-            tree_from_json_dict(raw)
+        for fmt in ("ixbsp-tree-v999", "ixbsp-tree-v1"):
+            raw["format"] = fmt
+            with pytest.raises(InvalidInput):
+                tree_from_json_dict(raw)
         with pytest.raises(InvalidInput):
             tree_from_json_dict({"nodes": []})
+
+    def test_child_without_sample_rejected(self):
+        tree, _ = _tree()
+        raw = tree_to_json_dict(tree)
+        raw["nodes"][1]["sample"] = None
+        with pytest.raises(InvalidInput):
+            tree_from_json_dict(raw)
