@@ -10,6 +10,16 @@ the belief's only record of what it absorbed: each step's time is its
 belief against a new planning root is one ``update_with_measurements`` call
 whose ``init_hint`` warm-starts the solve from the archived mean.
 
+Every solve, in planning and in inference alike, stops by one scale-aware
+rule: after the first Gauss-Newton step whose whitened length
+``sqrt(delta' Lambda delta)`` is under ``tol`` (1e-4), where ``Lambda`` is the
+information matrix the step was solved with.  That length is the step in
+posterior standard deviations, so one threshold fits a landmark known to a
+millimetre and one known to ten metres; an absolute step size would stop the
+first too early and the second too late.  A solve that reaches ``max_iter``
+(60) first stops there, and the belief it makes records its iteration count
+as ``gn_iters``, so a capped solve is never silent.
+
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings, covariances come from the information matrix at the final
 linearization point.
@@ -47,7 +57,7 @@ from .models import (
 
 LANDMARK_INIT_VAR = 1.0e4
 
-_GN_TOL = 1.0e-11
+_GN_TOL = 1.0e-4  # Newton decrement, in posterior standard deviations
 _GN_MAX_ITER = 60
 
 
@@ -386,6 +396,17 @@ def solve_factors(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Gauss-Newton on the stacked whitened system; returns (mean, cov, iters).
 
+    Each iteration factors the information matrix ``Lambda = L L'`` and
+    solves ``L y = g`` then ``L' delta = y`` for the step, where ``g`` is the
+    whitened gradient.  The solve stops after a step with ``|y| < tol``, or
+    after ``max_iter`` steps.  ``|y|^2 = delta' Lambda delta = g' Lambda^-1 g``
+    is the squared Newton decrement: the step's length in posterior standard
+    deviations, and twice GN's predicted decrease of the whitened cost (so
+    ``tol`` = 1e-4 means a predicted decrease under 5e-9 in chi-square
+    units).  It needs no problem-specific scale and costs nothing, since
+    ``y`` is the first triangular solve.  ``iters == max_iter`` means the
+    rule did not fire.
+
     The solve is deterministic: fixed iteration order, fixed stopping rule.
     Linear systems converge in a single step.  Each factor's layout (its
     slices, index array and the flat positions of its information block) is
@@ -412,10 +433,11 @@ def solve_factors(
             low = chol_lower(lam, "information matrix")
         except NumericalError as exc:
             raise DegenerateUpdate(str(exc)) from exc
-        delta = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+        y = np.linalg.solve(low, rhs)
+        delta = np.linalg.solve(low.T, y)
         x = wrap_state(index, x + delta)
         iters += 1
-        if float(np.max(np.abs(delta))) < tol:
+        if float(np.linalg.norm(y)) < tol:
             break
     # covariance at the final linearization point
     lam = np.zeros((d, d))
@@ -493,11 +515,18 @@ class GaussianBelief(GaussianState):
 
     The factor list is the belief's whole record: one ``MotionFactor`` per
     step absorbed since the root prior, whose ``t_to`` is the step's time,
-    and one ``MeasurementFactor`` per measurement entry.
+    and one ``MeasurementFactor`` per measurement entry.  ``gn_iters`` is the
+    iteration count of the solve that made the belief (0 when none ran).
     """
 
     factors: tuple[Factor, ...] = ()
     time: int = 0
+    gn_iters: int = 0
+
+    @property
+    def gn_capped(self) -> bool:
+        """Whether the solve stopped at the iteration cap, not by its rule."""
+        return self.gn_iters >= _GN_MAX_ITER
 
 
 def make_prior_belief(
@@ -591,7 +620,11 @@ def update_with_measurements(
     landmarks raise unless ``init_new_landmarks`` (inference mode), in which
     case they enter via inverse-measurement initialization under a weak prior.
     ``init_hint`` warm-starts the solve from another solution's values over
-    shared variables; it changes iteration count, never the solution.
+    shared variables.  It changes the iteration count, and it can move the
+    solution, but only on the scale of the stopping tolerance: both solves
+    stop once a step is under ``tol`` posterior standard deviations (see
+    ``solve_factors``), so they differ by a few ``tol`` at most on a slowly
+    converging problem.  The result records the solve's ``gn_iters``.
     """
     if len(measurements) == 0:
         return GaussianBelief(index=prop.index, mean=prop.mean, cov=prop.cov,
@@ -630,7 +663,7 @@ def update_with_measurements(
         new_factors.append(MeasurementFactor(entry.t, entry.lm, entry.value, model))
 
     factors = prop.factors + tuple(new_factors)
-    mean, cov, _ = solve_factors(factors, index, init)
+    mean, cov, iters = solve_factors(factors, index, init)
     return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
-                          time=prop.time)
+                          time=prop.time, gn_iters=iters)
 

@@ -50,7 +50,8 @@ COMPARE_CSV_SCHEMA = "ixbsp-compare-v1"
 BOUNDS_CSV_SCHEMA = "ixbsp-bounds-v1"
 
 SESSIONS_HEADER = ("session", "planner", "objective", "chosen_seq",
-                   "reused", "fresh", "wildfire", "dist_to_goal")
+                   "reused", "fresh", "wildfire", "dist_to_goal",
+                   "gn_cap_hits", "posterior_gn_capped")
 
 DEFAULT_BOUNDS_EPS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 DEFAULT_BOUNDS_TRIALS = 100
@@ -129,7 +130,7 @@ def _session_rows(metrics: RolloutMetrics) -> list[list]:
         rows.append([
             rec.session, rec.planner, repr(rec.objective),
             _fmt_seq(rec.chosen_seq), rec.reused, rec.nominal, rec.wildfire,
-            repr(rec.dist_to_goal),
+            repr(rec.dist_to_goal), rec.gn_cap_hits, int(rec.posterior_gn_capped),
         ])
     return rows
 

@@ -204,7 +204,12 @@ class BeliefTree:
 
 @dataclass(frozen=True)
 class PlanningResult:
-    """Outcome of one planning session."""
+    """Outcome of one planning session.
+
+    ``counts`` holds the tree's node counts by tag and ``gn_cap_hits``: how
+    many of the nodes this session solved (tags nominal and reused) come
+    from a Gauss-Newton solve that stopped at its iteration cap.
+    """
 
     tree: BeliefTree
     method: str
@@ -346,9 +351,13 @@ def planning_result(
     act, seq, val, values = best_action(tree, objective_fn)
     total = float(sum(tree.depth_times))
     overlap = float(sum(tree.depth_times[:overlap_depths]))
+    counts = tree.tag_counts()
+    counts["gn_cap_hits"] = sum(
+        1 for n in tree.nodes
+        if n.depth > 0 and n.tag != TAG_WILDFIRE and n.belief.gn_capped)
     return PlanningResult(
         tree=tree, method=method, objectives=values, best_seq=seq,
-        best_action=act, objective=val, counts=tree.tag_counts(),
+        best_action=act, objective=val, counts=counts,
         timing={"total_s": total, "overlap_s": overlap,
                 "extension_s": total - overlap},
         reuse_info=reuse_info if reuse_info is not None else {},

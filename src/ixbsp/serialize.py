@@ -11,8 +11,10 @@ Nothing that another stored field determines is written: a node's action is
 ``path[-2]``, its nominal step density is ``sample.log_density`` (the
 cumulative densities are rebuilt from the parent chain on load), and a
 sample's data association is its measurement keys.  Posterior and
-propagated beliefs share one codec.  A document of any other format
-version, including ``ixbsp-tree-v1``, is rejected with ``InvalidInput``.
+propagated beliefs share one codec; a posterior also carries the
+Gauss-Newton iteration count of its solve (``gn_iters``).  A document of
+any other format version, including ``ixbsp-tree-v1`` and ``-v2``, or one
+that lacks a key, is rejected with ``InvalidInput``.
 
 Covariances are stored packed (lower triangle, row major) to halve snapshot
 size; all arrays round-trip bit exactly through Python floats.
@@ -36,7 +38,7 @@ from .models import VariableId
 from .planner import BeliefTree, BeliefTreeNode
 from .sampling import MeasurementSample
 
-TREE_FORMAT = "ixbsp-tree-v2"
+TREE_FORMAT = "ixbsp-tree-v3"
 
 
 def pack_sym(mat: np.ndarray) -> list[float]:
@@ -75,24 +77,30 @@ def _zset_from_list(data: list[list[Any]]) -> MeasurementSet:
 
 
 def belief_to_json_dict(belief: GaussianBelief | PropagatedBelief) -> dict[str, Any]:
-    """Moments, layout and time of a posterior or propagated belief."""
-    return {
+    """Moments, layout and time of a posterior or propagated belief, and a
+    posterior's ``gn_iters``."""
+    data = {
         "vars": _index_to_list(belief.index),
         "mean": [float(v) for v in belief.mean],
         "cov_packed": pack_sym(belief.cov),
         "time": belief.time,
     }
+    if isinstance(belief, GaussianBelief):
+        data["gn_iters"] = belief.gn_iters
+    return data
 
 
 def belief_from_json_dict(data: dict[str, Any], cls=GaussianBelief):
     """Inverse of ``belief_to_json_dict``; ``cls`` is ``GaussianBelief`` or
-    ``PropagatedBelief``, which hold the same fields."""
+    ``PropagatedBelief``."""
     index = _index_from_list(data["vars"])
+    extra = {"gn_iters": int(data["gn_iters"])} if cls is GaussianBelief else {}
     return cls(
         index=index,
         mean=np.asarray(data["mean"], dtype=float),
         cov=unpack_sym(data["cov_packed"], index.dim),
         time=int(data["time"]),
+        **extra,
     )
 
 
@@ -172,6 +180,13 @@ def tree_to_json_dict(tree: BeliefTree) -> dict[str, Any]:
 def tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
     if data.get("format") != TREE_FORMAT:
         raise InvalidInput(f"unknown snapshot format {data.get('format')!r}")
+    try:
+        return _tree_from_json_dict(data)
+    except KeyError as exc:
+        raise InvalidInput(f"snapshot lacks key {exc.args[0]!r}") from None
+
+
+def _tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
     tree = BeliefTree(
         planning_time=int(data["planning_time"]),
         horizon=int(data["horizon"]),

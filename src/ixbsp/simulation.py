@@ -218,7 +218,12 @@ def factor_reuse_counts(
 
 @dataclass(frozen=True, slots=True)
 class SessionRecord:
-    """One planning session's outcome for one planner."""
+    """One planning session's outcome for one planner.
+
+    ``gn_cap_hits`` is the planning result's count of capped solves;
+    ``posterior_gn_capped`` says whether the posterior the session planned
+    from came from a solve that stopped at its iteration cap.
+    """
 
     session: int
     planner: str
@@ -235,6 +240,8 @@ class SessionRecord:
     removed_factors: int
     reusable_factors: int
     over_time_budget: bool
+    gn_cap_hits: int
+    posterior_gn_capped: bool
 
     def planning_time(self, timing_mode: str) -> float:
         return self.overlap_time_s if timing_mode == "overlap-only" else self.time_s
@@ -322,7 +329,7 @@ def session_seed(rollout_seed: int, session: int) -> int:
 def _session_record(
     session: int, kind: str, res: PlanningResult, elapsed: float,
     dist_to_goal: float, archive: PlanningArchive | None,
-    budget_s: float,
+    budget_s: float, posterior: GaussianBelief,
 ) -> SessionRecord:
     reused_f, removed_f, reusable_f = factor_reuse_counts(res, archive)
     return SessionRecord(
@@ -341,6 +348,8 @@ def _session_record(
         removed_factors=removed_f,
         reusable_factors=reusable_f,
         over_time_budget=elapsed > budget_s,
+        gn_cap_hits=res.counts["gn_cap_hits"],
+        posterior_gn_capped=posterior.gn_capped,
     )
 
 
@@ -422,7 +431,7 @@ def run_rollout(
             elapsed = time.perf_counter() - t0
             rec = _session_record(session, label, results[label], elapsed,
                                   dist_to_goal, archives[label],
-                                  cfg.session_timeout_s)
+                                  cfg.session_timeout_s, belief)
             if label == planner_kind:
                 sessions.append(rec)
             else:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from ixbsp import beliefs
 from ixbsp.beliefs import GaussianState, VariableIndex
 from ixbsp.config import RewardConfig, ScenarioConfig, WorldConfig
 from ixbsp.models import landmark_var, pose_var
@@ -31,6 +34,14 @@ def pose_landmark_state(rng: np.random.Generator, t: int,
     mean[index.theta_mask()] *= 0.3  # keep headings well inside (-pi, pi)
     return GaussianState(index=index, mean=mean,
                          cov=random_spd(rng, index.dim))
+
+
+def cap_solves_at(monkeypatch, cap: int) -> None:
+    """Make every Gauss-Newton solve stop after at most ``cap`` iterations,
+    and make beliefs report ``cap`` as the iteration cap."""
+    monkeypatch.setattr(beliefs, "solve_factors",
+                        functools.partial(beliefs.solve_factors, max_iter=cap))
+    monkeypatch.setattr(beliefs, "_GN_MAX_ITER", cap)
 
 
 def tiny_cfg(**overrides) -> ScenarioConfig:

@@ -49,7 +49,7 @@ from ixbsp.planner import (
 )
 from ixbsp.sampling import MeasurementSample
 
-from _util import tiny_cfg
+from _util import cap_solves_at, tiny_cfg
 
 
 def _setup(cfg):
@@ -397,12 +397,33 @@ class TestIncrementalPlanners:
         assert counts[TAG_REUSED] > 0
         assert res.objective == res.objectives[res.best_seq]
 
+    @pytest.mark.parametrize("mode, overrides", [
+        ("update", dict(use_wildfire=False)),
+        ("adopt", dict(epsilon_c=1e9, epsilon_wf=1e9)),
+    ])
+    def test_cap_hits_count_the_nodes_this_session_solved(self, monkeypatch,
+                                                          mode, overrides):
+        cap_solves_at(monkeypatch, 2)
+        cfg = tiny_cfg(n_x=2, **overrides)
+        posterior, archive, motion, meas, goal = self._session_pair(cfg)
+        res = plan_ixbsp(posterior, archive, cfg, motion, meas, goal, base_seed=1)
+        assert res.reuse_info["mode"] == mode
+        nodes = res.tree.nodes[1:]
+        solved = [n for n in nodes if n.tag != TAG_WILDFIRE]
+        assert res.counts["gn_cap_hits"] == sum(
+            n.belief.gn_capped for n in solved) > 0
+        # re-used nodes are solved here and count; adopted ones were solved
+        # by the archived session and do not
+        kept = TAG_REUSED if mode == "update" else TAG_WILDFIRE
+        assert any(n.tag == kept and n.belief.gn_capped for n in nodes)
+
     def test_wildfire_mode_adopts_branch_verbatim(self):
         cfg = tiny_cfg(n_x=2, epsilon_c=1e9, epsilon_wf=1e9)
         posterior, archive, motion, meas, goal = self._session_pair(cfg)
         res = plan_ixbsp(posterior, archive, cfg, motion, meas, goal, base_seed=1)
         assert res.reuse_info["mode"] == "adopt"
-        assert res.counts == {TAG_NOMINAL: 36, TAG_REUSED: 0, TAG_WILDFIRE: 6}
+        assert res.counts == {TAG_NOMINAL: 36, TAG_REUSED: 0, TAG_WILDFIRE: 6,
+                              "gn_cap_hits": 0}
         # adopted level nodes are the archived objects, untouched
         branch = archive.tree.node(res.reuse_info["branch_id"])
         arch_children = [archive.tree.node(c) for ids in branch.children for c in ids]
@@ -426,7 +447,8 @@ class TestIncrementalPlanners:
                 assert node.belief is arch.belief
                 assert arch.path == branch.path + node.path
         assert {n.tag for n in res.tree.nodes_at_depth(3)} == {TAG_NOMINAL}
-        assert res.counts == {TAG_NOMINAL: 64, TAG_REUSED: 0, TAG_WILDFIRE: 20}
+        assert res.counts == {TAG_NOMINAL: 64, TAG_REUSED: 0, TAG_WILDFIRE: 20,
+                              "gn_cap_hits": 0}
 
     def test_distance_gate_forces_fresh_build(self):
         cfg = tiny_cfg(n_x=2, epsilon_c=0.0, epsilon_wf=0.0, use_wildfire=False)

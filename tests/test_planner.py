@@ -25,7 +25,7 @@ from ixbsp.planner import (
 )
 from ixbsp.beliefs import GaussianState, VariableIndex
 
-from _util import tiny_cfg
+from _util import cap_solves_at, tiny_cfg
 
 # alpha=1, identity pose covariance, zero progress:
 # r = 0.5 * 3 * ln(2*pi*e) = 1.5 * (ln(2*pi) + 1)
@@ -232,10 +232,28 @@ class TestPlanSessions:
         assert res.objective == max(res.objectives.values())
         n_children = len(res.tree.nodes) - 1
         assert res.counts == {TAG_NOMINAL: n_children, TAG_REUSED: 0,
-                              TAG_WILDFIRE: 0}
+                              TAG_WILDFIRE: 0, "gn_cap_hits": 0}
         t = res.timing
         assert t["total_s"] == pytest.approx(t["overlap_s"] + t["extension_s"])
         assert all(v >= 0.0 for v in t.values())
+
+    def test_counts_capped_solves_of_the_session(self, monkeypatch):
+        cfg = tiny_cfg(n_x=2)
+        posterior, motion, meas, goal = self._posterior_with_history(cfg)
+        assert plan_xbsp(posterior, cfg, motion, meas, goal,
+                         base_seed=1).counts["gn_cap_hits"] == 0
+        cap_solves_at(monkeypatch, 2)
+        res = plan_xbsp(posterior, cfg, motion, meas, goal, base_seed=1)
+        capped = [n for n in res.tree.nodes[1:] if n.belief.gn_iters == 2]
+        assert res.counts["gn_cap_hits"] == len(capped) > 0
+        assert all(n.belief.gn_capped for n in capped)
+
+    def test_ml_planning_solves_take_one_iteration(self):
+        cfg = tiny_cfg()
+        posterior, motion, meas, goal = self._posterior_with_history(cfg)
+        res = plan_mlbsp(posterior, cfg, motion, meas, goal, base_seed=1)
+        assert {n.belief.gn_iters for n in res.tree.nodes[1:]} == {1}
+        assert res.counts["gn_cap_hits"] == 0
 
     def test_ml_plan_deterministic_across_calls(self):
         cfg = tiny_cfg()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ixbsp.beliefs import (
+    GaussianBelief,
     PropagatedBelief,
     make_prior_belief,
     planning_root,
@@ -120,6 +121,8 @@ def _planner_trees():
 def _assert_same_belief(a, b):
     assert type(a) is type(b)
     assert a.index == b.index and a.time == b.time
+    if isinstance(a, GaussianBelief):
+        assert a.gn_iters == b.gn_iters
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
 
 
@@ -180,7 +183,7 @@ class TestTreeRoundTrip:
     def test_unknown_format_rejected(self):
         tree, _ = _tree()
         raw = tree_to_json_dict(tree)
-        for fmt in ("ixbsp-tree-v999", "ixbsp-tree-v1"):
+        for fmt in ("ixbsp-tree-v999", "ixbsp-tree-v1", "ixbsp-tree-v2"):
             raw["format"] = fmt
             with pytest.raises(InvalidInput):
                 tree_from_json_dict(raw)
@@ -192,4 +195,15 @@ class TestTreeRoundTrip:
         raw = tree_to_json_dict(tree)
         raw["nodes"][1]["sample"] = None
         with pytest.raises(InvalidInput):
+            tree_from_json_dict(raw)
+
+    def test_missing_tree_key_is_named(self):
+        with pytest.raises(InvalidInput, match="'planning_time'"):
+            tree_from_json_dict({"format": TREE_FORMAT})
+
+    def test_missing_node_key_is_named(self):
+        tree, _ = _tree()
+        raw = tree_to_json_dict(tree)
+        del raw["nodes"][1]["sample"]
+        with pytest.raises(InvalidInput, match="'sample'"):
             tree_from_json_dict(raw)

@@ -22,7 +22,7 @@ from ixbsp.simulation import (
     world_from_config,
 )
 
-from _util import tiny_cfg
+from _util import cap_solves_at, tiny_cfg
 
 
 class TestWorldModel:
@@ -213,6 +213,16 @@ class TestRollout:
             assert 0 <= rec.reused_factors
             assert rec.reused_factors <= rec.reusable_factors + rec.removed_factors
         assert any(rec.reused_factors > 0 for rec in rest)
+
+    def test_records_report_capped_solves(self, monkeypatch):
+        assert not any(r.gn_cap_hits or r.posterior_gn_capped
+                       for r in self._run("ixbsp").sessions)
+        cap_solves_at(monkeypatch, 1)
+        m = self._run("ixbsp")
+        first, rest = m.sessions[0], m.sessions[1:]
+        assert not first.posterior_gn_capped  # the prior comes from no solve
+        assert rest and all(r.posterior_gn_capped for r in rest)
+        assert all(0 < r.gn_cap_hits <= r.nominal + r.reused for r in rest)
 
     def test_shadows_never_influence_execution(self):
         bare = self._run("ixbsp")
