@@ -185,7 +185,7 @@ def wrapped_diff(index: VariableIndex, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True, slots=True)
 class MeasurementEntry:
-    """One range-bearing (or linear) observation of landmark ``lm`` at time ``t``."""
+    """One range-bearing observation of landmark ``lm`` at time ``t``."""
 
     t: int
     lm: int
@@ -245,9 +245,7 @@ class DaDiff:
         total = 0.0
         for _key, za, zb in self.kept:
             d = np.asarray(za) - np.asarray(zb)
-            if d.size >= 2:
-                d = d.copy()
-                d[1] = wrap_angle(d[1])
+            d[1] = wrap_angle(d[1])
             total += float(d @ d)
         return float(np.sqrt(total))
 
@@ -329,8 +327,7 @@ class MotionFactor:
         xf, xt = x[sl_f], x[sl_t]
         pred = self.model.step_mean(xf, self.action)
         e = xt - pred
-        if self.model.kind == "unicycle":
-            e[2] = wrap_angle(e[2])
+        e[2] = wrap_angle(e[2])
         f_jac = self.model.step_jacobian(xf, self.action)
         wt = self._wt
         d = e.size
@@ -342,11 +339,7 @@ class MotionFactor:
 
 @dataclass(frozen=True)
 class MeasurementFactor:
-    """Observation factor z = h(x_t, l_j) + v (or z = H x_t + v for linear).
-
-    ``lm`` is the observed entry's landmark id as given; a linear model
-    involves the pose only and ignores it.
-    """
+    """Observation factor z = h(x_t, l_j) + v on pose ``t`` and landmark ``lm``."""
 
     t: int
     lm: int
@@ -358,18 +351,12 @@ class MeasurementFactor:
         object.__setattr__(self, "_wt", self.model.noise_wt)
 
     def involved(self) -> tuple[VariableId, ...]:
-        if self.model.kind == "linear":
-            return (pose_var(self.t),)
         return (pose_var(self.t), landmark_var(self.lm))
 
     def whitened(self, x: np.ndarray, layout: Layout):
-        slices, idx = layout
-        pose = x[slices[0]]
+        (sl_pose, sl_lm), idx = layout
+        pose, lmv = x[sl_pose], x[sl_lm]
         wt = self._wt
-        if self.model.kind == "linear":
-            e = self.model.predict(pose) - self.z
-            return wt @ e, wt @ self.model.h_mat, idx
-        lmv = x[slices[1]]
         e = self.model.predict(pose, lmv) - self.z
         e[1] = wrap_angle(e[1])
         h_pose, h_lm = self.model.jacobians(pose, lmv)
@@ -643,7 +630,7 @@ def update_with_measurements(
         if entry.t != prop.time:
             raise DaMismatch(
                 f"entry time {entry.t} != propagated time {prop.time}")
-        if model.kind == "range_bearing" and landmark_var(entry.lm) not in index:
+        if landmark_var(entry.lm) not in index:
             if not init_new_landmarks:
                 raise UnknownLandmark(f"landmark {entry.lm} not in belief")
             new_lms.append((entry.lm, model.invert(pose_mean, entry.value)))

@@ -227,7 +227,6 @@ class LinearGaussianScenario:
     control_scale: float = 1.0
     control_seed: int = 0
     direction_seed: int = 0
-    kind: str = "linear"
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.n_steps < 1:
@@ -488,8 +487,6 @@ def _trial(scn: LinearGaussianScenario, spec: HolderSpec, eps_wf: float,
     the Monte-Carlo phi plus a residual bounded pointwise by the per-step
     reward bound; containment is structural, not statistical.
     """
-    if scn.kind != "linear":
-        raise UnsupportedModel(f"analytic bound needs linear models, got {scn.kind}")
     shift = scn.gap_shift(eps_wf)
     var0 = scn.prior_std**2
     var0_arch = (scn.prior_std_archived or scn.prior_std) ** 2

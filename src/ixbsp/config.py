@@ -40,6 +40,18 @@ class WorldConfig:
     start_xy: tuple[float, float] = (0.0, 0.0)
     start_heading_deg: float = 0.0
 
+    def validate(self) -> None:
+        if not (self.n_landmarks >= 1 and self.n_goals >= 1):
+            raise ConfigError("world needs n_landmarks >= 1 and n_goals >= 1")
+        if not (self.extent > 0.0 and math.isfinite(self.extent)):
+            raise ConfigError("world extent must be positive and finite")
+        if not (self.goal_distance >= 0.0 and math.isfinite(self.goal_distance)):
+            raise ConfigError("world goal_distance must be non-negative and finite")
+        if len(self.start_xy) != 2 or not all(map(math.isfinite, self.start_xy)):
+            raise ConfigError("world start_xy must be two finite numbers")
+        if not math.isfinite(self.start_heading_deg):
+            raise ConfigError("world start_heading_deg must be finite")
+
 
 @dataclass(frozen=True, slots=True)
 class RewardConfig:
@@ -66,6 +78,10 @@ class RewardConfig:
             raise ConfigError("reward alpha must lie in [0, 1]")
         if self.focus not in ("pose", "position"):
             raise ConfigError("reward focus must be 'pose' or 'position'")
+        if not self.cov_threshold >= 0.0:
+            raise ConfigError("reward cov_threshold must be non-negative")
+        if not (self.penalty >= 0.0 and math.isfinite(self.penalty)):
+            raise ConfigError("reward penalty must be non-negative and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,6 +134,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.n_u < 1 or self.n_u > len(self.primitives):
             raise ConfigError("n_u must be in [1, len(primitives)]")
+        for name, dist, deg in self.primitives:
+            if not (math.isfinite(dist) and math.isfinite(deg)):
+                raise ConfigError(f"primitive {name!r} needs a finite distance and angle")
         if self.n_x < 1 or self.n_z < 1:
             raise ConfigError("n_x and n_z must be >= 1")
         if self.horizon < 1:
@@ -137,12 +156,19 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if not self.goal_tolerance >= 0.0:
             raise ConfigError("goal_tolerance must be non-negative")
+        if not 0.0 < self.fov_deg <= 360.0:
+            raise ConfigError("fov_deg must be in (0, 360]")
+        if not 0.0 <= self.min_range < self.max_range:
+            raise ConfigError("sensing ranges need 0 <= min_range < max_range")
+        if not self.session_timeout_s > 0.0:
+            raise ConfigError("session_timeout_s must be positive")
         if self.distance not in DISTANCE_KINDS:
             raise ConfigError(f"distance must be one of {DISTANCE_KINDS}")
         if self.rep_test not in REP_TESTS:
             raise ConfigError(f"rep_test must be one of {REP_TESTS}")
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
+        self.world.validate()
         self.reward.validate()
 
     # model factories -----------------------------------------------------
@@ -156,14 +182,13 @@ class ScenarioConfig:
              self.motion_pos_std**2,
              math.radians(self.motion_heading_std_deg) ** 2]
         )
-        return MotionModel(kind="unicycle", primitives=prims, noise_cov=cov)
+        return MotionModel(primitives=prims, noise_cov=cov)
 
     def meas_model(self) -> MeasModel:
         cov = np.diag(
             [self.meas_range_std**2, math.radians(self.meas_bearing_std_deg) ** 2]
         )
         return MeasModel(
-            kind="range_bearing",
             noise_cov=cov,
             fov=math.radians(self.fov_deg),
             min_range=self.min_range,

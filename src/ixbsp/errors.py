@@ -32,7 +32,7 @@ class DaMismatch(IxbspError):
 
 
 class UnsupportedModel(IxbspError):
-    """A model kind outside the supported set was requested."""
+    """An analysis was given a problem type it does not handle."""
 
 
 class NumericalError(IxbspError):

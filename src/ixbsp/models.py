@@ -1,15 +1,16 @@
 """State conventions, motion and measurement models.
 
 The planar world uses 3-DOF poses (x, y, theta) and 2-D landmarks.  Headings
-always live in (-pi, pi].  Two model families are supported:
+always live in (-pi, pi].  There is one model of each kind:
 
-* ``MotionModel``: either a planar unicycle primitive step
+* ``MotionModel``: a planar unicycle primitive step
   pose' = (x + t*cos(theta+delta), y + t*sin(theta+delta), theta+delta) + w
-  with additive world-frame Gaussian noise, or a generic linear model
-  x' = F x + J u + w used by the analytic bound machinery.
+  with additive world-frame Gaussian noise.
 * ``MeasModel``: range-bearing to a landmark with additive Gaussian noise and
-  a bounded field of view / sensing range, or a generic linear model
-  z = H x' + v on the newest pose.
+  a bounded field of view / sensing range.
+
+The linear-Gaussian analysis of the wildfire bound builds its own affine maps
+(``bounds.LinearGaussianScenario``) and uses neither model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ._gaussian import whitener
-from .errors import InvalidInput, UnsupportedModel
+from .errors import InvalidInput
 
 POSE_DIM = 3
 LANDMARK_DIM = 2
@@ -121,89 +122,57 @@ DEFAULT_PRIMITIVES: tuple[Primitive, ...] = (
 
 @dataclass(frozen=True)
 class MotionModel(_NoiseWhitener):
-    """Process model; ``kind`` selects the transition map.
+    """Unicycle process model.
 
-    kind == "unicycle": primitives index into ``primitives``; ``noise_cov`` is
-    the 3x3 additive world-frame covariance (x, y, theta).
-    kind == "linear": x' = F x + J u + w with w ~ N(0, noise_cov); actions
-    index rows of ``controls``.
+    Actions index into ``primitives``; ``noise_cov`` is the 3x3 additive
+    world-frame covariance (x, y, theta).
     """
 
-    kind: str = "unicycle"
     primitives: tuple[Primitive, ...] = DEFAULT_PRIMITIVES
     noise_cov: np.ndarray = field(
         default_factory=lambda: np.diag([0.5**2, 0.5**2, math.radians(0.5) ** 2])
     )
-    f_mat: np.ndarray | None = None
-    j_mat: np.ndarray | None = None
-    controls: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("unicycle", "linear"):
-            raise UnsupportedModel(f"motion model kind {self.kind!r}")
-        if self.kind == "linear" and (self.f_mat is None or self.j_mat is None):
-            raise InvalidInput("linear motion model needs f_mat and j_mat")
-
-    @property
-    def state_dim(self) -> int:
-        return POSE_DIM if self.kind == "unicycle" else self.f_mat.shape[0]
 
     def step_mean(self, x: np.ndarray, action: ActionId) -> np.ndarray:
         """Noise-free transition f(x, u)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "unicycle":
-            prim = self.primitives[action.index]
-            heading = wrap_angle(x[2] + prim.delta)
-            return np.array(
-                [x[0] + prim.dist * math.cos(heading),
-                 x[1] + prim.dist * math.sin(heading),
-                 heading]
-            )
-        u = self.controls[action.index]
-        return self.f_mat @ x + self.j_mat @ u
+        prim = self.primitives[action.index]
+        heading = wrap_angle(x[2] + prim.delta)
+        return np.array(
+            [x[0] + prim.dist * math.cos(heading),
+             x[1] + prim.dist * math.sin(heading),
+             heading]
+        )
 
     def step_jacobian(self, x: np.ndarray, action: ActionId) -> np.ndarray:
         """d f / d x at (x, u)."""
-        if self.kind == "unicycle":
-            prim = self.primitives[action.index]
-            heading = x[2] + prim.delta
-            return np.array(
-                [[1.0, 0.0, -prim.dist * math.sin(heading)],
-                 [0.0, 1.0, prim.dist * math.cos(heading)],
-                 [0.0, 0.0, 1.0]]
-            )
-        return self.f_mat.copy()
+        prim = self.primitives[action.index]
+        heading = x[2] + prim.delta
+        return np.array(
+            [[1.0, 0.0, -prim.dist * math.sin(heading)],
+             [0.0, 1.0, prim.dist * math.cos(heading)],
+             [0.0, 0.0, 1.0]]
+        )
 
 
 @dataclass(frozen=True)
 class MeasModel(_NoiseWhitener):
-    """Observation model; ``kind`` selects the map.
+    """Range-bearing observation model.
 
-    kind == "range_bearing": z = (range, bearing) to a landmark with additive
-    noise ``noise_cov`` (2x2); landmarks are visible when range lies in
-    [min_range, max_range] and |bearing| <= fov/2.
-    kind == "linear": z = H x' + v on the newest pose block.
+    z = (range, bearing) to a landmark with additive noise ``noise_cov``
+    (2x2); landmarks are visible when range lies in [min_range, max_range]
+    and |bearing| <= fov/2.
     """
 
-    kind: str = "range_bearing"
     noise_cov: np.ndarray = field(
         default_factory=lambda: np.diag([0.1**2, math.radians(0.5) ** 2])
     )
     fov: float = math.pi / 2.0
     min_range: float = 2.0
     max_range: float = 40.0
-    h_mat: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("range_bearing", "linear"):
-            raise UnsupportedModel(f"measurement model kind {self.kind!r}")
-        if self.kind == "linear" and self.h_mat is None:
-            raise InvalidInput("linear measurement model needs h_mat")
-
-    def predict(self, pose: np.ndarray, landmark: np.ndarray | None = None) -> np.ndarray:
+    def predict(self, pose: np.ndarray, landmark: np.ndarray) -> np.ndarray:
         """Noise-free measurement h(pose, landmark)."""
-        if self.kind == "linear":
-            return self.h_mat @ np.asarray(pose, dtype=float)
         dx = landmark[0] - pose[0]
         dy = landmark[1] - pose[1]
         rng = math.hypot(dx, dy)
@@ -211,11 +180,9 @@ class MeasModel(_NoiseWhitener):
         return np.array([rng, bearing])
 
     def jacobians(
-        self, pose: np.ndarray, landmark: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+        self, pose: np.ndarray, landmark: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(d h / d pose, d h / d landmark) at the linearization point."""
-        if self.kind == "linear":
-            return self.h_mat.copy(), None
         dx = landmark[0] - pose[0]
         dy = landmark[1] - pose[1]
         q = dx * dx + dy * dy
@@ -234,15 +201,11 @@ class MeasModel(_NoiseWhitener):
 
     def visible(self, pose: np.ndarray, landmark: np.ndarray) -> bool:
         """Field-of-view and range gate evaluated at a concrete pose."""
-        if self.kind == "linear":
-            return True
         rng, bearing = self.predict(pose, landmark)
         return self.min_range <= rng <= self.max_range and abs(bearing) <= 0.5 * self.fov
 
     def invert(self, pose: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Landmark position implied by one range-bearing measurement."""
-        if self.kind != "range_bearing":
-            raise UnsupportedModel("inverse only defined for range_bearing")
         rng, bearing = float(z[0]), float(z[1])
         heading = pose[2] + bearing
         return np.array([pose[0] + rng * math.cos(heading),

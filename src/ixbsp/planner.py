@@ -43,7 +43,7 @@ from .beliefs import (
     update_with_measurements,
 )
 from .config import RewardConfig, ScenarioConfig
-from .errors import InvalidInput, UnknownSequence
+from .errors import InvalidInput, NumericalError, UnknownSequence
 from .models import ActionId, MeasModel, MotionModel
 from .sampling import (
     MeasurementSample,
@@ -324,7 +324,11 @@ def best_action(
     tree: BeliefTree,
     objective_fn=None,
 ) -> tuple[ActionId, tuple[int, ...], float, dict[tuple[int, ...], float]]:
-    """Argmax over candidate sequences; ties resolve to the lowest index."""
+    """Argmax over candidate sequences; ties resolve to the lowest index.
+
+    NaN objectives never win; when every candidate is NaN or -inf there is
+    no argmax and ``NumericalError`` is raised.
+    """
     fn = objective_fn if objective_fn is not None else objective
     best_seq: tuple[int, ...] | None = None
     best_val = -math.inf
@@ -335,7 +339,9 @@ def best_action(
         if val > best_val:
             best_val = val
             best_seq = seq
-    assert best_seq is not None
+    if best_seq is None:
+        raise NumericalError(
+            f"no argmax: all {len(values)} candidate objectives are NaN or -inf")
     return ActionId(best_seq[0]), best_seq, best_val, values
 
 

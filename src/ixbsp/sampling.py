@@ -63,16 +63,14 @@ def node_rng(base_seed: int, path: tuple[int, ...]) -> np.random.Generator:
 
 
 def predicted_da(
-    prop: PropagatedBelief, model: MeasModel, at_state: np.ndarray | None = None
+    prop: PropagatedBelief, model: MeasModel, at_state: np.ndarray
 ) -> tuple[tuple[int, int], ...]:
-    """Visible-landmark keys (t, lm) at a state realization (default: the mean).
+    """Visible-landmark keys (t, lm) at a state realization.
 
     Only landmarks already inside the belief are considered; planning never
     invents landmarks it has not mapped.
     """
-    if model.kind == "linear":
-        return ((prop.time, -1),)
-    x = prop.mean if at_state is None else np.asarray(at_state, dtype=float)
+    x = np.asarray(at_state, dtype=float)
     if x.size != prop.index.dim:
         raise InvalidInput("state realization dimension mismatch")
     pose = x[prop.index.slice_of(prop.new_pose())]
@@ -96,15 +94,10 @@ def _measure_at(
     noise_l = chol_lower(model.noise_cov)
     entries = []
     for t, lm in da:
-        if model.kind == "linear":
-            z = model.predict(pose)
-        else:
-            lpos = chi[prop.index.slice_of(landmark_var(lm))]
-            z = model.predict(pose, lpos)
+        z = model.predict(pose, chi[prop.index.slice_of(landmark_var(lm))])
         if rng is not None:
             z = z + noise_l @ rng.standard_normal(z.size)
-            if model.kind == "range_bearing":
-                z = np.array([z[0], wrap_angle(z[1])])
+            z = np.array([z[0], wrap_angle(z[1])])
         entries.append(MeasurementEntry(t, lm, z))
     return MeasurementSet(tuple(entries))
 
@@ -165,12 +158,6 @@ def entry_predictive(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linearized predictive Gaussian (mean, cov) of one entry under b-minus."""
     pose_vid = prop.new_pose()
-    if model.kind == "linear":
-        marg = prop.marginal([pose_vid])
-        h = model.h_mat
-        mean = h @ marg.mean
-        cov = model.noise_cov + h @ marg.cov @ h.T
-        return mean, cov
     lvid = landmark_var(lm)
     if lvid not in prop.index:
         raise UnknownLandmark(f"landmark {lm} not in propagated belief")
@@ -192,8 +179,7 @@ def entry_log_density(
     """Log predictive density of one measurement entry under b-minus."""
     mean, cov = entry_predictive(prop, model, entry.lm)
     diff = entry.value - mean
-    if model.kind == "range_bearing":
-        diff = np.array([diff[0], wrap_angle(diff[1])])
+    diff = np.array([diff[0], wrap_angle(diff[1])])
     return gaussian_logpdf(diff, np.zeros(diff.size), cov)
 
 

@@ -155,8 +155,7 @@ def simulate_step(
         if not meas.visible(new_gt, pos_arr):
             continue
         z = meas.predict(new_gt, pos_arr) + _noise_draw(meas.noise_cov, rng)
-        if meas.kind == "range_bearing":
-            z[1] = wrap_angle(z[1])
+        z[1] = wrap_angle(z[1])
         entries.append(MeasurementEntry(t_next, lm_id, z))
     z_set = MeasurementSet(tuple(entries))
     return new_gt, z_set, z_set.keys()
@@ -264,10 +263,8 @@ class RolloutMetrics:
     timed_out: bool
     final_tree: "BeliefTree | None" = None
 
-    def cumulative_time(self, timing_mode: str = "full", planner: str | None = None) -> float:
-        rows = self.sessions if planner in (None, self.planner) \
-            else self.shadow_sessions[planner]
-        return sum(r.planning_time(timing_mode) for r in rows)
+    def cumulative_time(self, timing_mode: str = "full") -> float:
+        return sum(r.planning_time(timing_mode) for r in self.sessions)
 
     def agreement_with(self, shadow: str) -> float:
         """Fraction of sessions where the shadow chose the executed action."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from _util import random_spd
 from ixbsp import beliefs
-from ixbsp._gaussian import chol_lower, spd_inverse
+from ixbsp._gaussian import chol_lower, spd_inverse, whitener
 from ixbsp.beliefs import (
     LANDMARK_INIT_VAR,
     DensePriorFactor,
@@ -39,6 +39,49 @@ from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_va
 
 def _entry(t, lm, value):
     return MeasurementEntry(t, lm, np.asarray(value, dtype=float))
+
+
+class _LinearFactor:
+    """Affine factor ``z = H x[vars_] + v`` with ``v ~ N(0, noise_cov)``.
+
+    The program's factors are nonlinear; a list of these makes
+    ``solve_factors`` a linear least-squares problem with a closed form.
+    Problems built from it keep headings far from +-pi, where wrapping
+    would make them nonlinear.
+    """
+
+    def __init__(self, vars_, h, z, noise_cov):
+        self.vars_ = tuple(vars_)
+        self.h = np.atleast_2d(np.asarray(h, dtype=float))
+        self.z = np.atleast_1d(np.asarray(z, dtype=float))
+        self.wt = whitener(np.atleast_2d(noise_cov)).T
+
+    def involved(self):
+        return self.vars_
+
+    def whitened(self, x, layout):
+        _, idx = layout
+        return self.wt @ (self.h @ x[idx] - self.z), self.wt @ self.h, idx
+
+
+def _linear_step(v_from, v_to, f_mat, offset, noise_cov):
+    """``x_to = F x_from + offset + w`` as a ``_LinearFactor``."""
+    d = f_mat.shape[0]
+    return _LinearFactor((v_from, v_to), np.hstack([-f_mat, np.eye(d)]),
+                         offset, noise_cov)
+
+
+def _closed_form(factors, index):
+    """Linear least-squares mean and covariance of ``_LinearFactor`` lists."""
+    lam = np.zeros((index.dim, index.dim))
+    eta = np.zeros(index.dim)
+    for f in factors:
+        idx = index.indices_of(f.involved())
+        a = f.wt @ f.h
+        lam[np.ix_(idx, idx)] += a.T @ a
+        eta[idx] += a.T @ (f.wt @ f.z)
+    cov = np.linalg.inv(lam)
+    return cov @ eta, cov
 
 
 class TestVariableIndex:
@@ -170,42 +213,41 @@ class TestPriorAndPropagate:
         assert np.allclose(b.cov[0:2, 2:5], 0.0)
         assert len(b.factors) == 1 and isinstance(b.factors[0], DensePriorFactor)
 
-    def test_linear_propagate_matches_hand_formula(self):
+    def test_propagate_matches_hand_formula(self):
         rng = np.random.default_rng(3)
-        f_mat = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
-        j_mat = rng.normal(size=(3, 2))
         w = np.diag([0.2, 0.3, 0.05])
-        model = MotionModel(kind="linear", f_mat=f_mat, j_mat=j_mat,
-                            controls=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                            noise_cov=w)
-        cov0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 0.4]])
+        model = MotionModel(noise_cov=w)
+        cov0 = random_spd(rng, 3, 0.2)
         mu0 = np.array([1.0, -2.0, 0.5])
         b = make_prior_belief(mu0, cov0)
-        prop = propagate(b, ActionId(0), model)
+        prop = propagate(b, ActionId(1), model)
 
-        u = np.array([1.0, 0.5])
-        assert np.allclose(prop.mean[:3], mu0)
-        assert np.allclose(prop.mean[3:], f_mat @ mu0 + j_mat @ u)
+        f_jac = model.step_jacobian(mu0, ActionId(1))
+        assert np.array_equal(prop.mean[:3], mu0)
+        assert np.array_equal(prop.mean[3:], model.step_mean(mu0, ActionId(1)))
         assert np.allclose(prop.cov[:3, :3], cov0)
-        assert np.allclose(prop.cov[:3, 3:], cov0 @ f_mat.T)
-        assert np.allclose(prop.cov[3:, 3:], f_mat @ cov0 @ f_mat.T + w)
+        assert np.allclose(prop.cov[:3, 3:], cov0 @ f_jac.T)
+        assert np.allclose(prop.cov[3:, :3], f_jac @ cov0)
+        assert np.allclose(prop.cov[3:, 3:], f_jac @ cov0 @ f_jac.T + w)
         assert prop.time == 1
         assert prop.new_pose() == pose_var(1)
 
-    def test_linear_propagate_matches_monte_carlo(self):
-        f_mat = np.array([[1.0, 0.0, 0.2], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]])
-        j_mat = np.eye(3)[:, :1]
+    def test_propagate_matches_monte_carlo(self):
+        # a small heading variance keeps the unicycle's second-order terms
+        # (about dist * var / 2) far below the Monte-Carlo error
         w = np.diag([0.09, 0.04, 0.01])
-        model = MotionModel(kind="linear", f_mat=f_mat, j_mat=j_mat,
-                            controls=np.array([[2.0]]), noise_cov=w)
+        model = MotionModel(noise_cov=w)
         mu0 = np.array([0.5, -0.5, 0.2])
-        cov0 = np.diag([1.0, 0.5, 0.2])
-        prop = propagate(make_prior_belief(mu0, cov0), ActionId(0), model)
+        cov0 = np.diag([1.0, 0.5, 1e-4])
+        prop = propagate(make_prior_belief(mu0, cov0), ActionId(1), model)
 
         rng = np.random.default_rng(11)
         n = 200_000
         xs = rng.multivariate_normal(mu0, cov0, size=n)
-        nxt = xs @ f_mat.T + (j_mat @ np.array([2.0]))[None, :]
+        prim = model.primitives[1]
+        heading = xs[:, 2] + prim.delta
+        nxt = np.stack([xs[:, 0] + prim.dist * np.cos(heading),
+                        xs[:, 1] + prim.dist * np.sin(heading), heading], axis=1)
         nxt += rng.multivariate_normal(np.zeros(3), w, size=n)
         mc_mean = nxt.mean(axis=0)
         mc_cov = np.cov(nxt.T)
@@ -216,29 +258,25 @@ class TestPriorAndPropagate:
 
 class TestConditioning:
     def test_scalar_bayes_product_on_measured_coordinate(self):
-        # z observes the new pose x-coordinate; z is independent of the rest
-        # given that coordinate, so its posterior marginal follows the scalar
-        # precision-weighted product.
-        f_mat = np.eye(3)
-        model = MotionModel(kind="linear", f_mat=f_mat, j_mat=np.zeros((3, 1)),
-                            controls=np.array([[0.0]]),
-                            noise_cov=np.diag([1.0, 1.0, 1.0]) * 0.5)
-        prior_var = 2.0
-        b = make_prior_belief(np.zeros(3), np.eye(3) * prior_var)
-        prop = propagate(b, ActionId(0), model)
-        p = prior_var + 0.5    # propagated variance of the measured coordinate
-        r = 1.3
-        z = 2.0
-        meas = MeasModel(kind="linear", h_mat=np.array([[1.0, 0.0, 0.0]]),
-                         noise_cov=np.array([[r]]))
-        post = update_with_measurements(
-            prop, MeasurementSet((_entry(1, 0, [z]),)), meas)
+        # z observes the x-coordinate of the second pose; z is independent of
+        # the rest given that coordinate, so its posterior marginal follows
+        # the scalar precision-weighted product
+        prior_var, w, r, z = 2.0, 0.5, 1.3, 2.0
+        index = VariableIndex.of([pose_var(0), pose_var(1)])
+        factors = [
+            DensePriorFactor((pose_var(0),), np.zeros(3), np.eye(3) * prior_var),
+            _linear_step(pose_var(0), pose_var(1), np.eye(3), np.zeros(3),
+                         np.eye(3) * w),
+            _LinearFactor((pose_var(1),), [[1.0, 0.0, 0.0]], [z], [[r]]),
+        ]
+        mean, cov, _ = solve_factors(factors, index, np.zeros(index.dim))
 
-        sl = post.index.slice_of(pose_var(1))
+        sl = index.slice_of(pose_var(1))
+        p = prior_var + w    # propagated variance of the measured coordinate
         var_expect = 1.0 / (1.0 / p + 1.0 / r)
         mean_expect = var_expect * (0.0 / p + z / r)
-        assert post.mean[sl][0] == pytest.approx(mean_expect, abs=1e-9)
-        assert post.cov[sl, sl][0, 0] == pytest.approx(var_expect, abs=1e-9)
+        assert mean[sl][0] == pytest.approx(mean_expect, abs=1e-9)
+        assert cov[sl, sl][0, 0] == pytest.approx(var_expect, abs=1e-9)
 
     def test_empty_measurement_set_keeps_moments(self):
         cfgm = MotionModel()
@@ -321,33 +359,38 @@ class TestPlanningRoot:
         assert pr.time == b.time
 
     def test_future_planning_matches_full_joint_linear(self):
-        # for linear models, conditioning on a future measurement gives the
+        # for linear factors, conditioning on a future measurement gives the
         # same newest-pose marginal whether the past is kept or marginalized
         # out first; nonlinear chains match only to first order
         rng = np.random.default_rng(7)
         f_mat = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
-        motion = MotionModel(kind="linear", f_mat=f_mat,
-                             j_mat=rng.normal(size=(3, 1)),
-                             controls=np.array([[1.0], [0.5]]),
-                             noise_cov=np.diag([0.2, 0.2, 0.1]))
-        meas = MeasModel(kind="linear", h_mat=np.array([[1.0, 0.3, 0.0]]),
-                         noise_cov=np.array([[0.4]]))
-        root = make_prior_belief(np.array([0.5, -0.5, 0.1]),
-                                 np.diag([2.0, 1.0, 0.3]))
-        b = root
-        for t, act in ((1, 0), (2, 1)):
-            prop = propagate(b, ActionId(act), motion)
-            b = update_with_measurements(
-                prop, MeasurementSet((_entry(t, 0, [0.8 * t]),)), meas)
+        w = np.diag([0.2, 0.2, 0.1])
+        h = np.array([[1.0, 0.3, 0.0]])
+
+        def step(t, offset, z):
+            return [_linear_step(pose_var(t - 1), pose_var(t), f_mat,
+                                 offset, w),
+                    _LinearFactor((pose_var(t),), h, [z], [[0.4]])]
+
+        factors = [_LinearFactor((pose_var(0),), np.eye(3), [0.5, -0.5, 0.1],
+                                 np.diag([2.0, 1.0, 0.3]))]
+        factors += step(1, [1.0, 0.2, 0.0], 0.8) + step(2, [0.5, 0.1, 0.0], 1.6)
+        index = VariableIndex.of(pose_var(t) for t in range(3))
+        mean, cov, _ = solve_factors(factors, index, np.zeros(index.dim))
+        b = beliefs.GaussianBelief(index=index, mean=mean, cov=cov,
+                                   factors=tuple(factors), time=2)
         pr = planning_root(b)
 
-        z = MeasurementSet((_entry(3, 0, [2.5]),))
-        full = update_with_measurements(propagate(b, ActionId(0), motion), z, meas)
-        marg = update_with_measurements(propagate(pr, ActionId(0), motion), z, meas)
-        fm = full.marginal([pose_var(3)])
-        mm = marg.marginal([pose_var(3)])
-        assert np.allclose(fm.mean, mm.mean, atol=1e-9)
-        assert np.allclose(fm.cov, mm.cov, atol=1e-9)
+        future = step(3, [1.0, 0.2, 0.0], 2.5)
+        fm = _closed_form(factors + future, VariableIndex.of(
+            pose_var(t) for t in range(4)))
+        for past in (b, pr):
+            look = VariableIndex(past.index.vars + (pose_var(3),))
+            mean3, cov3, _ = solve_factors(
+                past.factors + tuple(future), look, np.zeros(look.dim))
+            sl = look.slice_of(pose_var(3))
+            assert np.allclose(mean3[sl], fm[0][9:], atol=1e-9)
+            assert np.allclose(cov3[sl, sl], fm[1][9:, 9:], atol=1e-9)
 
 
 class TestFactorWhiteners:
@@ -438,18 +481,18 @@ def _range_bearing_problem(rng, n_lm, n_steps, new_lm):
 
 
 def _linear_problem(rng, n_steps):
-    f_mat = np.eye(3) + 0.05 * rng.standard_normal((3, 3))
-    motion = MotionModel(kind="linear", f_mat=f_mat, j_mat=rng.standard_normal((3, 1)),
-                         controls=np.array([[1.0], [-0.5]]),
-                         noise_cov=random_spd(rng, 3, 0.1))
-    meas = MeasModel(kind="linear", h_mat=rng.standard_normal((2, 3)),
-                     noise_cov=random_spd(rng, 2, 0.1))
-    factors = [DensePriorFactor((pose_var(0),), rng.standard_normal(3),
-                                random_spd(rng, 3))]
+    """A chain of 2-D blocks (landmark variables: nothing wraps) joined by
+    ``_LinearFactor`` steps, each block observed through a random ``H``."""
+    f_mat = np.eye(2) + 0.05 * rng.standard_normal((2, 2))
+    w, v = random_spd(rng, 2, 0.1), random_spd(rng, 2, 0.1)
+    factors = [_LinearFactor((landmark_var(0),), np.eye(2), rng.standard_normal(2),
+                             random_spd(rng, 2))]
     for t in range(1, n_steps + 1):
-        factors.append(MotionFactor(t - 1, t, ActionId(int(rng.integers(0, 2))), motion))
-        factors.append(MeasurementFactor(t, -1, rng.standard_normal(2), meas))
-    index = VariableIndex.of(pose_var(t) for t in range(n_steps + 1))
+        factors.append(_linear_step(landmark_var(t - 1), landmark_var(t), f_mat,
+                                    rng.standard_normal(2), w))
+        factors.append(_LinearFactor((landmark_var(t),), rng.standard_normal((2, 2)),
+                                     rng.standard_normal(2), v))
+    index = VariableIndex.of(landmark_var(t) for t in range(n_steps + 1))
     return factors, index, rng.standard_normal(index.dim)
 
 
@@ -457,19 +500,33 @@ class TestSolveFactorsBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
            n_steps=st.integers(1, 3), new_lm=st.booleans(),
-           linear=st.booleans(), max_iter=st.sampled_from([1, 2, 5, 60]))
+           max_iter=st.sampled_from([1, 2, 5, 60]))
     def test_equals_per_iteration_reference(self, seed, n_lm, n_steps, new_lm,
-                                            linear, max_iter):
+                                            max_iter):
         rng = np.random.default_rng(seed)
-        if linear:
-            factors, index, init = _linear_problem(rng, n_steps)
-        else:
-            factors, index, init = _range_bearing_problem(rng, n_lm, n_steps, new_lm)
+        factors, index, init = _range_bearing_problem(rng, n_lm, n_steps, new_lm)
         mean, cov, iters = solve_factors(factors, index, init, max_iter=max_iter)
         ref_mean, ref_cov, ref_iters = _reference_solve(factors, index, init, max_iter)
         assert iters == ref_iters
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(cov, ref_cov)
+
+
+class TestLinearSolve:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 3))
+    def test_one_step_reaches_the_closed_form(self, seed, n_steps):
+        """Gauss-Newton on linear factors is exact after its first step; the
+        second step is then under ``tol`` and stops the solve."""
+        factors, index, init = _linear_problem(np.random.default_rng(seed), n_steps)
+        mean_ref, cov_ref = _closed_form(factors, index)
+        mean1, cov1, iters1 = solve_factors(factors, index, init, max_iter=1)
+        assert iters1 == 1
+        assert np.allclose(mean1, mean_ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(cov1, cov_ref, rtol=1e-9, atol=1e-12)
+        mean, _, iters = solve_factors(factors, index, init)
+        assert iters == 2
+        assert np.allclose(mean, mean_ref, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

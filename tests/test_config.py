@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,17 +30,38 @@ BAD_NUMBERS = [
     dict(motion_heading_std_deg=-0.5),
     dict(meas_range_std=0.0),
     dict(meas_bearing_std_deg=NAN),
+    dict(fov_deg=NAN),
+    dict(fov_deg=0.0),
+    dict(min_range=NAN),
+    dict(max_range=0.1),
+    dict(session_timeout_s=NAN),
+    dict(primitives=(("forward", NAN, 0.0), ("left", 1.0, 90.0), ("right", 1.0, -90.0))),
+    dict(world=dict(n_landmarks=0)),
+    dict(world=dict(n_goals=0)),
+    dict(world=dict(extent=NAN)),
+    dict(world=dict(goal_distance=NAN)),
+    dict(world=dict(start_xy=(0.0, 0.0, 0.0))),
+    dict(world=dict(start_heading_deg=math.inf)),
+    dict(reward=dict(kind="distance_with_cov_penalty", cov_threshold=NAN)),
+    dict(reward=dict(kind="distance_with_cov_penalty", penalty=NAN)),
 ]
+
+
+def _override(cfg, overrides):
+    """``cfg`` with ``overrides`` applied, unvalidated; a dict value
+    overrides fields of the nested ``world`` or ``reward`` config."""
+    return replace(cfg, **{
+        k: replace(getattr(cfg, k), **v) if isinstance(v, dict) else v
+        for k, v in overrides.items()})
 
 
 @pytest.mark.parametrize("overrides", BAD_NUMBERS, ids=lambda kw: ",".join(
     f"{k}={v}" for k, v in kw.items()))
 def test_bad_number_rejected(overrides, tmp_path):
     with pytest.raises(ConfigError):
-        tiny_cfg(**overrides)
+        _override(tiny_cfg(), overrides).validate()
     # the same values through a JSON file (Python's json reads NaN/-Infinity)
-    raw = tiny_cfg().to_json_dict()
-    raw.update(overrides)
+    raw = _override(tiny_cfg(), overrides).to_json_dict()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError):

@@ -169,16 +169,6 @@ def _rb_models():
     return motion, meas, prior
 
 
-def _linear_models():
-    motion = MotionModel(kind="linear", f_mat=np.eye(3), j_mat=np.ones((3, 1)),
-                         controls=np.array([[1.0], [-0.5]]),
-                         noise_cov=np.diag([0.2, 0.2, 0.1]))
-    meas = MeasModel(kind="linear", h_mat=np.array([[1.0, 0.0, 0.0]]),
-                     noise_cov=np.array([[0.3]]))
-    prior = make_prior_belief(np.zeros(3), np.diag([1.0, 1.0, 0.2]))
-    return motion, meas, prior
-
-
 class TestDaDivergence:
     """``d_da`` reads each belief's steps (motion factors) and entries
     (measurement factors) from its factor list."""
@@ -211,10 +201,7 @@ class TestDaDivergence:
         (_rb_models,
          [(0, [(0, [3.1, 0.3])]), (1, []), (2, [(0, [2.4, 0.9]), (1, [3.3, -1.2])])],
          [(1, [(1, [3.0, -1.0])]), (2, [(0, [2.5, 0.8])]), (0, [(1, [2.0, -1.5])])]),
-        (_linear_models,
-         [(0, [(-1, [0.9])]), (1, []), (0, [(-1, [1.2])])],
-         [(1, [(-1, [0.6])]), (0, [(-1, [1.5])]), (1, [(-1, [0.4])])]),
-    ], ids=["range_bearing", "linear"])
+    ], ids=["range_bearing"])
     def test_equals_key_of_explicit_measurement_sets(self, models, ref_steps,
                                                      cand_steps):
         # ref: a posterior over steps 1-3; cand: a lookahead belief planned

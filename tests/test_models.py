@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ixbsp.errors import InvalidInput, UnsupportedModel
+from ixbsp.errors import InvalidInput
 from ixbsp.models import (
     ActionId,
     MeasModel,
@@ -58,8 +58,7 @@ class TestVariableIds:
 
 class TestUnicycleMotion:
     def test_step_geometry(self):
-        model = MotionModel(kind="unicycle",
-                            primitives=(Primitive("fwd", 2.0, 0.0),
+        model = MotionModel(primitives=(Primitive("fwd", 2.0, 0.0),
                                         Primitive("left", 1.0, math.pi / 2)))
         x = np.array([1.0, 2.0, 0.0])
         fwd = model.step_mean(x, ActionId(0))
@@ -78,12 +77,6 @@ class TestUnicycleMotion:
             dx[i] = eps
             num = (model.step_mean(x + dx, act) - model.step_mean(x - dx, act)) / (2 * eps)
             assert np.allclose(jac[:, i], num, atol=1e-5)
-
-    def test_linear_motion_requires_matrices(self):
-        with pytest.raises(InvalidInput):
-            MotionModel(kind="linear")
-        with pytest.raises(UnsupportedModel):
-            MotionModel(kind="hovercraft")
 
 
 class TestRangeBearing:

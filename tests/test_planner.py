@@ -9,7 +9,7 @@ import pytest
 
 from ixbsp.beliefs import DensePriorFactor, make_prior_belief, propagate, update_with_measurements
 from ixbsp.config import RewardConfig
-from ixbsp.errors import UnknownSequence
+from ixbsp.errors import NumericalError, UnknownSequence
 from ixbsp.models import ActionId, pose_var
 from ixbsp.planner import (
     TAG_NOMINAL,
@@ -159,6 +159,20 @@ class TestObjective:
         assert seq == tuple([0] * cfg.horizon)
         assert act == ActionId(0)
         assert val == 7.25
+
+    def test_nan_rewards_never_win_and_all_nan_raises(self):
+        cfg = tiny_cfg(n_x=1)
+        root, motion, meas, goal = _setup(cfg)
+        tree = build_tree(root, cfg, motion, meas, goal, base_seed=6, most_likely=False)
+        for node in tree.nodes[1:]:
+            if node.path[0] != 1:
+                node.reward = math.nan
+        act, seq, val, _ = best_action(tree)
+        assert act == ActionId(1) and math.isfinite(val)
+        for node in tree.nodes[1:]:
+            node.reward = math.nan
+        with pytest.raises(NumericalError, match="NaN"):
+            best_action(tree)
 
 
 class TestDeterminism:

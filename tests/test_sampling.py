@@ -56,7 +56,7 @@ class TestNodeRng:
 class TestPredictedDa:
     def test_gates_by_range_and_fov(self):
         prop, model = _prop()
-        da = predicted_da(prop, model)
+        da = predicted_da(prop, model, prop.mean)
         # lm 1 sits 30m away, beyond max_range=20
         assert da == ((1, 0),)
 
@@ -124,30 +124,20 @@ class TestSampling:
 
 
 class TestPredictiveDensity:
-    def test_linear_predictive_matches_closed_form(self):
-        b = make_prior_belief(np.array([1.0, 0.0, 0.0]), np.diag([2.0, 1.0, 0.1]))
-        motion = MotionModel(kind="linear", f_mat=np.eye(3),
-                             j_mat=np.zeros((3, 1)), controls=np.array([[0.0]]),
-                             noise_cov=np.eye(3) * 0.5)
-        prop = propagate(b, ActionId(0), motion)
-        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        r = np.diag([0.3, 0.4])
-        model = MeasModel(kind="linear", h_mat=h, noise_cov=r)
-        mean, cov = entry_predictive(prop, model, lm=-1)
-        sl = prop.index.slice_of(pose_var(1))
-        assert np.allclose(mean, h @ prop.mean[sl])
-        assert np.allclose(cov, r + h @ prop.cov[sl, sl] @ h.T)
+    def test_range_bearing_predictive_matches_hand_formula(self):
+        prop, model = _prop()
+        mean, cov = entry_predictive(prop, model, lm=0)
+        sl = prop.index.indices_of([pose_var(1), landmark_var(0)])
+        pose, lpos = prop.mean[sl][:3], prop.mean[sl][3:]
+        h_pose, h_lm = model.jacobians(pose, lpos)
+        jac = np.hstack([h_pose, h_lm])
+        assert np.allclose(mean, model.predict(pose, lpos))
+        assert np.allclose(cov, model.noise_cov + jac @ prop.cov[np.ix_(sl, sl)] @ jac.T)
 
     def test_entry_log_density_matches_scipy(self):
-        b = make_prior_belief(np.array([1.0, 0.0, 0.0]), np.diag([2.0, 1.0, 0.1]))
-        motion = MotionModel(kind="linear", f_mat=np.eye(3),
-                             j_mat=np.zeros((3, 1)), controls=np.array([[0.0]]),
-                             noise_cov=np.eye(3) * 0.5)
-        prop = propagate(b, ActionId(0), motion)
-        model = MeasModel(kind="linear", h_mat=np.array([[1.0, 0.5, 0.0]]),
-                          noise_cov=np.array([[0.3]]))
-        entry = MeasurementEntry(1, -1, np.array([1.7]))
-        mean, cov = entry_predictive(prop, model, lm=-1)
+        prop, model = _prop()
+        entry = MeasurementEntry(1, 0, np.array([3.2, 0.05]))
+        mean, cov = entry_predictive(prop, model, lm=0)
         expect = stats.multivariate_normal(mean, cov).logpdf(entry.value)
         assert entry_log_density(entry, prop, model) == pytest.approx(expect, abs=1e-10)
 

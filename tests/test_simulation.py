@@ -67,10 +67,9 @@ class TestWorldModel:
 
 
 def _noiseless_models():
-    motion = MotionModel(kind="unicycle",
-                         primitives=(Primitive("fwd", 1.0, 0.0),),
+    motion = MotionModel(primitives=(Primitive("fwd", 1.0, 0.0),),
                          noise_cov=np.zeros((3, 3)))
-    meas = MeasModel(kind="range_bearing", noise_cov=np.zeros((2, 2)),
+    meas = MeasModel(noise_cov=np.zeros((2, 2)),
                      fov=2 * math.pi, min_range=0.5, max_range=10.0)
     return motion, meas
 
