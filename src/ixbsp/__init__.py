@@ -57,7 +57,6 @@ from .distances import (
     DeltaQuadratic,
     ZetaDistribution,
     check_chi_squared_conditions,
-    d_da,
     d_sqrt_j,
     delta_quadratic,
     gaussian_quadratic_moments,

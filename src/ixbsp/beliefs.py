@@ -6,7 +6,8 @@ measurement factors for every step since.  The solver has no randomness, so
 the same factor list always gives the same belief.  The factor list is also
 the belief's only record of what it absorbed: each step's time is its
 ``MotionFactor.t_to`` and each measurement entry is one
-``MeasurementFactor`` (``distances.d_da`` reads both).  Re-using an archived
+``MeasurementFactor``.  Only this module reads the list, when ``propagate``
+and ``update_with_measurements`` extend and re-solve it.  Re-using an archived
 belief against a new planning root is one ``update_with_measurements`` call
 whose ``init_hint`` warm-starts the solve from the archived mean.
 
@@ -226,45 +227,6 @@ class MeasurementSet:
             if e.key == key:
                 return e
         return None
-
-
-@dataclass(frozen=True, slots=True)
-class DaDiff:
-    """Difference between two measurement sets keyed by (t, lm)."""
-
-    added: tuple[tuple[int, int], ...]
-    removed: tuple[tuple[int, int], ...]
-    kept: tuple[tuple[tuple[int, int], np.ndarray, np.ndarray], ...]
-
-    @property
-    def n_changed(self) -> int:
-        return len(self.added) + len(self.removed)
-
-    def value_gap(self) -> float:
-        """L2 norm over kept-entry value differences, bearings wrapped."""
-        total = 0.0
-        for _key, za, zb in self.kept:
-            d = np.asarray(za) - np.asarray(zb)
-            d[1] = wrap_angle(d[1])
-            total += float(d @ d)
-        return float(np.sqrt(total))
-
-    def key(self) -> tuple[int, float]:
-        """Lexicographic comparison key: structure first, then values."""
-        return (self.n_changed, self.value_gap())
-
-
-def da_diff(a: MeasurementSet, b: MeasurementSet) -> DaDiff:
-    """Diff from ``a`` to ``b``: what must be removed/added/kept to turn a into b."""
-    a_keys = dict((e.key, e) for e in a.entries)
-    b_keys = dict((e.key, e) for e in b.entries)
-    removed = tuple(k for k in a_keys if k not in b_keys)
-    added = tuple(k for k in b_keys if k not in a_keys)
-    kept = tuple(
-        (k, a_keys[k].value, b_keys[k].value) for k in a_keys if k in b_keys
-    )
-    return DaDiff(added=tuple(sorted(added)), removed=tuple(sorted(removed)),
-                  kept=tuple(sorted(kept, key=lambda kv: kv[0])))
 
 
 # ---------------------------------------------------------------------------

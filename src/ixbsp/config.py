@@ -20,13 +20,20 @@ import numpy as np
 from .errors import ConfigError
 from .models import MeasModel, MotionModel, Primitive
 
-DISTANCE_KINDS = ("sqrt_j", "da_key")
-REP_TESTS = ("per_coordinate", "mahalanobis")
 REWARD_KINDS = ("info_and_distance", "distance_with_cov_penalty")
 PLANNER_NAMES = ("xbsp", "mlbsp", "ixbsp", "imlbsp")
 # noise and prior standard deviations; each must be positive
 _STD_FIELDS = ("prior_pos_std", "prior_heading_std_deg", "motion_pos_std",
                "motion_heading_std_deg", "meas_range_std", "meas_bearing_std_deg")
+_INT_FIELDS = ("n_u", "n_x", "n_z", "horizon", "overlap", "max_sessions")
+
+
+def _require_ints(cfg: Any, names: tuple[str, ...]) -> None:
+    """Counts must be plain ints: a float or a bool is a config error."""
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) is not int:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +48,7 @@ class WorldConfig:
     start_heading_deg: float = 0.0
 
     def validate(self) -> None:
+        _require_ints(self, ("n_landmarks", "n_goals"))
         if not (self.n_landmarks >= 1 and self.n_goals >= 1):
             raise ConfigError("world needs n_landmarks >= 1 and n_goals >= 1")
         if not (self.extent > 0.0 and math.isfinite(self.extent)):
@@ -100,8 +108,6 @@ class ScenarioConfig:
     epsilon_wf: float = 2.0
     use_wildfire: bool = True
     beta_sigma: float = 1.5
-    distance: str = "sqrt_j"
-    rep_test: str = "per_coordinate"
 
     # motion primitives: (name, translation [m], rotation [deg])
     primitives: tuple[tuple[str, float, float], ...] = (
@@ -132,6 +138,7 @@ class ScenarioConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def validate(self) -> None:
+        _require_ints(self, _INT_FIELDS)
         if self.n_u < 1 or self.n_u > len(self.primitives):
             raise ConfigError("n_u must be in [1, len(primitives)]")
         for name, dist, deg in self.primitives:
@@ -162,10 +169,6 @@ class ScenarioConfig:
             raise ConfigError("sensing ranges need 0 <= min_range < max_range")
         if not self.session_timeout_s > 0.0:
             raise ConfigError("session_timeout_s must be positive")
-        if self.distance not in DISTANCE_KINDS:
-            raise ConfigError(f"distance must be one of {DISTANCE_KINDS}")
-        if self.rep_test not in REP_TESTS:
-            raise ConfigError(f"rep_test must be one of {REP_TESTS}")
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
         self.world.validate()

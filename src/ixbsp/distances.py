@@ -11,9 +11,7 @@ which for Gaussians has the closed form
 
 Beliefs over different variable sets are first aligned on the intersection of
 their variable ids (exact Gaussian marginals); heading differences are
-wrapped.  A cheap structural alternative orders candidates by how much their
-data associations differ, read from their factor lists, without ever
-producing a thresholdable scalar.
+wrapped.
 
 The incremental block implements the update algebra: how the squared distance
 of a belief pair changes when both sides absorb a measurement update, the
@@ -28,24 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gaussian import as_spd, spd_inverse, spd_logdet, spd_solve
-from .beliefs import (
-    GaussianBelief,
-    GaussianState,
-    MeasurementEntry,
-    MeasurementFactor,
-    MeasurementSet,
-    MotionFactor,
-    canonical_order,
-    da_diff,
-    wrapped_diff,
-)
+from .beliefs import GaussianState, canonical_order, wrapped_diff
 from .errors import IncompatibleStates, InvalidInput
 
 __all__ = [
     "align",
     "kl_gaussian",
     "d_sqrt_j",
-    "d_da",
     "incremental_delta",
     "delta_quadratic",
     "zeta_distribution",
@@ -125,37 +112,6 @@ def d_sqrt_j(p: GaussianState, q: GaussianState) -> float:
         return 0.0
     diff = wrapped_diff(pa.index, pa.mean, qa.mean)
     return sqrt_j_moments(diff, pa.cov, qa.cov)
-
-
-def _absorbed_times(belief: GaussianBelief) -> list[int]:
-    return [f.t_to for f in belief.factors if isinstance(f, MotionFactor)]
-
-
-def _span_measurements(belief: GaussianBelief, t_lo: int, t_hi: int) -> MeasurementSet:
-    return MeasurementSet(tuple(
-        MeasurementEntry(f.t, f.lm, f.z) for f in belief.factors
-        if isinstance(f, MeasurementFactor) and t_lo <= f.t <= t_hi))
-
-
-def d_da(ref: GaussianBelief, cand: GaussianBelief) -> tuple[int, float]:
-    """Data-association divergence key over the overlapping time span.
-
-    The span runs over the steps both factor lists absorbed (their
-    ``MotionFactor`` times); the entries are their ``MeasurementFactor``s in
-    that span.  Lexicographic: (#added + #removed associations, L2 gap over
-    kept values).  Orders candidates only; it is never compared against
-    scalar thresholds.
-    """
-    ref_times, cand_times = _absorbed_times(ref), _absorbed_times(cand)
-    if not ref_times or not cand_times:
-        raise IncompatibleStates("beliefs must both hold at least one step")
-    t_lo = max(min(ref_times), min(cand_times))
-    t_hi = min(max(ref_times), max(cand_times))
-    if t_lo > t_hi:
-        raise IncompatibleStates("beliefs' steps do not overlap in time")
-    diff = da_diff(_span_measurements(cand, t_lo, t_hi),
-                   _span_measurements(ref, t_lo, t_hi))
-    return diff.key()
 
 
 # ---------------------------------------------------------------------------

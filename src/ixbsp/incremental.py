@@ -44,7 +44,7 @@ from .beliefs import (
     update_with_measurements,
 )
 from .config import ScenarioConfig
-from .distances import d_da, d_sqrt_j
+from .distances import d_sqrt_j
 from .errors import (
     EmptyCandidates,
     IncompatibleHorizon,
@@ -161,32 +161,21 @@ def _covers(candidate: VariableIndex, target: VariableIndex) -> bool:
 
 
 def select_closest_branch(
-    posterior: GaussianBelief,
-    root: GaussianBelief,
-    archive: PlanningArchive,
-    cfg: ScenarioConfig,
+    root: GaussianBelief, archive: PlanningArchive
 ) -> tuple[float, int]:
     """Closest archived depth-l posterior consistent with the executed actions.
 
-    Ordering follows cfg.distance; the returned scalar is always the sqrt-J
-    distance of the winner, since thresholds only apply to that metric.
+    Returns the winner's sqrt-J distance to ``root`` and its node id.
     """
     tree = archive.tree
     l = archive.overlap
     cands = [
-        n for n in tree.nodes_at_depth(l)
+        (n.node_id, n.belief) for n in tree.nodes_at_depth(l)
         if tuple(n.path[0::2]) == tuple(archive.executed_actions)
     ]
     if not cands:
         raise EmptyCandidates("no archived branch matches the executed actions")
-    if cfg.distance == "da_key":
-        best = min(
-            range(len(cands)),
-            key=lambda i: d_da(posterior, cands[i].belief),
-        )
-        winner = cands[best]
-        return d_sqrt_j(root, winner.belief), winner.node_id
-    return closest_belief(root, [(n.node_id, n.belief) for n in cands])
+    return closest_belief(root, cands)
 
 
 _K = TypeVar("_K")
@@ -290,13 +279,11 @@ def is_rep_sample(
     chi_index: VariableIndex,
     prop: PropagatedBelief,
     beta_sigma: float,
-    rep_test: str,
 ) -> bool:
     """Does an archived state realization still represent ``prop``?
 
-    Tested over the variables both sides share.  per_coordinate demands every
-    coordinate within beta_sigma marginal deviations; mahalanobis compares
-    the squared form against beta_sigma^2 * dim.
+    Tested over the variables both sides share: every coordinate must lie
+    within beta_sigma marginal standard deviations of the propagated mean.
     """
     if math.isinf(beta_sigma):
         return True
@@ -309,12 +296,8 @@ def is_rep_sample(
     diff = chi[idx_chi] - prop.mean[idx_new]
     mask = sub.theta_mask()
     diff[mask] = wrap_angle_array(diff[mask])
-    cov = prop.cov[np.ix_(idx_new, idx_new)]
-    if rep_test == "per_coordinate":
-        sigma = np.sqrt(np.diag(cov))
-        return bool(np.all(np.abs(diff) <= beta_sigma * sigma))
-    md2 = float(diff @ spd_inverse(cov) @ diff)
-    return md2 <= beta_sigma**2 * diff.size
+    sigma = np.sqrt(np.diag(prop.cov)[idx_new])
+    return bool(np.all(np.abs(diff) <= beta_sigma * sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +351,8 @@ def _reuse_group(
         if ml_mode:
             accepted = True  # the eps_c gate already passed for the branch
         else:
-            accepted = is_rep_sample(
-                lead.sample.chi, arch_prop.index, prop_new,
-                cfg.beta_sigma, cfg.rep_test,
-            )
+            accepted = is_rep_sample(lead.sample.chi, arch_prop.index,
+                                     prop_new, cfg.beta_sigma)
         if accepted:
             # the archived realization over the new index; landmarks mapped
             # since keep the new propagated mean
@@ -525,7 +506,7 @@ def _plan_incremental(
     reuse_levels = None
     if archive is not None:
         _check_archive(archive, posterior, cfg, ml_mode=ml_mode)
-        dist, branch_id = select_closest_branch(posterior, root, archive, cfg)
+        dist, branch_id = select_closest_branch(root, archive)
         info = {"mode": "fresh", "branch_dist": dist, "branch_id": branch_id}
         overlap_depths = cfg.horizon - archive.overlap
         if dist <= cfg.epsilon_c:

@@ -107,12 +107,10 @@ def sample_state_futures(
     model: MeasModel,
     n_z: int,
     rng: np.random.Generator,
-    chi: np.ndarray | None = None,
 ) -> list[MeasurementSample]:
-    """n_z measurement sets from one state realization (drawn if not given)."""
-    if chi is None:
-        low = chol_lower(prop.cov)
-        chi = wrap_state(prop.index, prop.mean + low @ rng.standard_normal(prop.dim))
+    """n_z measurement sets from one drawn state realization."""
+    low = chol_lower(prop.cov)
+    chi = wrap_state(prop.index, prop.mean + low @ rng.standard_normal(prop.dim))
     da = predicted_da(prop, model, chi)
     out = []
     for _ in range(n_z):

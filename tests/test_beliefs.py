@@ -22,7 +22,6 @@ from ixbsp.beliefs import (
     MotionFactor,
     VariableIndex,
     canonical_order,
-    da_diff,
     factor_layout,
     make_prior_belief,
     planning_root,
@@ -176,27 +175,6 @@ class TestMeasurementSets:
     def test_duplicate_key_rejected(self):
         with pytest.raises(DaMismatch):
             MeasurementSet((_entry(1, 1, [1.0]), _entry(1, 1, [2.0])))
-
-    def test_da_diff_partitions_keys(self):
-        a = MeasurementSet((_entry(1, 0, [1.0, 0.0]), _entry(1, 1, [2.0, 0.0])))
-        b = MeasurementSet((_entry(1, 1, [2.5, 0.1]), _entry(1, 2, [3.0, 0.0])))
-        d = da_diff(a, b)
-        assert d.removed == ((1, 0),)
-        assert d.added == ((1, 2),)
-        assert [k for k, _, _ in d.kept] == [(1, 1)]
-        assert d.n_changed == 2
-        assert d.value_gap() == pytest.approx(math.hypot(0.5, 0.1))
-
-    def test_da_diff_key_orders_structure_before_values(self):
-        a = MeasurementSet((_entry(1, 0, [1.0, 0.0]),))
-        same_da_far = da_diff(a, MeasurementSet((_entry(1, 0, [9.0, 1.0]),)))
-        new_da_close = da_diff(a, MeasurementSet((_entry(1, 1, [1.0, 0.0]),)))
-        assert same_da_far.key() < new_da_close.key()
-
-    def test_value_gap_wraps_bearing(self):
-        a = MeasurementSet((_entry(1, 0, [1.0, math.pi - 0.05]),))
-        b = MeasurementSet((_entry(1, 0, [1.0, -math.pi + 0.05]),))
-        assert da_diff(a, b).value_gap() == pytest.approx(0.1, abs=1e-12)
 
 
 class TestPriorAndPropagate:

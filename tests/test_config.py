@@ -44,6 +44,15 @@ BAD_NUMBERS = [
     dict(world=dict(start_heading_deg=math.inf)),
     dict(reward=dict(kind="distance_with_cov_penalty", cov_threshold=NAN)),
     dict(reward=dict(kind="distance_with_cov_penalty", penalty=NAN)),
+    dict(max_sessions=2.5),
+    dict(max_sessions=NAN),
+    dict(n_x=1.5),
+    dict(n_z=1.0),
+    dict(horizon=2.0),
+    dict(overlap=1.0),
+    dict(n_u=True),
+    dict(world=dict(n_landmarks=2.5)),
+    dict(world=dict(n_goals=1.5)),
 ]
 
 
@@ -82,3 +91,17 @@ def test_seeds_is_not_a_config_key():
     raw["seeds"] = [0]
     with pytest.raises(ConfigError, match="seeds"):
         ScenarioConfig.from_json_dict(raw)
+
+
+@pytest.mark.parametrize("key, value", [("distance", "sqrt_j"),
+                                        ("rep_test", "per_coordinate")])
+def test_removed_reuse_options_are_unknown_keys(key, value, tmp_path):
+    raw = tiny_cfg().to_json_dict()
+    assert key not in raw
+    raw[key] = value
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig.from_json_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--planners", "mlbsp"]) == 2

@@ -10,20 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ixbsp.beliefs import (
-    GaussianState,
-    MeasurementEntry,
-    MeasurementSet,
-    VariableIndex,
-    da_diff,
-    make_prior_belief,
-    planning_root,
-    propagate,
-    update_with_measurements,
-)
+from ixbsp.beliefs import GaussianState, VariableIndex
 from ixbsp.distances import (
     check_chi_squared_conditions,
-    d_da,
     d_sqrt_j,
     delta_quadratic,
     gaussian_quadratic_moments,
@@ -34,7 +23,7 @@ from ixbsp.distances import (
     zeta_distribution,
 )
 from ixbsp.errors import IncompatibleStates, InvalidInput
-from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
+from ixbsp.models import landmark_var, pose_var
 
 from _util import landmark_state, pose_landmark_state, random_spd
 
@@ -136,85 +125,6 @@ class TestSqrtJ:
         # headings are 0.1 rad apart around the circle, not ~2*pi
         expect = sqrt_j_moments(np.array([0.0, 0.0, 0.1]), cov, cov)
         assert d_sqrt_j(a, b) == pytest.approx(expect, abs=1e-12)
-
-
-def _absorb(belief, steps, motion, meas):
-    """Absorb (action, [(lm, z), ...]) steps; entries are stamped with the
-    step's time and unknown landmarks are initialized."""
-    for action, entries in steps:
-        prop = propagate(belief, ActionId(action), motion)
-        z_set = MeasurementSet(tuple(
-            MeasurementEntry(prop.time, lm, np.asarray(z, dtype=float))
-            for lm, z in entries))
-        belief = update_with_measurements(prop, z_set, meas,
-                                          init_new_landmarks=True)
-    return belief
-
-
-def _explicit_set(steps, first_time, t_lo, t_hi):
-    """The entries of ``steps`` (times from ``first_time``) inside [t_lo, t_hi]."""
-    return MeasurementSet(tuple(
-        MeasurementEntry(t, lm, np.asarray(z, dtype=float))
-        for t, (_, entries) in enumerate(steps, first_time)
-        if t_lo <= t <= t_hi for lm, z in entries))
-
-
-def _rb_models():
-    motion = MotionModel()
-    meas = MeasModel(fov=2 * math.pi, min_range=0.0)
-    prior = make_prior_belief(
-        np.zeros(3), np.diag([0.1, 0.1, 0.01]),
-        landmarks={0: (np.array([3.0, 1.0]), np.eye(2)),
-                   1: (np.array([2.0, -3.0]), np.eye(2))})
-    return motion, meas, prior
-
-
-class TestDaDivergence:
-    """``d_da`` reads each belief's steps (motion factors) and entries
-    (measurement factors) from its factor list."""
-
-    def test_structure_orders_before_values(self):
-        motion, meas, prior = _rb_models()
-        ref = _absorb(prior, [(0, [(0, [1.0, 0.0])])], motion, meas)
-        same_da = _absorb(prior, [(0, [(0, [9.0, 1.0])])], motion, meas)
-        diff_da = _absorb(prior, [(0, [(1, [1.0, 0.0])])], motion, meas)
-        assert d_da(ref, same_da) < d_da(ref, diff_da)
-
-    def test_overlap_required(self):
-        motion, meas, prior = _rb_models()
-        early = _absorb(prior, [(0, []), (0, [])], motion, meas)
-        late = _absorb(planning_root(_absorb(early, [(0, []), (0, [])], motion,
-                                             meas)),
-                       [(0, []), (0, [])], motion, meas)
-        with pytest.raises(IncompatibleStates):
-            d_da(early, late)  # steps 1-2 against steps 5-6
-        with pytest.raises(IncompatibleStates):
-            d_da(prior, early)  # the prior has absorbed no step
-
-    def test_identical_histories_are_zero_key(self):
-        motion, meas, prior = _rb_models()
-        b = _absorb(prior, [(0, [(0, [2.0, 0.3])]), (1, [(1, [1.0, -0.2])])],
-                    motion, meas)
-        assert d_da(b, b) == (0, 0.0)
-
-    @pytest.mark.parametrize("models, ref_steps, cand_steps", [
-        (_rb_models,
-         [(0, [(0, [3.1, 0.3])]), (1, []), (2, [(0, [2.4, 0.9]), (1, [3.3, -1.2])])],
-         [(1, [(1, [3.0, -1.0])]), (2, [(0, [2.5, 0.8])]), (0, [(1, [2.0, -1.5])])]),
-    ], ids=["range_bearing"])
-    def test_equals_key_of_explicit_measurement_sets(self, models, ref_steps,
-                                                     cand_steps):
-        # ref: a posterior over steps 1-3; cand: a lookahead belief planned
-        # from ref's step-1 posterior over steps 2-4.  They overlap on steps
-        # 2-3, where ref's step 2 is an empty measurement set.
-        motion, meas, prior = models()
-        ref = _absorb(prior, ref_steps, motion, meas)
-        root = planning_root(_absorb(prior, ref_steps[:1], motion, meas))
-        cand = _absorb(root, cand_steps, motion, meas)
-        expect = da_diff(_explicit_set(cand_steps, 2, 2, 3),
-                         _explicit_set(ref_steps, 1, 2, 3)).key()
-        assert d_da(ref, cand) == expect
-        assert expect[0] > 0 and expect[1] > 0.0
 
 
 def _posterior(mu, cov, zeta, a):

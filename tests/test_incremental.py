@@ -239,7 +239,7 @@ class TestSelectClosestBranch:
         posterior = _execute(prior, act, motion, meas, jitter=0.02)
         root = planning_root(posterior)
 
-        dist, branch_id = select_closest_branch(posterior, root, archive, cfg)
+        dist, branch_id = select_closest_branch(root, archive)
         cands = [n for n in res.tree.nodes_at_depth(1) if n.path[0] == act]
         from ixbsp.distances import d_sqrt_j
 
@@ -256,21 +256,7 @@ class TestSelectClosestBranch:
         object.__setattr__(bad, "executed_actions", (9,))
         posterior = _execute(prior, 0, motion, meas)
         with pytest.raises(EmptyCandidates):
-            select_closest_branch(posterior, planning_root(posterior), bad, cfg)
-
-    def test_da_key_mode_returns_sqrt_j_of_winner(self):
-        cfg = tiny_cfg(distance="da_key", n_x=2)
-        prior, motion, meas, goal = _setup(cfg)
-        res = plan_xbsp(prior, cfg, motion, meas, goal, base_seed=6)
-        act = res.best_action.index
-        archive = PlanningArchive(res.tree, (act,))
-        posterior = _execute(prior, act, motion, meas)
-        root = planning_root(posterior)
-        dist, branch_id = select_closest_branch(posterior, root, archive, cfg)
-        from ixbsp.distances import d_sqrt_j
-
-        assert dist == pytest.approx(
-            d_sqrt_j(root, res.tree.node(branch_id).belief), abs=1e-12)
+            select_closest_branch(planning_root(posterior), bad)
 
 
 class TestCandidateScan:
@@ -329,27 +315,21 @@ class TestIsRepSample:
     def test_infinite_band_accepts_everything(self):
         prop = self._props()
         chi = prop.mean + 1e6
-        assert is_rep_sample(chi, prop.index, prop, math.inf, "per_coordinate")
+        assert is_rep_sample(chi, prop.index, prop, math.inf)
 
     def test_per_coordinate_band(self):
         prop = self._props()
         sigma = np.sqrt(np.diag(prop.cov))
         at_band = prop.mean + 1.5 * sigma
-        assert is_rep_sample(at_band, prop.index, prop, 1.5, "per_coordinate")
+        assert is_rep_sample(at_band, prop.index, prop, 1.5)
         outside = prop.mean.copy()
         outside[0] += 1.6 * sigma[0]
-        assert not is_rep_sample(outside, prop.index, prop, 1.5, "per_coordinate")
-
-    def test_mahalanobis_band(self):
-        prop = self._props()
-        assert is_rep_sample(prop.mean, prop.index, prop, 1.0, "mahalanobis")
-        far = prop.mean + 50.0 * np.sqrt(np.diag(prop.cov))
-        assert not is_rep_sample(far, prop.index, prop, 1.0, "mahalanobis")
+        assert not is_rep_sample(outside, prop.index, prop, 1.5)
 
     def test_disjoint_variables_rejected(self):
         prop = self._props()
         other = VariableIndex.of([landmark_var(99)])
-        assert not is_rep_sample(np.zeros(2), other, prop, 1.5, "per_coordinate")
+        assert not is_rep_sample(np.zeros(2), other, prop, 1.5)
 
 
 class TestIncrementalPlanners:
@@ -396,6 +376,28 @@ class TestIncrementalPlanners:
         assert counts[TAG_REUSED] + counts[TAG_NOMINAL] == 42
         assert counts[TAG_REUSED] > 0
         assert res.objective == res.objectives[res.best_seq]
+
+    def test_update_mode_keeps_or_refreshes_each_state_group_whole(self):
+        # the n_z futures of one generating state are accepted or refreshed
+        # together, so every action slot is a sequence of same-state runs;
+        # seed 7 gives a re-used level with both kept and refreshed states
+        cfg = tiny_cfg(n_x=2, n_z=2, use_wildfire=False)
+        posterior, archive, motion, meas, goal = self._session_pair(cfg, seed=7)
+        res = plan_ixbsp(posterior, archive, cfg, motion, meas, goal, base_seed=1)
+        assert res.reuse_info["mode"] == "update"
+        tree = res.tree
+        run_tags = []
+        for parent in tree.nodes:
+            if parent.depth == tree.horizon:
+                continue
+            for ids in parent.children:
+                kids = [tree.node(c) for c in ids]
+                assert [k.path[-1] for k in kids] == list(range(4))
+                for run in (kids[:2], kids[2:]):
+                    assert np.array_equal(run[0].sample.chi, run[1].sample.chi)
+                    assert run[0].tag == run[1].tag
+                    run_tags.append(run[0].tag)
+        assert TAG_REUSED in run_tags and TAG_NOMINAL in run_tags
 
     @pytest.mark.parametrize("mode, overrides", [
         ("update", dict(use_wildfire=False)),

@@ -91,10 +91,11 @@ class TestSampling:
         with pytest.raises(InvalidInput):
             sample_future_measurements(prop, model, n_x=0, n_z=1, rng=node_rng(0, ()))
 
-    def test_fixed_chi_reuses_realization(self):
+    def test_state_futures_share_one_drawn_realization(self):
         prop, model = _prop()
-        chi = prop.mean.copy()
-        samples = sample_state_futures(prop, model, 4, node_rng(1, (0,)), chi=chi)
+        samples = sample_state_futures(prop, model, 4, node_rng(1, (0,)))
+        chi = samples[0].chi
+        assert not np.array_equal(chi, prop.mean)  # drawn, not the mean
         assert all(np.array_equal(s.chi, chi) for s in samples)
         values = {tuple(s.z_set.entries[0].value) for s in samples}
         assert len(values) == 4  # noise draws differ
