@@ -129,7 +129,6 @@ from .simulation import (
     SessionRecord,
     WorldModel,
     estimation_error,
-    generate_world,
     run_rollout,
     simulate_step,
     win_fraction,

@@ -1,10 +1,17 @@
 """Command-line front end: rollout batches, planner comparisons, bound sweeps.
 
-Three subcommands share one flag vocabulary::
+``run`` and ``compare`` take ``--config``, ``--out``, ``--planners``,
+``--seeds`` and ``--world-seeds``; ``bounds`` sweeps a built-in linear
+scenario and takes only ``--out`` and ``--seeds``::
 
     ixbsp run     --config cfg.json --out out/ --planners xbsp ixbsp --seeds 0 1
     ixbsp compare --config cfg.json --out out/ --planners xbsp ixbsp --seeds 0 1
     ixbsp bounds  --out out/ --seeds 0
+
+``compare`` runs the first planner as the driver and the others as shadows
+that plan from the same posterior every session; ``compare_ratios.csv``
+holds each session's driver/shadow ratio of full planning time
+(``time_full_s``).
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration problem.  All
 randomness flows from the manifest seeds, and results are merged in task
@@ -66,15 +73,14 @@ class RunManifest:
     planners: tuple[str, ...]
     seeds: tuple[int, ...]
     world_seeds: tuple[int, ...]
-    timing_mode: str = "full"
 
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one rollout seed is required")
         if not self.world_seeds:
             raise ConfigError("at least one world seed is required")
-        if self.timing_mode not in ("full", "overlap-only"):
-            raise ConfigError(f"unknown timing mode {self.timing_mode!r}")
+        if min(self.seeds + self.world_seeds) < 0:
+            raise ConfigError("seeds must be non-negative")
         for p in self.planners:
             if p not in PLANNER_NAMES:
                 raise ConfigError(
@@ -135,25 +141,21 @@ def _session_rows(metrics: RolloutMetrics) -> list[list]:
     return rows
 
 
-def _rollout_summary(metrics: RolloutMetrics, timing_mode: str) -> dict:
+def _rollout_summary(metrics: RolloutMetrics) -> dict:
     base = metrics.to_json_dict()
-    base["timing_mode"] = timing_mode
-    base["planning_times_s"] = [
-        r.planning_time(timing_mode) for r in metrics.sessions
-    ]
     base["csv_schema"] = SESSIONS_CSV_SCHEMA
     return base
 
 
 def _run_cell(payload: tuple) -> tuple[list[list], dict, dict | None]:
-    planner, world_seed, rollout_seed, cfg, timing_mode = payload
+    planner, world_seed, rollout_seed, cfg = payload
     world = world_from_config(cfg.world, seed=world_seed)
     metrics = run_rollout(world, planner, cfg, rollout_seed,
                           world_seed=world_seed)
     snapshot = None
     if metrics.final_tree is not None:
         snapshot = tree_to_json_dict(metrics.final_tree)
-    return _session_rows(metrics), _rollout_summary(metrics, timing_mode), snapshot
+    return _session_rows(metrics), _rollout_summary(metrics), snapshot
 
 
 def _prepare_out(manifest: RunManifest) -> Path:
@@ -176,7 +178,6 @@ def _write_manifest(out: Path, manifest: RunManifest, command: str,
         "planners": list(manifest.planners),
         "seeds": list(manifest.seeds),
         "world_seeds": list(manifest.world_seeds),
-        "timing_mode": manifest.timing_mode,
         "csv_schemas": {
             "sessions": SESSIONS_CSV_SCHEMA,
             "compare": COMPARE_CSV_SCHEMA,
@@ -209,13 +210,13 @@ def cmd_run(manifest: RunManifest) -> int:
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         tasks = [
-            (planner, ws, rs, cfg, manifest.timing_mode)
+            (planner, ws, rs, cfg)
             for planner in manifest.planners
             for ws in manifest.world_seeds
             for rs in manifest.seeds
         ]
         results = _map_tasks(_run_cell, tasks)
-        for (planner, ws, rs, _, _), (rows, summary, snapshot) in zip(tasks, results):
+        for (planner, ws, rs, _), (rows, summary, snapshot) in zip(tasks, results):
             base = f"{planner}_w{ws}_s{rs}"
             _write_csv(out / f"sessions_{base}.csv", SESSIONS_HEADER, rows)
             _write_json(out / f"summary_{base}.json", summary)
@@ -301,9 +302,6 @@ def cmd_compare(manifest: RunManifest) -> int:
             for rs in manifest.seeds
         ]
         cells = _map_tasks(_compare_cell, tasks)
-
-        time_key = ("time_overlap_s" if manifest.timing_mode == "overlap-only"
-                    else "time_full_s")
         sess_header = ("world_seed", "seed", "session", "planner",
                        "time_full_s", "time_overlap_s", "objective",
                        "chosen_seq", "executed", "agrees",
@@ -322,8 +320,9 @@ def cmd_compare(manifest: RunManifest) -> int:
             for kind in others:
                 for s, row in sorted(by_planner.get(kind, {}).items()):
                     base_row = by_planner[driver][s]
-                    denom = row[time_key]
-                    ratio = base_row[time_key] / denom if denom > 0 else float("inf")
+                    denom = row["time_full_s"]
+                    ratio = (base_row["time_full_s"] / denom if denom > 0
+                             else float("inf"))
                     ratio_rows.append([cell["world_seed"], cell["seed"], s,
                                        kind, repr(ratio)])
         _write_csv(out / "compare_ratios.csv",
@@ -336,7 +335,7 @@ def cmd_compare(manifest: RunManifest) -> int:
         for kind in manifest.planners:
             rows = [r for c in cells for r in c["session_rows"]
                     if r["planner"] == kind]
-            times = [r[time_key] for r in rows]
+            times = [r["time_full_s"] for r in rows]
             tags = np.array([[r["nominal"], r["reused"], r["wildfire"]]
                              for r in rows], dtype=float)
             wf_frac = float(tags[:, 2].sum() / max(tags.sum(), 1.0))
@@ -374,8 +373,6 @@ def cmd_bounds(manifest: RunManifest) -> int:
     """Wildfire-threshold sweep on the built-in linear scenario."""
     try:
         manifest.validate()
-        if manifest.config_path is not None:
-            load_config(manifest.config_path)  # validated, scenario stays linear
         out = _prepare_out(manifest)
     except (ConfigError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -429,22 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Belief-space planning benchmarks: rollouts, comparisons, bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "run a rollout grid and write metrics"),
-        ("compare", "paired planner comparison on a shared grid"),
-        ("bounds", "wildfire-threshold bound sweep"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    run = sub.add_parser("run", help="run a rollout grid and write metrics")
+    compare = sub.add_parser("compare",
+                             help="paired planner comparison on a shared grid")
+    bounds = sub.add_parser("bounds", help="wildfire-threshold bound sweep")
+    for p in (run, compare):
         p.add_argument("--config", default=None, help="scenario config JSON")
-        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--planners", nargs="*", default=[],
                        help="planner kinds (space or comma separated)")
-        p.add_argument("--seeds", nargs="*", default=["0"],
-                       help="rollout seeds")
         p.add_argument("--world-seeds", nargs="*", default=["0"],
                        help="world generation seeds")
-        p.add_argument("--timing-mode", choices=("full", "overlap-only"),
-                       default="full")
+    # bounds sweeps a built-in scenario: fill the manifest fields it does not take
+    bounds.set_defaults(config=None, planners=[], world_seeds=["0"])
+    for p in (run, compare, bounds):
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seeds", nargs="*", default=["0"],
+                       help="rollout seeds")
     return parser
 
 
@@ -460,7 +457,6 @@ def manifest_from_args(args: argparse.Namespace) -> RunManifest:
         planners=tuple(_split_tokens(args.planners)),
         seeds=seeds,
         world_seeds=world_seeds,
-        timing_mode=args.timing_mode,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -132,7 +132,6 @@ class ScenarioConfig:
     # rollout control
     max_sessions: int = 30
     goal_tolerance: float = 1.0
-    session_timeout_s: float = 300.0
 
     world: WorldConfig = field(default_factory=WorldConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
@@ -167,8 +166,6 @@ class ScenarioConfig:
             raise ConfigError("fov_deg must be in (0, 360]")
         if not 0.0 <= self.min_range < self.max_range:
             raise ConfigError("sensing ranges need 0 <= min_range < max_range")
-        if not self.session_timeout_s > 0.0:
-            raise ConfigError("session_timeout_s must be positive")
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
         self.world.validate()
@@ -242,18 +239,15 @@ class ScenarioConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
         return cfg
 
-    def with_overrides(self, **kwargs: Any) -> "ScenarioConfig":
-        cfg = replace(self, **kwargs)
-        cfg.validate()
-        return cfg
-
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate a JSON config file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return ScenarioConfig.from_json_dict(raw)

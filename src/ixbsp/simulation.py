@@ -42,11 +42,10 @@ from .planner import TAG_REUSED, TAG_WILDFIRE, BeliefTree, PlanningResult, plan_
 
 @dataclass(frozen=True)
 class WorldModel:
-    """Static ground truth: landmark field, ordered goals, extent rectangle."""
+    """Static ground truth: landmark field and ordered goals."""
 
     landmarks: tuple[tuple[int, tuple[float, float]], ...]
     goals: tuple[tuple[float, float], ...]
-    bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
     def __post_init__(self) -> None:
         ids = [i for i, _ in self.landmarks]
@@ -54,49 +53,6 @@ class WorldModel:
             raise InvalidInput("landmark ids must be unique")
         if not self.goals:
             raise InvalidInput("world needs at least one goal")
-        xmin, ymin, xmax, ymax = self.bounds
-        if xmin >= xmax or ymin >= ymax:
-            raise InvalidInput("bounds rectangle is empty")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "landmarks": [[i, list(p)] for i, p in self.landmarks],
-            "goals": [list(g) for g in self.goals],
-            "bounds": list(self.bounds),
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "WorldModel":
-        return cls(
-            landmarks=tuple((int(i), (float(p[0]), float(p[1])))
-                            for i, p in raw["landmarks"]),
-            goals=tuple((float(g[0]), float(g[1])) for g in raw["goals"]),
-            bounds=tuple(float(v) for v in raw["bounds"]),
-        )
-
-
-def generate_world(
-    seed: int,
-    n_landmarks: tuple[int, int] = (2, 150),
-    n_goals: int = 1,
-    bounds: tuple[float, float, float, float] = (-6.0, -6.0, 6.0, 6.0),
-) -> WorldModel:
-    """Uniform random landmark field and goals, deterministic per seed."""
-    lo, hi = n_landmarks
-    if not (1 <= lo <= hi):
-        raise InvalidInput("landmark count range must satisfy 1 <= lo <= hi")
-    if n_goals < 1:
-        raise InvalidInput("need at least one goal")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(311,)))
-    n = int(rng.integers(lo, hi + 1))
-    xmin, ymin, xmax, ymax = bounds
-    pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(n, 2))
-    goals = rng.uniform((xmin, ymin), (xmax, ymax), size=(n_goals, 2))
-    return WorldModel(
-        landmarks=tuple((j, (float(p[0]), float(p[1]))) for j, p in enumerate(pts)),
-        goals=tuple((float(g[0]), float(g[1])) for g in goals),
-        bounds=bounds,
-    )
 
 
 def world_from_config(cfg: WorldConfig, seed: int) -> WorldModel:
@@ -104,23 +60,22 @@ def world_from_config(cfg: WorldConfig, seed: int) -> WorldModel:
 
     Landmarks are uniform over the extent square centered at the start pose;
     goals sit at ``goal_distance`` from the start at rng-drawn headings, which
-    keeps rollout lengths comparable across seeds.
+    keeps rollout lengths comparable across seeds.  Both draws are
+    deterministic per seed.
     """
     half = cfg.extent / 2.0
     x0, y0 = cfg.start_xy
-    base = generate_world(
-        seed,
-        n_landmarks=(cfg.n_landmarks, cfg.n_landmarks),
-        n_goals=cfg.n_goals,
-        bounds=(x0 - half, y0 - half, x0 + half, y0 + half),
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(311,)))
+    pts = rng.uniform((x0 - half, y0 - half), (x0 + half, y0 + half),
+                      size=(cfg.n_landmarks, 2))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(313,)))
     angles = rng.uniform(-math.pi, math.pi, size=cfg.n_goals)
-    goals = tuple(
-        (x0 + cfg.goal_distance * math.cos(a), y0 + cfg.goal_distance * math.sin(a))
-        for a in angles
+    return WorldModel(
+        landmarks=tuple((j, (float(p[0]), float(p[1]))) for j, p in enumerate(pts)),
+        goals=tuple(
+            (x0 + cfg.goal_distance * math.cos(a), y0 + cfg.goal_distance * math.sin(a))
+            for a in angles),
     )
-    return WorldModel(landmarks=base.landmarks, goals=goals, bounds=base.bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +96,11 @@ def simulate_step(
     motion: MotionModel,
     meas: MeasModel,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, MeasurementSet, tuple[tuple[int, int], ...]]:
+) -> tuple[np.ndarray, MeasurementSet]:
     """Advance ground truth one noisy step and sense the visible landmarks.
 
-    Returns the new ground-truth pose, the realized measurement set stamped
-    ``t_next``, and its data association (sorted (time, landmark) keys).
+    Returns the new ground-truth pose and the realized measurement set stamped
+    ``t_next``.
     """
     new_gt = motion.step_mean(gt_pose, action) + _noise_draw(motion.noise_cov, rng)
     new_gt[2] = wrap_angle(new_gt[2])
@@ -157,8 +112,7 @@ def simulate_step(
         z = meas.predict(new_gt, pos_arr) + _noise_draw(meas.noise_cov, rng)
         z[1] = wrap_angle(z[1])
         entries.append(MeasurementEntry(t_next, lm_id, z))
-    z_set = MeasurementSet(tuple(entries))
-    return new_gt, z_set, z_set.keys()
+    return new_gt, MeasurementSet(tuple(entries))
 
 
 def estimation_error(final_belief: GaussianBelief, gt_pose: np.ndarray) -> float:
@@ -238,12 +192,8 @@ class SessionRecord:
     reused_factors: int
     removed_factors: int
     reusable_factors: int
-    over_time_budget: bool
     gn_cap_hits: int
     posterior_gn_capped: bool
-
-    def planning_time(self, timing_mode: str) -> float:
-        return self.overlap_time_s if timing_mode == "overlap-only" else self.time_s
 
 
 @dataclass
@@ -263,16 +213,8 @@ class RolloutMetrics:
     timed_out: bool
     final_tree: "BeliefTree | None" = None
 
-    def cumulative_time(self, timing_mode: str = "full") -> float:
-        return sum(r.planning_time(timing_mode) for r in self.sessions)
-
-    def agreement_with(self, shadow: str) -> float:
-        """Fraction of sessions where the shadow chose the executed action."""
-        rows = self.shadow_sessions[shadow]
-        if not rows:
-            return float("nan")
-        hits = sum(1 for r, a in zip(rows, self.actions) if r.chosen_seq[0] == a)
-        return hits / len(rows)
+    def cumulative_time(self) -> float:
+        return sum(r.time_s for r in self.sessions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,8 +227,8 @@ class RolloutMetrics:
             "n_goals": self.n_goals,
             "timed_out": self.timed_out,
             "actions": list(self.actions),
-            "cumulative_time_s": self.cumulative_time("full"),
-            "cumulative_overlap_time_s": self.cumulative_time("overlap-only"),
+            "cumulative_time_s": self.cumulative_time(),
+            "cumulative_overlap_time_s": sum(r.overlap_time_s for r in self.sessions),
             "sessions": [asdict(r) for r in self.sessions],
             "shadow_sessions": {
                 k: [asdict(r) for r in rows]
@@ -326,7 +268,7 @@ def session_seed(rollout_seed: int, session: int) -> int:
 def _session_record(
     session: int, kind: str, res: PlanningResult, elapsed: float,
     dist_to_goal: float, archive: PlanningArchive | None,
-    budget_s: float, posterior: GaussianBelief,
+    posterior: GaussianBelief,
 ) -> SessionRecord:
     reused_f, removed_f, reusable_f = factor_reuse_counts(res, archive)
     return SessionRecord(
@@ -344,7 +286,6 @@ def _session_record(
         reused_factors=reused_f,
         removed_factors=removed_f,
         reusable_factors=reusable_f,
-        over_time_budget=elapsed > budget_s,
         gn_cap_hits=res.counts["gn_cap_hits"],
         posterior_gn_capped=posterior.gn_capped,
     )
@@ -358,34 +299,20 @@ def run_rollout(
     *,
     world_seed: int = 0,
     shadow_kinds: tuple[str, ...] = (),
-    shadow_configs: dict[str, ScenarioConfig] | None = None,
 ) -> RolloutMetrics:
     """One full MPC rollout with ``planner_kind`` driving execution.
 
-    Shadow planners replan from the same posterior every session; their
-    actions are logged for agreement statistics but never executed.  A shadow
-    entry is either a planner kind, or ``label:kind`` so the same kind can run
-    twice (``shadow_configs`` maps labels to per-shadow config variants; the
-    simulated world always follows ``cfg``).  The ground-truth start pose
-    is sampled from the prior belief itself, so the estimation problem is
+    Each shadow planner kind replans under ``cfg`` from the same posterior
+    every session; its records are kept for paired timing and agreement
+    statistics, but its actions are never executed.  The driver and the
+    shadows must be distinct planner kinds.  The ground-truth start pose is
+    sampled from the prior belief itself, so the estimation problem is
     consistent with the planner's own uncertainty.
     """
-    shadows: list[tuple[str, str]] = []
-    for entry in shadow_kinds:
-        label, _, kind = entry.rpartition(":")
-        label = label or kind
-        shadows.append((label, kind))
-    labels = [lab for lab, _ in shadows]
-    if planner_kind in labels:
-        raise InvalidInput("driver cannot also be a shadow")
-    if len(set(labels)) != len(labels):
-        raise InvalidInput("shadow labels must be unique")
-    overrides = dict(shadow_configs or {})
-    if not set(overrides) <= set(labels):
-        raise InvalidInput("shadow_configs keys must match shadow labels")
+    kinds = (planner_kind, *shadow_kinds)
+    if len(set(kinds)) != len(kinds):
+        raise InvalidInput(f"driver and shadows must be distinct kinds, got {kinds}")
     cfg.validate()
-    for alt in overrides.values():
-        alt.validate()
     motion = cfg.motion_model()
     meas = cfg.meas_model()
     x0, y0 = cfg.world.start_xy
@@ -397,11 +324,9 @@ def run_rollout(
     gt = pose0 + _noise_draw(prior_cov, rng)
     gt[2] = wrap_angle(gt[2])
 
-    runners = [(planner_kind, planner_kind, cfg)]
-    runners += [(lab, kind, overrides.get(lab, cfg)) for lab, kind in shadows]
-    archives: dict[str, PlanningArchive | None] = {lab: None for lab, _, _ in runners}
+    archives: dict[str, PlanningArchive | None] = {kind: None for kind in kinds}
     sessions: list[SessionRecord] = []
-    shadow_sessions: dict[str, list[SessionRecord]] = {lab: [] for lab in labels}
+    shadow_sessions: dict[str, list[SessionRecord]] = {k: [] for k in shadow_kinds}
     actions: list[int] = []
     goal_idx = 0
     goals = [np.asarray(g, dtype=float) for g in world.goals]
@@ -420,31 +345,31 @@ def run_rollout(
         base_seed = session_seed(seed, session)
 
         results: dict[str, PlanningResult] = {}
-        for label, kind, run_cfg in runners:
+        for kind in kinds:
             t0 = time.perf_counter()
-            results[label] = plan_session(
-                kind, belief, archives[label], run_cfg, motion, meas, goal,
+            results[kind] = plan_session(
+                kind, belief, archives[kind], cfg, motion, meas, goal,
                 base_seed)
             elapsed = time.perf_counter() - t0
-            rec = _session_record(session, label, results[label], elapsed,
-                                  dist_to_goal, archives[label],
-                                  cfg.session_timeout_s, belief)
-            if label == planner_kind:
+            rec = _session_record(session, kind, results[kind], elapsed,
+                                  dist_to_goal, archives[kind], belief)
+            if kind == planner_kind:
                 sessions.append(rec)
             else:
-                shadow_sessions[label].append(rec)
+                shadow_sessions[kind].append(rec)
 
         action = results[planner_kind].best_action
         actions.append(action.index)
-        for label, kind, run_cfg in runners:
-            # a horizon-1 tree holds only the executed level: nothing to re-use
-            if kind in ("ixbsp", "imlbsp") and run_cfg.horizon > 1:
-                archives[label] = PlanningArchive(results[label].tree,
-                                                  (action.index,))
+        # a horizon-1 tree holds only the executed level: nothing to re-use
+        if cfg.horizon > 1:
+            for kind in kinds:
+                if kind in ("ixbsp", "imlbsp"):
+                    archives[kind] = PlanningArchive(results[kind].tree,
+                                                     (action.index,))
 
         final_tree = results[planner_kind].tree
 
-        gt, z_set, _ = simulate_step(gt, belief.time + 1, action, world,
+        gt, z_set = simulate_step(gt, belief.time + 1, action, world,
                                      motion, meas, rng)
         prop = propagate(belief, action, motion)
         belief = update_with_measurements(prop, z_set, meas,

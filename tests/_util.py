@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,6 +45,13 @@ def cap_solves_at(monkeypatch, cap: int) -> None:
     monkeypatch.setattr(beliefs, "_GN_MAX_ITER", cap)
 
 
+def _with(cfg: ScenarioConfig, overrides: dict) -> ScenarioConfig:
+    """``cfg`` with ``overrides`` applied, validated."""
+    cfg = replace(cfg, **overrides)
+    cfg.validate()
+    return cfg
+
+
 def tiny_cfg(**overrides) -> ScenarioConfig:
     """Small, fast scenario; tests override what they pin."""
     cfg = ScenarioConfig(
@@ -58,7 +66,7 @@ def tiny_cfg(**overrides) -> ScenarioConfig:
         max_sessions=4, goal_tolerance=1.5,
         reward=RewardConfig(kind="info_and_distance", alpha=0.5),
     )
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return _with(cfg, overrides)
 
 
 def bench_cfg(**overrides) -> ScenarioConfig:
@@ -81,4 +89,4 @@ def bench_cfg(**overrides) -> ScenarioConfig:
         max_sessions=10, goal_tolerance=1.5,
         reward=RewardConfig(kind="info_and_distance", alpha=0.5),
     )
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return _with(cfg, overrides)

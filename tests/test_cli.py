@@ -63,7 +63,8 @@ class TestArgPlumbing:
         cases = [
             dict(seeds=()),
             dict(world_seeds=()),
-            dict(timing_mode="wall"),
+            dict(seeds=(0, -1)),
+            dict(world_seeds=(-3,)),
             dict(planners=("warp",)),
             dict(planners=("xbsp", "xbsp")),
         ]
@@ -150,6 +151,27 @@ class TestRunCommand:
                      "--planners", "warp-drive"]) == 2
         assert main(["run", "--config", cfg_path, "--out", out,
                      "--planners", "mlbsp", "--seeds", "one"]) == 2
+        # a directory, and a file that is not UTF-8
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"n_u": 3, "note": "caf\u00e9"}'.encode("latin-1"))
+        capsys.readouterr()
+        for path in (tmp_path, latin1):
+            assert main(["run", "--config", str(path), "--out", out,
+                         "--planners", "mlbsp"]) == 2
+            assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--seeds"), ("run", "--world-seeds"),
+        ("compare", "--seeds"), ("compare", "--world-seeds"),
+        ("bounds", "--seeds"),
+    ])
+    def test_negative_seeds_exit_two(self, command, flag, cfg_path, tmp_path,
+                                     capsys):
+        args = [command, "--out", str(tmp_path / "out"), flag, "0", "-1"]
+        if command != "bounds":
+            args += ["--config", cfg_path, "--planners", "mlbsp", "imlbsp"]
+        assert main(args) == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_runtime_failure_exits_one(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -185,6 +207,7 @@ class TestCompareCommand:
         assert float(by_planner["imlbsp"][agree_col]) == 1.0
 
         rheader, rrows = _read_csv(out / "compare_ratios.csv")
+        assert rheader[4] == "time_ratio_imlbsp_over_planner"
         assert rrows and all(row[3] == "mlbsp" for row in rrows)
         for row in rrows:
             assert float(row[4]) > 0.0
@@ -192,6 +215,22 @@ class TestCompareCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["driver"] == "imlbsp"
         assert set(manifest["estimation_errors"]) == {"imlbsp", "mlbsp"}
+
+    def test_ratios_divide_full_planning_times(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg_path, "--out", str(out),
+                     "--planners", "xbsp", "ixbsp", "mlbsp",
+                     "--seeds", "0", "--world-seeds", "0,1"]) == 0
+        header, rows = _read_csv(out / "compare_sessions.csv")
+        col = {name: header.index(name) for name in header}
+        full = {(r[col["world_seed"]], r[col["seed"]], r[col["session"]],
+                 r[col["planner"]]): float(r[col["time_full_s"]]) for r in rows}
+        _, rrows = _read_csv(out / "compare_ratios.csv")
+        assert {row[3] for row in rrows} == {"ixbsp", "mlbsp"}
+        assert len(rrows) == len(rows) - len(rows) // 3
+        for ws, seed, session, planner, ratio in rrows:
+            assert float(ratio) == (full[ws, seed, session, "xbsp"]
+                                    / full[ws, seed, session, planner])
 
     def test_single_planner_rejected(self, cfg_path, tmp_path, capsys):
         code = main(["compare", "--config", cfg_path,
@@ -222,3 +261,11 @@ class TestBoundsCommand:
         assert manifest["command"] == "bounds"
         assert manifest["trials"] == DEFAULT_BOUNDS_TRIALS
         assert len(manifest["points"]) == len(DEFAULT_BOUNDS_EPS)
+
+    @pytest.mark.parametrize("flag", ["--config", "--planners", "--world-seeds"])
+    def test_takes_only_out_and_seeds(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--out", str(tmp_path / "out"), flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -34,7 +34,6 @@ BAD_NUMBERS = [
     dict(fov_deg=0.0),
     dict(min_range=NAN),
     dict(max_range=0.1),
-    dict(session_timeout_s=NAN),
     dict(primitives=(("forward", NAN, 0.0), ("left", 1.0, 90.0), ("right", 1.0, -90.0))),
     dict(world=dict(n_landmarks=0)),
     dict(world=dict(n_goals=0)),
@@ -94,7 +93,8 @@ def test_seeds_is_not_a_config_key():
 
 
 @pytest.mark.parametrize("key, value", [("distance", "sqrt_j"),
-                                        ("rep_test", "per_coordinate")])
+                                        ("rep_test", "per_coordinate"),
+                                        ("session_timeout_s", 300.0)])
 def test_removed_reuse_options_are_unknown_keys(key, value, tmp_path):
     raw = tiny_cfg().to_json_dict()
     assert key not in raw

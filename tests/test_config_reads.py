@@ -15,7 +15,7 @@ CONFIGS = {"ScenarioConfig", "WorldConfig", "RewardConfig"}
 NESTED = {"world", "reward"}  # config fields that hold configs
 # methods that only check, serialize or copy a config; a read there does
 # not make a field do anything
-PLUMBING = {"validate", "to_json_dict", "from_json_dict", "with_overrides"}
+PLUMBING = {"validate", "to_json_dict", "from_json_dict"}
 
 
 def _is_config_annotation(annotation: ast.expr | None) -> bool:
