@@ -12,9 +12,9 @@ The four differ only in how a lookahead level is filled: fresh futures,
 re-used archived futures, or adopted archived subtrees.  Every tree comes
 from ``build_tree``, and every fresh future becomes a node through
 ``planner.add_nominal_children``, so with nothing to re-use an incremental
-planner builds its fresh twin's tree bit for bit.  A re-used archived belief
-is brought up to the new planning root by one ``update_with_measurements``
-call, warm-started from the archived mean.
+planner builds its fresh twin's tree bit for bit.  A re-used archived future
+(its measurement set) is conditioned on the new propagated belief by the
+same one-step ``update_with_measurements`` call as a fresh future.
 
 Supporting toolkits: belief distances (``distances``), objective-error
 bounds (``bounds``), an active-SLAM simulation harness (``simulation``), and

@@ -1,25 +1,27 @@
 """Gaussian beliefs over pose/landmark joints, built from factor lists.
 
 A belief is the Gauss-Newton solution of a small nonlinear least-squares
-problem: a dense prior anchoring the root variables plus motion and
-measurement factors for every step since.  The solver has no randomness, so
-the same factor list always gives the same belief.  The factor list is also
-the belief's only record of what it absorbed: each step's time is its
+problem, and its factor list is that problem.  The solver has no randomness,
+so the same factor list always gives the same belief.  Inference keeps the
+full smoother: a dense prior anchoring the root variables plus motion and
+measurement factors for every step since, so each step's time is its
 ``MotionFactor.t_to`` and each measurement entry is one
-``MeasurementFactor``.  Only this module reads the list, when ``propagate``
-and ``update_with_measurements`` extend and re-solve it.  Re-using an archived
-belief against a new planning root is one ``update_with_measurements`` call
-whose ``init_hint`` warm-starts the solve from the archived mean.
+``MeasurementFactor``.  A lookahead step in planning solves only itself: a
+dense prior on its propagated Gaussian plus that step's measurement factors.
+Only this module reads the list, when ``propagate`` and
+``update_with_measurements`` extend and solve it.  A re-used archived future
+gets the same update as a fresh one, on the new propagated belief.
 
-Every solve, in planning and in inference alike, stops by one scale-aware
-rule: after the first Gauss-Newton step whose whitened length
-``sqrt(delta' Lambda delta)`` is under ``tol`` (1e-4), where ``Lambda`` is the
-information matrix the step was solved with.  That length is the step in
-posterior standard deviations, so one threshold fits a landmark known to a
-millimetre and one known to ten metres; an absolute step size would stop the
-first too early and the second too late.  A solve that reaches ``max_iter``
-(60) first stops there, and the belief it makes records its iteration count
-as ``gn_iters``, so a capped solve is never silent.
+Every solve stops by one scale-aware rule: after the first Gauss-Newton step
+whose whitened length ``sqrt(delta' Lambda delta)`` is under ``tol``, where
+``Lambda`` is the information matrix the step was solved with.  That length
+is the step in posterior standard deviations, so one threshold fits a
+landmark known to a millimetre and one known to ten metres; an absolute step
+size would stop the first too early and the second too late.  Inference
+stops at 1e-4 of them; a lookahead step stops at 0.1, well below what moves
+a planning decision.  A solve that reaches ``max_iter`` (60) first stops
+there, and the belief it makes records its iteration count as ``gn_iters``,
+so a capped solve is never silent.
 
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings, covariances come from the information matrix at the final
@@ -59,6 +61,7 @@ from .models import (
 LANDMARK_INIT_VAR = 1.0e4
 
 _GN_TOL = 1.0e-4  # Newton decrement, in posterior standard deviations
+_PLAN_TOL = 0.1  # the same, for one lookahead step
 _GN_MAX_ITER = 60
 
 
@@ -462,9 +465,11 @@ class PropagatedBelief(GaussianState):
 class GaussianBelief(GaussianState):
     """Posterior belief: the solution of its factor list.
 
-    The factor list is the belief's whole record: one ``MotionFactor`` per
-    step absorbed since the root prior, whose ``t_to`` is the step's time,
-    and one ``MeasurementFactor`` per measurement entry.  ``gn_iters`` is the
+    An inference belief's list is its whole record: one ``MotionFactor``
+    per step absorbed since the root prior, whose ``t_to`` is the step's
+    time, and one ``MeasurementFactor`` per measurement entry.  A lookahead
+    node's list is one step: a ``DensePriorFactor`` on its propagated
+    Gaussian and that step's ``MeasurementFactor``s.  ``gn_iters`` is the
     iteration count of the solve that made the belief (0 when none ran).
     """
 
@@ -560,59 +565,65 @@ def update_with_measurements(
     measurements: MeasurementSet,
     model: MeasModel,
     *,
-    init_new_landmarks: bool = False,
-    init_hint: GaussianState | None = None,
+    inference: bool = False,
 ) -> GaussianBelief:
-    """Condition a propagated belief on a measurement set (full GN re-solve).
+    """Condition a propagated belief on a measurement set.
 
-    An empty set returns the propagated Gaussian unchanged.  Unknown
-    landmarks raise unless ``init_new_landmarks`` (inference mode), in which
-    case they enter via inverse-measurement initialization under a weak prior.
-    ``init_hint`` warm-starts the solve from another solution's values over
-    shared variables.  It changes the iteration count, and it can move the
-    solution, but only on the scale of the stopping tolerance: both solves
-    stop once a step is under ``tol`` posterior standard deviations (see
-    ``solve_factors``), so they differ by a few ``tol`` at most on a slowly
-    converging problem.  The result records the solve's ``gn_iters``.
+    Planning (the default) updates one step: the problem is a dense prior on
+    ``prop``'s Gaussian plus this step's measurement factors, the standard
+    belief-space-planning update linearized at the propagated mean (Indelman,
+    Carlone & Dellaert, IJRR 2015), iterated as Gauss-Newton on the one-step
+    problem (Bell & Cathey, IEEE TAC 1993).  It stops once a step is under
+    0.1 posterior standard deviations, and the belief's factor list is that
+    prior and those measurement factors.  ``prop`` alone fixes the result, so
+    a re-used lookahead node gets exactly the update of a fresh one.  An
+    unknown landmark raises ``UnknownLandmark``.
+
+    ``inference`` re-solves the whole history instead: ``prop``'s factor list
+    plus the new measurement factors, to the full 1e-4 tolerance.  Unknown
+    landmarks then enter via inverse-measurement initialization under a weak
+    prior.
+
+    An empty set returns the propagated Gaussian and its factor list
+    unchanged.  The result records the solve's ``gn_iters``.
     """
     if len(measurements) == 0:
         return GaussianBelief(index=prop.index, mean=prop.mean, cov=prop.cov,
                               factors=prop.factors, time=prop.time)
 
-    new_factors: list[Factor] = []
     index = prop.index
-    init = prop.mean
-    if init_hint is not None:
-        init = overlay(index, init, init_hint.index, init_hint.mean)
-    pose_sl = index.slice_of(prop.new_pose())
-    pose_mean = prop.mean[pose_sl]
-
+    pose_mean = prop.mean[index.slice_of(prop.new_pose())]
     new_lms: list[tuple[int, np.ndarray]] = []
     for entry in measurements:
         if entry.t != prop.time:
             raise DaMismatch(
                 f"entry time {entry.t} != propagated time {prop.time}")
         if landmark_var(entry.lm) not in index:
-            if not init_new_landmarks:
+            if not inference:
                 raise UnknownLandmark(f"landmark {entry.lm} not in belief")
             new_lms.append((entry.lm, model.invert(pose_mean, entry.value)))
+    meas_factors = tuple(MeasurementFactor(e.t, e.lm, e.value, model)
+                         for e in measurements)
 
+    if not inference:
+        factors = (DensePriorFactor(index.vars, prop.mean, prop.cov),) + meas_factors
+        mean, cov, iters = solve_factors(factors, index, prop.mean, tol=_PLAN_TOL)
+        return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
+                              time=prop.time, gn_iters=iters)
+
+    init = prop.mean
+    lm_priors: list[Factor] = []
     if new_lms:
         vars_ = canonical_order(index.vars + tuple(landmark_var(j) for j, _ in new_lms))
         new_index = VariableIndex(vars_)
-        new_init = overlay(new_index, np.zeros(new_index.dim), index, init)
+        init = overlay(new_index, np.zeros(new_index.dim), index, init)
         for j, guess in new_lms:
-            new_init[new_index.slice_of(landmark_var(j))] = guess
-            new_factors.append(DensePriorFactor(
+            init[new_index.slice_of(landmark_var(j))] = guess
+            lm_priors.append(DensePriorFactor(
                 (landmark_var(j),), guess, LANDMARK_INIT_VAR * np.eye(2)))
         index = new_index
-        init = new_init
 
-    for entry in measurements:
-        new_factors.append(MeasurementFactor(entry.t, entry.lm, entry.value, model))
-
-    factors = prop.factors + tuple(new_factors)
+    factors = prop.factors + tuple(lm_priors) + meas_factors
     mean, cov, iters = solve_factors(factors, index, init)
     return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
                           time=prop.time, gn_iters=iters)
-

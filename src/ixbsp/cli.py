@@ -170,21 +170,28 @@ def _prepare_out(manifest: RunManifest) -> Path:
     return out
 
 
+# the manifest fields each command takes from its flags
+_COMMAND_FIELDS = {
+    "run": ("config_path", "planners", "seeds", "world_seeds"),
+    "compare": ("config_path", "planners", "seeds", "world_seeds"),
+    "bounds": ("seeds",),
+}
+
+
 def _write_manifest(out: Path, manifest: RunManifest, command: str,
                     cfg: ScenarioConfig | None, extra: dict | None = None) -> None:
-    payload: dict[str, Any] = {
-        "command": command,
-        "config_path": manifest.config_path,
-        "planners": list(manifest.planners),
-        "seeds": list(manifest.seeds),
-        "world_seeds": list(manifest.world_seeds),
+    payload: dict[str, Any] = {"command": command}
+    for name in _COMMAND_FIELDS[command]:
+        value = getattr(manifest, name)
+        payload[name] = list(value) if isinstance(value, tuple) else value
+    payload.update({
         "csv_schemas": {
             "sessions": SESSIONS_CSV_SCHEMA,
             "compare": COMPARE_CSV_SCHEMA,
             "bounds": BOUNDS_CSV_SCHEMA,
         },
         "tree_format": TREE_FORMAT,
-    }
+    })
     if cfg is not None:
         payload["config"] = cfg.to_json_dict()
     if extra:

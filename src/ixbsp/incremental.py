@@ -7,8 +7,9 @@ posterior and re-uses as much of that subtree as the distances allow:
 * distance <= eps_wf (with wildfire enabled): adopt verbatim, no update, no
   reward recomputation; weights stay neutral.
 * distance <= eps_c: keep the archived measurement futures whose generating
-  states still represent the new propagated belief, refresh the rest, update
-  every kept belief against the new root, recompute rewards.
+  states still represent the new propagated belief, refresh the rest,
+  condition every kept measurement set on the new propagated belief (the
+  one-step update a fresh future gets), recompute rewards.
 * otherwise: plan from scratch.
 
 Because re-used futures were sampled under last session's propagated beliefs,
@@ -51,6 +52,7 @@ from .errors import (
     IncompatibleTrees,
     IncompleteRecord,
     InvalidInput,
+    NumericalError,
 )
 from .models import ActionId, MeasModel, MotionModel, wrap_angle_array
 from .planner import (
@@ -97,6 +99,8 @@ class PlanningArchive:
 # ---------------------------------------------------------------------------
 # balance-heuristic weights
 
+_LOG_MAX_WEIGHT = math.log(np.finfo(float).max)
+
 
 def balance_weight(
     cum_log_p: float, cum_log_q: float, n_reused: int, n_nominal: int
@@ -106,14 +110,20 @@ def balance_weight(
     cum_log_p / cum_log_q are the path's nominal and archived sequence log
     densities; the counts split the step's paths by their own step tag.
     Degenerates to exactly 1.0 whenever the two densities coincide or no
-    path at the step was re-used, and to p/q when every path was.
+    path at the step was re-used, and to p/q when every path was; a p/q
+    beyond the float range (or a NaN log ratio) raises ``NumericalError``.
     """
     if n_reused < 0 or n_nominal < 0 or n_reused + n_nominal < 1:
         raise InvalidInput("tag counts must be non-negative and sum >= 1")
     if n_reused == 0 or cum_log_p == cum_log_q:
         return 1.0
     if n_nominal == 0:
-        return float(np.exp(cum_log_p - cum_log_q))
+        log_ratio = cum_log_p - cum_log_q
+        if not log_ratio <= _LOG_MAX_WEIGHT:
+            raise NumericalError(
+                f"balance weight overflows: log p/q = {log_ratio!r} on an "
+                "all-re-used step")
+        return float(np.exp(log_ratio))
     n = n_reused + n_nominal
     log_den = np.logaddexp(
         math.log(n_reused / n) + cum_log_q,
@@ -373,8 +383,7 @@ def _reuse_group(
                         log_q += arch_node.sample.entry_log_densities[e.key]
                     else:
                         log_q += per_entry_p[e.key]
-                belief = update_with_measurements(
-                    prop_new, z_set, meas, init_hint=arch_node.belief)
+                belief = update_with_measurements(prop_new, z_set, meas)
                 sample = MeasurementSample(chi, z_set, log_p, per_entry_p)
                 tree.add_child(
                     parent, action_index, slot,

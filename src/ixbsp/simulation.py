@@ -372,8 +372,7 @@ def run_rollout(
         gt, z_set = simulate_step(gt, belief.time + 1, action, world,
                                      motion, meas, rng)
         prop = propagate(belief, action, motion)
-        belief = update_with_measurements(prop, z_set, meas,
-                                          init_new_landmarks=True)
+        belief = update_with_measurements(prop, z_set, meas, inference=True)
 
     return RolloutMetrics(
         planner=planner_kind,

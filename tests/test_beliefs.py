@@ -16,6 +16,7 @@ from ixbsp._gaussian import chol_lower, spd_inverse, whitener
 from ixbsp.beliefs import (
     LANDMARK_INIT_VAR,
     DensePriorFactor,
+    GaussianBelief,
     MeasurementEntry,
     MeasurementFactor,
     MeasurementSet,
@@ -273,7 +274,7 @@ class TestConditioning:
         z = MeasurementSet((_entry(1, 4, [3.0, 0.1]),))
         with pytest.raises(UnknownLandmark):
             update_with_measurements(prop, z, meas)
-        post = update_with_measurements(prop, z, meas, init_new_landmarks=True)
+        post = update_with_measurements(prop, z, meas, inference=True)
         assert landmark_var(4) in post.index
         # initialized near the inverse-projected point from the pose mean
         lm = post.mean[post.index.slice_of(landmark_var(4))]
@@ -295,6 +296,94 @@ class TestConditioning:
         before = np.trace(prop.cov)
         after = np.trace(post.cov)
         assert after < before
+
+
+class _LinearMeasModel:
+    """``z = H_pose x_t + H_lm l_j + v``: a linear stand-in for ``MeasModel``.
+
+    ``MeasurementFactor`` wraps the second residual coordinate as a bearing,
+    so problems built from it keep residuals far from +-pi.
+    """
+
+    def __init__(self, h_pose, h_lm, noise_cov):
+        self.h_pose, self.h_lm = h_pose, h_lm
+        self.noise_cov = noise_cov
+        self.noise_wt = whitener(noise_cov).T
+
+    def predict(self, pose, lm):
+        return self.h_pose @ pose + self.h_lm @ lm
+
+    def jacobians(self, pose, lm):
+        return self.h_pose, self.h_lm
+
+
+class TestPlanningUpdate:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
+           data=st.data())
+    def test_linear_step_equals_the_information_form_posterior(self, seed,
+                                                              n_lm, data):
+        """On a linear measurement model the one-step update is exact: the
+        posterior of the propagated prior and this step's factors."""
+        rng = np.random.default_rng(seed)
+        seen = data.draw(st.lists(st.integers(0, n_lm - 1), min_size=1,
+                                  max_size=n_lm, unique=True))
+        index = VariableIndex.of([landmark_var(j) for j in range(n_lm)]
+                                 + [pose_var(0), pose_var(1)])
+        a = rng.standard_normal((index.dim, index.dim))
+        prop = beliefs.PropagatedBelief(
+            index=index, mean=0.3 * rng.standard_normal(index.dim),
+            cov=0.01 * (a @ a.T) + 0.01 * np.eye(index.dim), time=1)
+        model = _LinearMeasModel(rng.standard_normal((2, 3)),
+                                 rng.standard_normal((2, 2)),
+                                 random_spd(rng, 2, 0.01) * 0.02)
+        pose = prop.mean[index.slice_of(pose_var(1))]
+        z_set = MeasurementSet(tuple(
+            _entry(1, j, model.predict(pose, prop.mean[index.slice_of(landmark_var(j))])
+                   + 0.1 * rng.standard_normal(2))
+            for j in seen))
+
+        belief = update_with_measurements(prop, z_set, model)
+
+        linear = [_LinearFactor(index.vars, np.eye(index.dim), prop.mean, prop.cov)]
+        linear += [_LinearFactor((pose_var(1), landmark_var(e.lm)),
+                                 np.hstack([model.h_pose, model.h_lm]), e.value,
+                                 model.noise_cov) for e in z_set]
+        mean_ref, cov_ref = _closed_form(linear, index)
+        assert np.allclose(belief.mean, mean_ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(belief.cov, cov_ref, rtol=1e-9, atol=1e-12)
+
+    def test_stops_within_a_tenth_of_a_standard_deviation(self):
+        """A lookahead step stops before the 1e-4 inference rule would, at a
+        mean well within 0.1 posterior standard deviations of the solution
+        that rule reaches."""
+        motion, meas, root, steps = _two_landmark_setup()
+        prop = propagate(_chain(root, steps[:1], motion, meas), steps[1][0], motion)
+        planned = update_with_measurements(prop, steps[1][1], meas)
+        mean, cov, iters = solve_factors(planned.factors, prop.index, prop.mean)
+        assert planned.gn_iters < iters
+        move = wrapped_diff(prop.index, planned.mean, mean)
+        assert math.sqrt(float(move @ spd_inverse(cov) @ move)) < 0.1
+
+    def test_planning_belief_holds_only_its_step(self):
+        motion, meas, root, steps = _two_landmark_setup()
+        b = _chain(root, steps[:1], motion, meas)
+        prop = propagate(b, steps[1][0], motion)
+        z_set = steps[1][1]
+        planned = update_with_measurements(prop, z_set, meas)
+        prior, *rest = planned.factors
+        assert isinstance(prior, DensePriorFactor)
+        assert prior.vars_ == prop.index.vars
+        assert np.array_equal(prior.mean, prop.mean)
+        assert np.array_equal(prior.cov, prop.cov)
+        assert [(f.t, f.lm, f.z.tolist()) for f in rest] == [
+            (e.t, e.lm, e.value.tolist()) for e in z_set]
+        assert planned.index == prop.index and planned.time == prop.time
+        # inference keeps the whole history and adds the same entries
+        inferred = update_with_measurements(prop, z_set, meas, inference=True)
+        assert inferred.factors[:len(prop.factors)] == prop.factors
+        assert [(f.t, f.lm) for f in inferred.factors[len(prop.factors):]] == [
+            e.key for e in z_set]
 
 
 def _chain(root, steps, motion, meas):
@@ -521,12 +610,14 @@ def _cost(factors, index, x):
 
 
 def _lookahead_problem(seed):
-    """Factors, index and initial mean of a horizon-2 lookahead solve.
+    """Factors, index and initial mean of a horizon-2 lookahead smoother.
 
     One inference step maps five landmarks, each entering under a
     ``LANDMARK_INIT_VAR`` prior; the planning root keeps them and the newest
-    pose as one dense prior, and two lookahead steps observe every landmark
-    again with measurement noise.
+    pose as one dense prior.  Two lookahead steps then observe every landmark
+    again with measurement noise, and the problem holds the root prior and
+    both steps' motion and measurement factors.  The first step's belief is
+    this smoother solved to the default tolerance.
     """
     rng = np.random.default_rng(seed)
     motion = MotionModel()
@@ -543,11 +634,16 @@ def _lookahead_problem(seed):
             _entry(prop.time, j, meas.predict(pose, p)
                    + noise_std * rng.standard_normal(2))
             for j, p in lms.items()))
-        belief = update_with_measurements(prop, z_set, meas,
-                                          init_new_landmarks=step == 0)
         if step == 0:
-            belief = planning_root(belief)
-    return belief.factors, belief.index, prop.mean
+            belief = planning_root(
+                update_with_measurements(prop, z_set, meas, inference=True))
+            continue
+        factors = prop.factors + tuple(
+            MeasurementFactor(e.t, e.lm, e.value, meas) for e in z_set)
+        mean, cov, _ = solve_factors(factors, prop.index, prop.mean)
+        belief = GaussianBelief(index=prop.index, mean=mean, cov=cov,
+                                factors=factors, time=prop.time)
+    return factors, prop.index, prop.mean
 
 
 class TestStoppingRule:

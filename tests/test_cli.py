@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ixbsp import cli
 from ixbsp.cli import (
     DEFAULT_BOUNDS_EPS,
     DEFAULT_BOUNDS_TRIALS,
@@ -261,6 +262,17 @@ class TestBoundsCommand:
         assert manifest["command"] == "bounds"
         assert manifest["trials"] == DEFAULT_BOUNDS_TRIALS
         assert len(manifest["points"]) == len(DEFAULT_BOUNDS_EPS)
+
+    def test_manifest_records_only_the_flags_it_takes(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_BOUNDS_EPS", (0.0,))
+        monkeypatch.setattr(cli, "DEFAULT_BOUNDS_TRIALS", 2)
+        out = tmp_path / "out"
+        assert main(["bounds", "--out", str(out), "--seeds", "3", "4"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == [3, 4]
+        assert not {"config_path", "planners", "world_seeds",
+                    "config"} & set(manifest)
 
     @pytest.mark.parametrize("flag", ["--config", "--planners", "--world-seeds"])
     def test_takes_only_out_and_seeds(self, flag, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ixbsp.errors import (
     IncompatibleTrees,
     IncompleteRecord,
     InvalidInput,
+    NumericalError,
 )
 from ixbsp.incremental import (
     PlanningArchive,
@@ -42,7 +44,9 @@ from ixbsp.planner import (
     TAG_REUSED,
     TAG_WILDFIRE,
     BeliefTree,
+    add_nominal_children,
     build_tree,
+    make_reward_fn,
     objective,
     plan_mlbsp,
     plan_xbsp,
@@ -88,6 +92,16 @@ class TestBalanceWeight:
         n = n_r + n_n
         expect = math.exp(lp) / (n_r / n * math.exp(lq) + n_n / n * math.exp(lp))
         assert balance_weight(lp, lq, n_r, n_n) == pytest.approx(expect, rel=1e-12)
+
+    def test_overflowing_ratio_raises_naming_the_log_ratio(self):
+        with pytest.raises(NumericalError, match="1000.0"):
+            balance_weight(1000.0, 0.0, 1, 0)
+        for log_p in (math.inf, math.nan):
+            with pytest.raises(NumericalError):
+                balance_weight(log_p, 0.0, 2, 0)
+        # the largest finite ratio is still returned
+        top = math.log(sys.float_info.max)
+        assert balance_weight(top, 0.0, 1, 0) == float(np.exp(top))
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(InvalidInput):
@@ -356,9 +370,9 @@ class TestIncrementalPlanners:
             if na.depth > 0:
                 assert np.array_equal(na.sample.chi, nb.sample.chi)
 
-    def _session_pair(self, cfg, seed=0):
+    def _session_pair(self, cfg, seed=0, fresh=plan_xbsp):
         prior, motion, meas, goal = _setup(cfg)
-        res0 = plan_xbsp(prior, cfg, motion, meas, goal, base_seed=seed)
+        res0 = fresh(prior, cfg, motion, meas, goal, base_seed=seed)
         act = res0.best_action.index
         archive = PlanningArchive(res0.tree, (act,))
         posterior = _execute(prior, act, motion, meas, jitter=0.01)
@@ -398,6 +412,36 @@ class TestIncrementalPlanners:
                     assert run[0].tag == run[1].tag
                     run_tags.append(run[0].tag)
         assert TAG_REUSED in run_tags and TAG_NOMINAL in run_tags
+
+    @pytest.mark.parametrize("ml", [False, True])
+    def test_reused_node_gets_the_fresh_update(self, ml):
+        """A re-used node's belief and reward are those a fresh node gets
+        from the same propagated belief and measurement set, bit for bit."""
+        cfg = tiny_cfg(n_x=1 if ml else 2, use_wildfire=False)
+        fresh, plan = _PLANNER_PAIRS[ml]
+        posterior, archive, motion, meas, goal = self._session_pair(
+            cfg, fresh=fresh)
+        res = plan(posterior, archive, cfg, motion, meas, goal, base_seed=1)
+        reused = [n for n in res.tree.nodes if n.tag == TAG_REUSED]
+        assert reused
+        reward_fn = make_reward_fn(cfg.reward, goal)
+        for node in reused:
+            parent = res.tree.node(node.parent)
+            scratch = BeliefTree(planning_time=parent.belief.time, horizon=1,
+                                 n_u=cfg.n_u, n_x=1, n_z=1, base_seed=0)
+            [twin] = add_nominal_children(
+                scratch, scratch.add_root(parent.belief), node.path[-2],
+                node.prop, [node.sample], meas, reward_fn)
+            assert twin.tag == TAG_NOMINAL
+            assert np.array_equal(node.belief.mean, twin.belief.mean)
+            assert np.array_equal(node.belief.cov, twin.belief.cov)
+            assert node.belief.gn_iters == twin.belief.gn_iters
+            assert node.reward == twin.reward
+            prior, twin_prior = node.belief.factors[0], twin.belief.factors[0]
+            assert np.array_equal(prior.mean, twin_prior.mean)
+            assert np.array_equal(prior.cov, twin_prior.cov)
+            assert [(f.t, f.lm, f.z.tolist()) for f in node.belief.factors[1:]] == [
+                (f.t, f.lm, f.z.tolist()) for f in twin.belief.factors[1:]]
 
     @pytest.mark.parametrize("mode, overrides", [
         ("update", dict(use_wildfire=False)),
@@ -473,7 +517,7 @@ class TestIncrementalPlanners:
         z = meas.predict(pose, np.array([2.0, 2.0]))
         novel = update_with_measurements(
             prop, MeasurementSet((MeasurementEntry(prop.time, 7, z),)),
-            meas, init_new_landmarks=True)
+            meas, inference=True)
         # rebuild archive at the right time for the two-step posterior
         res1 = plan_xbsp(posterior, cfg, motion, meas, goal, base_seed=1)
         archive1 = PlanningArchive(res1.tree, (0,))

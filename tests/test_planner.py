@@ -269,6 +269,33 @@ class TestPlanSessions:
         assert {n.belief.gn_iters for n in res.tree.nodes[1:]} == {1}
         assert res.counts["gn_cap_hits"] == 0
 
+    @pytest.mark.parametrize("plan", [plan_xbsp, plan_mlbsp])
+    def test_each_node_solves_only_its_own_step(self, plan):
+        """A node's factor list is a prior on its parent's propagated
+        Gaussian plus its own measurement factors, and nothing else."""
+        cfg = tiny_cfg(n_x=2)
+        posterior, motion, meas, goal = self._posterior_with_history(cfg)
+        res = plan(posterior, cfg, motion, meas, goal, base_seed=1)
+        measured = 0
+        for node in res.tree.nodes[1:]:
+            parent = res.tree.node(node.parent)
+            prop = propagate(parent.belief, ActionId(node.path[-2]), motion)
+            assert np.array_equal(node.prop.mean, prop.mean)
+            assert np.array_equal(node.prop.cov, prop.cov)
+            z_set = node.sample.z_set
+            if not len(z_set):
+                assert node.belief.factors == node.prop.factors
+                continue
+            measured += 1
+            prior, *rest = node.belief.factors
+            assert isinstance(prior, DensePriorFactor)
+            assert prior.vars_ == prop.index.vars
+            assert np.array_equal(prior.mean, prop.mean)
+            assert np.array_equal(prior.cov, prop.cov)
+            assert [(f.t, f.lm, f.z.tolist()) for f in rest] == [
+                (e.t, e.lm, e.value.tolist()) for e in z_set]
+        assert measured > 0
+
     def test_ml_plan_deterministic_across_calls(self):
         cfg = tiny_cfg()
         posterior, motion, meas, goal = self._posterior_with_history(cfg)
