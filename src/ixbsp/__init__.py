@@ -14,7 +14,10 @@ from ``build_tree``, and every fresh future becomes a node through
 ``planner.add_nominal_children``, so with nothing to re-use an incremental
 planner builds its fresh twin's tree bit for bit.  A re-used archived future
 (its measurement set) is conditioned on the new propagated belief by the
-same one-step ``update_with_measurements`` call as a fresh future.
+same one-step ``update_with_measurements`` call as a fresh future.  The
+importance weights of the incremental objective read one number per tree
+node, the path's log p - log q (``BeliefTreeNode.log_ratio``), which only
+re-used steps move.
 
 Supporting toolkits: belief distances (``distances``), objective-error
 bounds (``bounds``), an active-SLAM simulation harness (``simulation``), and

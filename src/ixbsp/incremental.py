@@ -13,14 +13,15 @@ posterior and re-uses as much of that subtree as the distances allow:
 * otherwise: plan from scratch.
 
 Because re-used futures were sampled under last session's propagated beliefs,
-objective averages reweight every sample path by the balance heuristic
+objective averages weight every sample path by multiple importance sampling
+with the balance heuristic (Veach & Guibas, SIGGRAPH 1995).  With p and q the
+path's densities under this session's propagated beliefs and under the
+generators that drew it, and n_r of a step's n paths re-used:
 
-    w = p(path) / sum_m (n_m / n) q_m(path)
+    w = p / ((n_r / n) q + (1 - n_r / n) p) = 1 / (1 + (n_r / n) (exp(-log_ratio) - 1))
 
-with two mixture components per step: the all-archived sequence density q and
-the all-nominal sequence density p, both evaluated along the path's own
-nodes.  Paths whose archived and nominal densities coincide (fresh samples,
-wildfire adoptions, identical generators) get weight exactly one.
+so a weight reads one number per path, ``BeliefTreeNode.log_ratio`` =
+log p - log q.  Paths whose log ratio is zero get weight exactly one.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .distances import d_sqrt_j
 from .errors import (
     EmptyCandidates,
     IncompatibleHorizon,
+    IncompatibleStates,
     IncompatibleTrees,
     IncompleteRecord,
     InvalidInput,
@@ -102,34 +104,29 @@ class PlanningArchive:
 _LOG_MAX_WEIGHT = math.log(np.finfo(float).max)
 
 
-def balance_weight(
-    cum_log_p: float, cum_log_q: float, n_reused: int, n_nominal: int
-) -> float:
+def balance_weight(log_ratio: float, n_reused: int, n_nominal: int) -> float:
     """Balance-heuristic weight of one sample path at one step.
 
-    cum_log_p / cum_log_q are the path's nominal and archived sequence log
-    densities; the counts split the step's paths by their own step tag.
-    Degenerates to exactly 1.0 whenever the two densities coincide or no
-    path at the step was re-used, and to p/q when every path was; a p/q
-    beyond the float range (or a NaN log ratio) raises ``NumericalError``.
+    ``log_ratio`` is the path's cumulative log p - log q; the counts split
+    the step's paths by their own step tag.  The weight is exactly 1.0
+    whenever the log ratio is zero or no path at the step was re-used, and
+    p/q when every path was; a p/q beyond the float range (or a NaN log
+    ratio) raises ``NumericalError``.
     """
     if n_reused < 0 or n_nominal < 0 or n_reused + n_nominal < 1:
         raise InvalidInput("tag counts must be non-negative and sum >= 1")
-    if n_reused == 0 or cum_log_p == cum_log_q:
+    if n_reused == 0 or log_ratio == 0.0:
         return 1.0
     if n_nominal == 0:
-        log_ratio = cum_log_p - cum_log_q
         if not log_ratio <= _LOG_MAX_WEIGHT:
             raise NumericalError(
                 f"balance weight overflows: log p/q = {log_ratio!r} on an "
                 "all-re-used step")
         return float(np.exp(log_ratio))
     n = n_reused + n_nominal
-    log_den = np.logaddexp(
-        math.log(n_reused / n) + cum_log_q,
-        math.log(n_nominal / n) + cum_log_p,
-    )
-    return float(np.exp(cum_log_p - log_den))
+    log_den = np.logaddexp(math.log(n_reused / n) - log_ratio,
+                           math.log(n_nominal / n))
+    return float(np.exp(-log_den))
 
 
 def mis_objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
@@ -147,7 +144,7 @@ def mis_objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
             raise IncompleteRecord(f"sequence {seq} has no paths at depth {depth}")
         n_reused = sum(1 for n in nodes if n.tag == TAG_REUSED)
         n_nominal = len(nodes) - n_reused
-        weights = [balance_weight(n.cum_log_p, n.cum_log_q, n_reused, n_nominal)
+        weights = [balance_weight(n.log_ratio, n_reused, n_nominal)
                    for n in nodes]
         acc = 0.0
         for w, n in zip(weights, nodes):
@@ -158,16 +155,6 @@ def mis_objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
 
 # ---------------------------------------------------------------------------
 # branch and belief selection
-
-
-def _covers(candidate: VariableIndex, target: VariableIndex) -> bool:
-    """Whether every variable of ``target`` is present in ``candidate``.
-
-    Verbatim (wildfire) reuse copies cached beliefs untouched, so it is only
-    sound when the cached branch describes every state the new session knows
-    about; distances over the shared subset alone cannot certify that.
-    """
-    return set(target.vars) <= set(candidate.vars)
 
 
 def select_closest_branch(
@@ -211,77 +198,64 @@ def closest_belief(
 class _CandidateScan:
     """Batched min sqrt-J scan over one level's archived propagated beliefs.
 
-    Equivalent to ``closest_belief`` (same distance, same first-wins tie
-    rule) but amortized: candidates are grouped by variable signature, their
-    marginals and precisions stacked once per target signature, and each
-    target is evaluated against a whole group with batched contractions.
+    Planning adds one pose per level and no landmark, so all candidates of a
+    level share one variable layout (mixed layouts raise
+    ``IncompatibleTrees``), and so do all its targets.  The candidates'
+    moments on the variables shared with the target are stacked once, and
+    each target is evaluated against all of them with batched contractions:
+    ``closest_belief``'s distance and first-wins tie rule.
     """
 
-    __slots__ = ("candidates", "_groups", "_cache")
+    __slots__ = ("candidates", "_index", "_stacks")
 
     def __init__(
         self, candidates: list[tuple[tuple[int, int], PropagatedBelief]]
     ) -> None:
         if not candidates:
             raise EmptyCandidates("no archived propagated beliefs to compare")
+        self._index = candidates[0][1].index
+        if any(prop.index != self._index for _, prop in candidates):
+            raise IncompatibleTrees(
+                "archived propagated beliefs of one level differ in layout")
         self.candidates = candidates
-        self._groups: dict[tuple, dict] = {}
-        for pos, (_, prop) in enumerate(candidates):
-            g = self._groups.setdefault(prop.index.vars, {"props": [], "pos": []})
-            g["props"].append(prop)
-            g["pos"].append(pos)
-        self._cache: dict[tuple, tuple | None] = {}
+        self._stacks: tuple | None = None
 
-    def _stacks(self, target_index: VariableIndex, sig: tuple) -> tuple | None:
-        key = (target_index.vars, sig)
-        if key in self._cache:
-            return self._cache[key]
-        group = self._groups[sig]
-        g_index = group["props"][0].index
-        common = [v for v in target_index.vars if v in g_index]
+    def _stacks_for(self, target_index: VariableIndex) -> tuple:
+        """Candidate stacks on the variables shared with ``target_index``."""
+        if self._stacks is not None and self._stacks[0] == target_index.vars:
+            return self._stacks[1:]
+        common = [v for v in target_index.vars if v in self._index]
         if not common:
-            self._cache[key] = None
-            return None
+            raise IncompatibleStates(
+                "target shares no variable with the archived level")
         sub = VariableIndex(tuple(common))
         t_idx = target_index.indices_of(common)
-        c_idx = g_index.indices_of(common)
+        c_idx = self._index.indices_of(common)
         sel = np.ix_(c_idx, c_idx)
-        means = np.stack([p.mean[c_idx] for p in group["props"]])
-        covs = np.stack([p.cov[sel] for p in group["props"]])
-        out = (t_idx, means, covs, np.linalg.inv(covs), sub.theta_mask(), sub.dim)
-        self._cache[key] = out
-        return out
+        means = np.stack([p.mean[c_idx] for _, p in self.candidates])
+        covs = np.stack([p.cov[sel] for _, p in self.candidates])
+        self._stacks = (target_index.vars, t_idx, means, covs,
+                        np.linalg.inv(covs), sub.theta_mask(), sub.dim)
+        return self._stacks[1:]
 
     def closest(self, target: PropagatedBelief) -> tuple[float, tuple[int, int]]:
-        best_dist = math.inf
-        best_pos = -1
-        for sig, group in self._groups.items():
-            stacks = self._stacks(target.index, sig)
-            if stacks is None:
-                continue
-            t_idx, means, covs, precs, mask, d = stacks
-            mu_t = target.mean[t_idx]
-            cov_t = target.cov[np.ix_(t_idx, t_idx)]
-            prec_t = spd_inverse(cov_t)
-            diffs = means - mu_t
-            if mask.any():
-                diffs[:, mask] = wrap_angle_array(diffs[:, mask])
-            inner = (
-                np.einsum("ci,cij,cj->c", diffs, precs, diffs)
-                + np.einsum("ci,ij,cj->c", diffs, prec_t, diffs)
-                + np.einsum("cij,ij->c", precs, cov_t)
-                + np.einsum("cij,ij->c", covs, prec_t)
-                - 2.0 * d
-            )
-            dists = 0.5 * np.sqrt(np.maximum(inner, 0.0))
-            i = int(np.argmin(dists))
-            pos = group["pos"][i]
-            if dists[i] < best_dist or (dists[i] == best_dist and pos < best_pos):
-                best_dist = float(dists[i])
-                best_pos = pos
-        if best_pos < 0:
-            return closest_belief(target, self.candidates)
-        return best_dist, self.candidates[best_pos][0]
+        t_idx, means, covs, precs, mask, d = self._stacks_for(target.index)
+        mu_t = target.mean[t_idx]
+        cov_t = target.cov[np.ix_(t_idx, t_idx)]
+        prec_t = spd_inverse(cov_t)
+        diffs = means - mu_t
+        if mask.any():
+            diffs[:, mask] = wrap_angle_array(diffs[:, mask])
+        inner = (
+            np.einsum("ci,cij,cj->c", diffs, precs, diffs)
+            + np.einsum("ci,ij,cj->c", diffs, prec_t, diffs)
+            + np.einsum("cij,ij->c", precs, cov_t)
+            + np.einsum("cij,ij->c", covs, prec_t)
+            - 2.0 * d
+        )
+        dists = 0.5 * np.sqrt(np.maximum(inner, 0.0))
+        i = int(np.argmin(dists))
+        return float(dists[i]), self.candidates[i][0]
 
 
 def is_rep_sample(
@@ -327,8 +301,7 @@ def _copy_children_verbatim(
         tree.add_child(
             parent, action_index, s_idx,
             sample=arch.sample, belief=arch.belief, prop=arch.prop,
-            reward=arch.reward, log_q_step=arch.sample.log_density,
-            tag=TAG_WILDFIRE, origin=arch.node_id,
+            reward=arch.reward, tag=TAG_WILDFIRE, origin=arch.node_id,
         )
 
 
@@ -350,7 +323,9 @@ def _reuse_group(
 
     Archived children are grouped by generating state (state-major order);
     each group is accepted or rejected as a whole, mirroring how the state
-    realization, not the value draw, decides representativeness.
+    realization, not the value draw, decides representativeness.  A re-used
+    child's step log ratio sums its kept entries' log densities under
+    ``prop_new`` minus their archived ones.
     """
     n_z = tree.n_z
     slot = 0
@@ -376,19 +351,16 @@ def _reuse_group(
                 added = _measure_at(prop_new, meas, chi, added_da,
                                     None if ml_mode else rng)
                 z_set = MeasurementSet(kept + tuple(added))
-                log_p, per_entry_p = measurement_likelihood_density(z_set, prop_new, meas)
-                log_q = 0.0
-                for e in z_set:
-                    if arch_node.sample.z_set.get(e.key) is not None:
-                        log_q += arch_node.sample.entry_log_densities[e.key]
-                    else:
-                        log_q += per_entry_p[e.key]
+                log_p = measurement_likelihood_density(z_set, prop_new, meas)
+                log_q = arch_node.sample.entry_log_densities
+                step_log_ratio = 0.0
+                for e in kept:
+                    step_log_ratio += log_p[e.key] - log_q[e.key]
                 belief = update_with_measurements(prop_new, z_set, meas)
-                sample = MeasurementSample(chi, z_set, log_p, per_entry_p)
                 tree.add_child(
-                    parent, action_index, slot,
-                    sample=sample, belief=belief, prop=prop_new,
-                    reward=reward_fn(belief, parent.belief), log_q_step=log_q,
+                    parent, action_index, slot, step_log_ratio,
+                    sample=MeasurementSample(chi, z_set, log_p), belief=belief,
+                    prop=prop_new, reward=reward_fn(belief, parent.belief),
                     tag=TAG_REUSED, origin=arch_node.node_id,
                 )
                 slot += 1
@@ -406,24 +378,32 @@ def inc_update_belief_tree(
     tree: BeliefTree,
     archive: PlanningArchive,
     branch_id: int,
+    branch_dist: float,
     cfg: ScenarioConfig,
     motion: MotionModel,
     meas: MeasModel,
     reward_fn,
     *,
     ml_mode: bool,
-    adopt: bool,
-) -> None:
-    """Build the overlap levels of ``tree`` by re-using the archived branch.
+) -> str:
+    """Build the overlap levels of ``tree`` from the archived branch
+    ``branch_id`` at distance ``branch_dist``; return the re-use mode.
 
-    Level by level: a wildfire-adopted parent copies all the children of its
-    archived counterpart verbatim.  With ``adopt`` the root counts as adopted
-    from the selected branch, so the whole branch is copied.  Every other
-    parent searches the same-level archived propagated beliefs per action,
-    then adopts / re-uses / draws fresh futures according to the distance
-    zones.  Appends one depth timing per level.
+    Verbatim (wildfire) copies need wildfire on and a branch holding every
+    variable of the new root: distances over shared variables cannot certify
+    a copy that lacks one.  Planning adds one pose per level and no landmark,
+    so this one test decides every action slot below.  Within eps_wf the
+    root counts as adopted from the branch (mode ``"adopt"``).
+
+    Level by level, a wildfire parent copies all the children of its
+    archived counterpart.  Every other parent scans the same-level archived
+    propagated beliefs per action, then adopts / re-uses / draws fresh
+    futures by distance zone.  Appends one depth timing per level.
     """
     arch_tree = archive.tree
+    wildfire = cfg.use_wildfire and set(tree.root.belief.index.vars) <= set(
+        arch_tree.node(branch_id).belief.index.vars)
+    adopt = wildfire and branch_dist <= cfg.epsilon_wf
     overlap_depths = cfg.horizon - archive.overlap
 
     # archived levels under the selected branch
@@ -435,7 +415,6 @@ def inc_update_belief_tree(
                 nxt.extend(ids)
         arch_levels.append(nxt)
 
-    use_wf = cfg.use_wildfire
     for depth in range(1, overlap_depths + 1):
         t0 = time.perf_counter()
         candidates: list[tuple[tuple[int, int], PropagatedBelief]] = []
@@ -460,9 +439,7 @@ def inc_update_belief_tree(
                 rng = node_rng(tree.base_seed, parent.path + (a,))
                 dist, (c_pid, c_a) = scan.closest(prop_new)
                 arch_child_ids = arch_tree.node(c_pid).children[c_a]
-                cand_prop = arch_tree.node(arch_child_ids[0]).prop
-                if (use_wf and dist <= cfg.epsilon_wf
-                        and _covers(cand_prop.index, prop_new.index)):
+                if wildfire and dist <= cfg.epsilon_wf:
                     _copy_children_verbatim(tree, parent, arch_tree,
                                             arch_child_ids, a)
                 elif dist <= cfg.epsilon_c:
@@ -478,6 +455,7 @@ def inc_update_belief_tree(
                     add_nominal_children(tree, parent, a, prop_new, samples,
                                          meas, reward_fn)
         tree.depth_times.append(time.perf_counter() - t0)
+    return "adopt" if adopt else "update"
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +497,14 @@ def _plan_incremental(
         info = {"mode": "fresh", "branch_dist": dist, "branch_id": branch_id}
         overlap_depths = cfg.horizon - archive.overlap
         if dist <= cfg.epsilon_c:
-            branch_index = archive.tree.node(branch_id).belief.index
-            adopt = (cfg.use_wildfire and dist <= cfg.epsilon_wf
-                     and _covers(branch_index, root.index))
-            info["mode"] = "adopt" if adopt else "update"
-
             def reuse_levels(tree: BeliefTree, reward_fn) -> None:
-                inc_update_belief_tree(tree, archive, branch_id, cfg, motion,
-                                       meas, reward_fn, ml_mode=ml_mode,
-                                       adopt=adopt)
+                info["mode"] = inc_update_belief_tree(
+                    tree, archive, branch_id, dist, cfg, motion, meas,
+                    reward_fn, ml_mode=ml_mode)
 
     tree = build_tree(root, cfg, motion, meas, goal, base_seed,
                       most_likely=ml_mode, reuse_levels=reuse_levels)
-    return planning_result(tree, "imlbsp" if ml_mode else "ixbsp",
-                           overlap_depths, objective_fn=mis_objective,
+    return planning_result(tree, overlap_depths, objective_fn=mis_objective,
                            reuse_info=info)
 
 

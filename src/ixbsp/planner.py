@@ -98,9 +98,11 @@ class BeliefTreeNode:
     """One posterior node of the lookahead tree.  Mutated only during build.
 
     A child's action index is ``path[-2]`` and its sample slot ``path[-1]``.
-    Its step log density under the nominal generator is
-    ``sample.log_density``; ``log_q_step`` is the archived one.  Only the
-    root has no sample and no propagated belief.
+    ``log_ratio`` is the path's log p - log q: its futures' density under
+    this tree's propagated beliefs minus that under the generators that drew
+    them.  A nominal or wildfire step adds 0.0; a re-used step adds, over
+    the archived entries it kept, each one's log density under ``prop``
+    minus its archived one.  Only the root has no sample and no ``prop``.
     """
 
     node_id: int
@@ -111,9 +113,7 @@ class BeliefTreeNode:
     belief: GaussianBelief
     prop: PropagatedBelief | None
     reward: float = 0.0
-    log_q_step: float = 0.0
-    cum_log_p: float = 0.0
-    cum_log_q: float = 0.0
+    log_ratio: float = 0.0
     tag: str = TAG_NOMINAL
     origin: int | None = None
     children: list[list[int]] = field(default_factory=list)
@@ -156,6 +156,7 @@ class BeliefTree:
         parent: BeliefTreeNode,
         action_index: int,
         sample_index: int,
+        step_log_ratio: float = 0.0,
         **kwargs,
     ) -> BeliefTreeNode:
         node = BeliefTreeNode(
@@ -163,11 +164,10 @@ class BeliefTree:
             parent=parent.node_id,
             depth=parent.depth + 1,
             path=parent.path + (action_index, sample_index),
+            log_ratio=parent.log_ratio + step_log_ratio,
             children=[[] for _ in range(self.n_u)],
             **kwargs,
         )
-        node.cum_log_p = parent.cum_log_p + node.sample.log_density
-        node.cum_log_q = parent.cum_log_q + node.log_q_step
         self.nodes.append(node)
         parent.children[action_index].append(node.node_id)
         return node
@@ -209,16 +209,17 @@ class PlanningResult:
     ``counts`` holds the tree's node counts by tag and ``gn_cap_hits``: how
     many of the nodes this session solved (tags nominal and reused) come
     from a Gauss-Newton solve that stopped at its iteration cap.
+    ``overlap_s`` is the build time of the levels the previous session's
+    tree also spans.
     """
 
     tree: BeliefTree
-    method: str
     objectives: dict[tuple[int, ...], float]
     best_seq: tuple[int, ...]
     best_action: ActionId
     objective: float
     counts: dict[str, int]
-    timing: dict[str, float]
+    overlap_s: float
     reuse_info: dict[str, float | int | str | None] = field(default_factory=dict)
 
 
@@ -245,7 +246,6 @@ def add_nominal_children(
             parent, action_index, s_idx,
             sample=sample, belief=belief, prop=prop,
             reward=reward_fn(belief, parent.belief),
-            log_q_step=sample.log_density,
             tag=TAG_NOMINAL, origin=None,
         ))
     return created
@@ -347,25 +347,21 @@ def best_action(
 
 def planning_result(
     tree: BeliefTree,
-    method: str,
     overlap_depths: int,
     *,
     objective_fn=None,
     reuse_info: dict[str, float | int | str | None] | None = None,
 ) -> PlanningResult:
-    """Score a built tree and split its depth timings at ``overlap_depths``."""
+    """Score a built tree and time its first ``overlap_depths`` levels."""
     act, seq, val, values = best_action(tree, objective_fn)
-    total = float(sum(tree.depth_times))
-    overlap = float(sum(tree.depth_times[:overlap_depths]))
     counts = tree.tag_counts()
     counts["gn_cap_hits"] = sum(
         1 for n in tree.nodes
         if n.depth > 0 and n.tag != TAG_WILDFIRE and n.belief.gn_capped)
     return PlanningResult(
-        tree=tree, method=method, objectives=values, best_seq=seq,
+        tree=tree, objectives=values, best_seq=seq,
         best_action=act, objective=val, counts=counts,
-        timing={"total_s": total, "overlap_s": overlap,
-                "extension_s": total - overlap},
+        overlap_s=float(sum(tree.depth_times[:overlap_depths])),
         reuse_info=reuse_info if reuse_info is not None else {},
     )
 
@@ -381,7 +377,7 @@ def plan_xbsp(
     """One full-expectation planning session from the given posterior root."""
     tree = build_tree(planning_root(root_belief), cfg, motion, meas, goal,
                       base_seed, most_likely=False)
-    return planning_result(tree, "xbsp", cfg.horizon - cfg.overlap)
+    return planning_result(tree, cfg.horizon - cfg.overlap)
 
 
 def plan_mlbsp(
@@ -395,4 +391,4 @@ def plan_mlbsp(
     """One maximum-likelihood planning session."""
     tree = build_tree(planning_root(root_belief), cfg, motion, meas, goal,
                       base_seed, most_likely=True)
-    return planning_result(tree, "mlbsp", cfg.horizon - cfg.overlap)
+    return planning_result(tree, cfg.horizon - cfg.overlap)

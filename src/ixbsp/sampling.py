@@ -11,8 +11,9 @@ Densities of measurement sets under a propagated belief marginalize the state
 per entry: z_e ~ N(h(mu), Sigma_v + J Sigma J^T) with J the measurement
 Jacobian at the propagated mean.  Entries multiply as if independent; the
 shared-pose correlation between entries of one step is deliberately dropped
-so that per-entry densities can be cached and re-used under data-association
-changes.  Reweighting ratios always compare densities computed the same way.
+so that each entry's density can be archived with its sample and compared
+entry by entry when a later session keeps only some entries.  Reweighting
+ratios always compare densities computed the same way.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from .models import MeasModel, landmark_var, wrap_angle
 class MeasurementSample:
     """One sampled future: a state realization and the measurements it yielded.
 
-    The realized data association is ``z_set.keys()``.  ``log_density`` and
-    ``entry_log_densities`` are evaluated under the generating propagated
-    belief at creation time, so re-use never has to reconstruct the generator.
+    The realized data association is ``z_set.keys()``.  Each entry's log
+    density under the generating propagated belief is evaluated at creation
+    (``entry_log_densities``); a later session that keeps the entry reads it
+    as q, so re-use never has to reconstruct the generator.
     """
 
     chi: np.ndarray
     z_set: MeasurementSet
-    log_density: float
     entry_log_densities: dict[tuple[int, int], float]
 
     def __post_init__(self) -> None:
@@ -115,8 +116,8 @@ def sample_state_futures(
     out = []
     for _ in range(n_z):
         z_set = _measure_at(prop, model, chi, da, rng)
-        total, per_entry = measurement_likelihood_density(z_set, prop, model)
-        out.append(MeasurementSample(chi, z_set, total, per_entry))
+        out.append(MeasurementSample(
+            chi, z_set, measurement_likelihood_density(z_set, prop, model)))
     return out
 
 
@@ -130,7 +131,7 @@ def sample_future_measurements(
     """Draw n_x state realizations and n_z measurement sets from each.
 
     Returns n_x * n_z samples ordered state-major; sample j*n_z + m shares
-    chi_j.  Each sample carries its log density under ``prop``.
+    chi_j.  Each sample carries its per-entry log densities under ``prop``.
     """
     if n_x < 1 or n_z < 1:
         raise InvalidInput("n_x and n_z must be >= 1")
@@ -147,8 +148,8 @@ def most_likely_measurement(
     chi = prop.mean.copy()
     da = predicted_da(prop, model, chi)
     z_set = _measure_at(prop, model, chi, da, rng=None)
-    total, per_entry = measurement_likelihood_density(z_set, prop, model)
-    return MeasurementSample(chi, z_set, total, per_entry)
+    return MeasurementSample(
+        chi, z_set, measurement_likelihood_density(z_set, prop, model))
 
 
 def entry_predictive(
@@ -183,17 +184,12 @@ def entry_log_density(
 
 def measurement_likelihood_density(
     z_set: MeasurementSet, prop: PropagatedBelief, model: MeasModel
-) -> tuple[float, dict[tuple[int, int], float]]:
-    """Log density of a measurement set under a propagated belief.
+) -> dict[tuple[int, int], float]:
+    """Log density of each entry of a measurement set under a propagated
+    belief, keyed by entry.
 
-    Returns the total (sum over entries) and the per-entry breakdown.  An
-    empty set has density one (log zero): with nothing observed the belief
-    is unchanged and the event carries no weight.
+    The set's density is their product; no caller needs it, because a
+    re-use weight compares only the entries a later session keeps.  An empty
+    set has density one: with nothing observed the event carries no weight.
     """
-    per_entry: dict[tuple[int, int], float] = {}
-    total = 0.0
-    for entry in z_set:
-        lp = entry_log_density(entry, prop, model)
-        per_entry[entry.key] = lp
-        total += lp
-    return total, per_entry
+    return {entry.key: entry_log_density(entry, prop, model) for entry in z_set}

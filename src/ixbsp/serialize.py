@@ -2,19 +2,20 @@
 
 A snapshot captures everything needed to analyse or re-score a planning
 session offline: tree structure, per-node posterior and propagated moments,
-sampled measurements, importance densities, tags and rewards.  Loaded
-beliefs carry solved moments but empty factor lists, so they support
-distances, objectives and action selection; they are not meant to seed
-further factor-graph solves.
+sampled measurements and their per-entry log densities, each path's
+``log_ratio``, tags and rewards.  Loaded beliefs carry solved moments but
+empty factor lists, so they support distances, objectives and action
+selection; they are not meant to seed further factor-graph solves.
 
 Nothing that another stored field determines is written: a node's action is
-``path[-2]``, its nominal step density is ``sample.log_density`` (the
-cumulative densities are rebuilt from the parent chain on load), and a
-sample's data association is its measurement keys.  Posterior and
+``path[-2]``, a sample's data association is its measurement keys, and a
+measurement set's log density is the sum of its entries'.  Posterior and
 propagated beliefs share one codec; a posterior also carries the
-Gauss-Newton iteration count of its solve (``gn_iters``).  A document of
-any other format version, including ``ixbsp-tree-v1`` and ``-v2``, or one
-that lacks a key, is rejected with ``InvalidInput``.
+Gauss-Newton iteration count of its solve (``gn_iters``).
+
+This is format ``ixbsp-tree-v4``.  A document of another format, including
+``ixbsp-tree-v1`` to ``-v3``, one that lacks a key, or one whose nodes do not
+form a planner's tree is rejected with ``InvalidInput``.
 
 Covariances are stored packed (lower triangle, row major) to halve snapshot
 size; all arrays round-trip bit exactly through Python floats.
@@ -38,7 +39,7 @@ from .models import VariableId
 from .planner import BeliefTree, BeliefTreeNode
 from .sampling import MeasurementSample
 
-TREE_FORMAT = "ixbsp-tree-v3"
+TREE_FORMAT = "ixbsp-tree-v4"
 
 
 def pack_sym(mat: np.ndarray) -> list[float]:
@@ -108,7 +109,6 @@ def _sample_to_json_dict(sample: MeasurementSample) -> dict[str, Any]:
     return {
         "chi": [float(v) for v in sample.chi],
         "z": _zset_to_list(sample.z_set),
-        "log_density": sample.log_density,
         "entry_log_densities": [
             [t, lm, lp] for (t, lm), lp in sorted(sample.entry_log_densities.items())
         ],
@@ -119,7 +119,6 @@ def _sample_from_json_dict(data: dict[str, Any]) -> MeasurementSample:
     return MeasurementSample(
         chi=np.asarray(data["chi"], dtype=float),
         z_set=_zset_from_list(data["z"]),
-        log_density=float(data["log_density"]),
         entry_log_densities={
             (int(t), int(lm)): float(lp)
             for t, lm, lp in data["entry_log_densities"]
@@ -137,7 +136,7 @@ def _node_to_json_dict(node: BeliefTreeNode) -> dict[str, Any]:
         "belief": belief_to_json_dict(node.belief),
         "prop": None if node.prop is None else belief_to_json_dict(node.prop),
         "reward": node.reward,
-        "log_q_step": node.log_q_step,
+        "log_ratio": node.log_ratio,
         "tag": node.tag,
         "origin": node.origin,
         "children": [list(group) for group in node.children],
@@ -156,7 +155,7 @@ def _node_from_json_dict(data: dict[str, Any]) -> BeliefTreeNode:
         belief=belief_from_json_dict(data["belief"]),
         prop=None if prop is None else belief_from_json_dict(prop, PropagatedBelief),
         reward=float(data["reward"]),
-        log_q_step=float(data["log_q_step"]),
+        log_ratio=float(data["log_ratio"]),
         tag=str(data["tag"]),
         origin=None if data["origin"] is None else int(data["origin"]),
         children=[[int(i) for i in group] for group in data["children"]],
@@ -197,11 +196,41 @@ def _tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
         root_id=int(data["root_id"]),
     )
     tree.nodes = [_node_from_json_dict(n) for n in data["nodes"]]
-    for node in tree.nodes:
-        if node.parent is not None:
-            if node.sample is None:
-                raise InvalidInput(f"node {node.node_id} has a parent but no sample")
-            parent = tree.nodes[node.parent]
-            node.cum_log_p = parent.cum_log_p + node.sample.log_density
-            node.cum_log_q = parent.cum_log_q + node.log_q_step
+    _check_structure(tree)
     return tree
+
+
+def _check_structure(tree: BeliefTree) -> None:
+    """Raise ``InvalidInput`` unless the nodes form the tree a build makes.
+
+    Node 0 is the root and each node id is its position.  Every other node
+    has a sample, an earlier parent, one more depth than that parent and a
+    path that extends the parent's by one action and one slot.  Each node
+    lists exactly its children: n_u lists, by action, in id order.
+    """
+    nodes = tree.nodes
+    if not nodes or tree.root_id != 0:
+        raise InvalidInput("snapshot tree needs its root at node 0")
+    children: list[list[list[int]]] = [[[] for _ in range(tree.n_u)] for _ in nodes]
+    for pos, node in enumerate(nodes):
+        if pos == 0:
+            ok = (node.node_id, node.parent, node.depth, node.path) == (0, None, 0, ())
+        else:
+            parent = nodes[node.parent] if node.parent in range(pos) else None
+            ok = (node.node_id == pos and parent is not None
+                  and node.sample is not None
+                  and node.depth == parent.depth + 1
+                  and node.path[:-2] == parent.path
+                  and len(node.path) == len(parent.path) + 2
+                  and node.path[-2] in range(tree.n_u))
+            if ok:
+                children[node.parent][node.path[-2]].append(pos)
+        if not ok:
+            raise InvalidInput(
+                f"snapshot node {pos} (id {node.node_id}, parent {node.parent!r}, "
+                f"path {node.path}) is neither the root nor one step below an "
+                "earlier node")
+    for node, expect in zip(nodes, children):
+        if node.children != expect:
+            raise InvalidInput(f"snapshot node {node.node_id} lists children "
+                               f"{node.children}, not {expect}")

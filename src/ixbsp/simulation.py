@@ -275,7 +275,7 @@ def _session_record(
         session=session,
         planner=kind,
         time_s=elapsed,
-        overlap_time_s=res.timing.get("overlap_s", elapsed),
+        overlap_time_s=res.overlap_s,
         objective=res.objective,
         chosen_seq=res.best_seq,
         nominal=res.counts.get("nominal", 0),

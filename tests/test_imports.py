@@ -1,4 +1,11 @@
-"""Every module uses every name it imports (no linter is installed)."""
+"""Every module uses every name it imports (no linter is installed).
+
+The one exception would be an import that a module keeps only so that
+``perfbench/spans.py`` can wrap it: spans.py looks each binding it wraps up
+by name in the module that calls it (``owner.__dict__[attr]``), so such an
+import must stay even when the module stops calling it.  Each one needs an
+entry in ``PERFBENCH_ONLY`` with a comment saying which span wraps it.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +20,10 @@ MODULES = sorted(
     + list((ROOT / "tests").glob("*.py")),
     key=lambda p: str(p.relative_to(ROOT)),
 )
+
+# "<module path>": names imported only for perfbench to wrap.  Every binding
+# spans.py wraps is called by its module today, so there are none.
+PERFBENCH_ONLY: dict[str, tuple[str, ...]] = {}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -67,4 +78,6 @@ def test_detector_flags_only_unused_names():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    unused = [name for name, _ in unused_imports(path.read_text())]
+    # equality also keeps the allowlist from naming a used import
+    assert unused == sorted(PERFBENCH_ONLY.get(str(path.relative_to(ROOT)), ()))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ixbsp.beliefs import (
+    GaussianState,
     MeasurementEntry,
     MeasurementSet,
     VariableIndex,
@@ -22,6 +23,7 @@ from ixbsp.beliefs import (
 from ixbsp.errors import (
     EmptyCandidates,
     IncompatibleHorizon,
+    IncompatibleStates,
     IncompatibleTrees,
     IncompleteRecord,
     InvalidInput,
@@ -51,7 +53,7 @@ from ixbsp.planner import (
     plan_mlbsp,
     plan_xbsp,
 )
-from ixbsp.sampling import MeasurementSample
+from ixbsp.sampling import MeasurementSample, measurement_likelihood_density
 
 from _util import cap_solves_at, tiny_cfg
 
@@ -78,36 +80,38 @@ def _execute(prior, action, motion, meas, jitter=0.0):
 
 class TestBalanceWeight:
     def test_no_reused_paths_is_exactly_one(self):
-        assert balance_weight(-3.7, -9.1, 0, 4) == 1.0
+        assert balance_weight(5.4, 0, 4) == 1.0
 
     def test_equal_densities_is_exactly_one(self):
-        assert balance_weight(-2.5, -2.5, 3, 1) == 1.0
+        assert balance_weight(0.0, 3, 1) == 1.0
 
     def test_all_reused_is_exact_ratio(self):
-        lp, lq = -1.2, -2.0
-        assert balance_weight(lp, lq, 5, 0) == float(np.exp(lp - lq))
+        log_ratio = -1.2 - -2.0
+        assert balance_weight(log_ratio, 5, 0) == float(np.exp(log_ratio))
 
     def test_mixed_matches_hand_formula(self):
         lp, lq, n_r, n_n = -1.0, -1.8, 2, 3
         n = n_r + n_n
         expect = math.exp(lp) / (n_r / n * math.exp(lq) + n_n / n * math.exp(lp))
-        assert balance_weight(lp, lq, n_r, n_n) == pytest.approx(expect, rel=1e-12)
+        assert balance_weight(lp - lq, n_r, n_n) == pytest.approx(expect, rel=1e-12)
+        # a huge ratio saturates at n / n_nominal instead of overflowing
+        assert balance_weight(1e6, n_r, n_n) == pytest.approx(n / n_n, rel=1e-12)
 
     def test_overflowing_ratio_raises_naming_the_log_ratio(self):
         with pytest.raises(NumericalError, match="1000.0"):
-            balance_weight(1000.0, 0.0, 1, 0)
-        for log_p in (math.inf, math.nan):
+            balance_weight(1000.0, 1, 0)
+        for log_ratio in (math.inf, math.nan):
             with pytest.raises(NumericalError):
-                balance_weight(log_p, 0.0, 2, 0)
+                balance_weight(log_ratio, 2, 0)
         # the largest finite ratio is still returned
         top = math.log(sys.float_info.max)
-        assert balance_weight(top, 0.0, 1, 0) == float(np.exp(top))
+        assert balance_weight(top, 1, 0) == float(np.exp(top))
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(InvalidInput):
-            balance_weight(0.0, 0.0, 0, 0)
+            balance_weight(0.0, 0, 0)
         with pytest.raises(InvalidInput):
-            balance_weight(0.0, 0.0, -1, 2)
+            balance_weight(0.0, -1, 2)
 
 
 class TestMisObjective:
@@ -121,38 +125,45 @@ class TestMisObjective:
 
     @staticmethod
     def _hand_tree(horizon, steps):
-        """Single-action tree whose nodes carry the given (reward, log p,
-        log q, tag) tuples; each level hangs under the first node above."""
+        """Single-action tree whose nodes carry the given (reward, step log
+        ratio, tag) tuples; each level hangs under the first node above."""
         prior, _, _, _ = _setup(tiny_cfg())
         tree = BeliefTree(planning_time=0, horizon=horizon, n_u=1,
                           n_x=1, n_z=1, base_seed=0)
         parent = tree.add_root(prior)
         for level in steps:
             children = [
-                tree.add_child(parent, 0, s,
+                tree.add_child(parent, 0, s, step,
                                sample=MeasurementSample(np.zeros(0),
-                                                        MeasurementSet(), lp, {}),
-                               belief=prior, prop=None, reward=r,
-                               log_q_step=lq, tag=tag)
-                for s, (r, lp, lq, tag) in enumerate(level)
+                                                        MeasurementSet(), {}),
+                               belief=prior, prop=None, reward=r, tag=tag)
+                for s, (r, step, tag) in enumerate(level)
             ]
             parent = children[0]
         return tree
 
     def test_step_weights_follow_tag_counts(self):
-        tree = self._hand_tree(1, [[(1.0, -1.0, -1.4, TAG_REUSED),
-                                    (2.0, -1.5, -1.5, TAG_NOMINAL),
-                                    (4.0, -2.0, -2.6, TAG_REUSED)]])
-        w0 = balance_weight(-1.0, -1.4, 2, 1)
-        w2 = balance_weight(-2.0, -2.6, 2, 1)
+        tree = self._hand_tree(2, [[(1.0, 0.4, TAG_REUSED),
+                                    (2.0, 0.0, TAG_NOMINAL),
+                                    (4.0, 0.6, TAG_REUSED)],
+                                   [(8.0, 0.0, TAG_NOMINAL),
+                                    (16.0, 0.5, TAG_REUSED)]])
+        w0 = balance_weight(0.4, 2, 1)
+        w2 = balance_weight(0.6, 2, 1)
         assert w0 != 1.0 and w2 != 1.0
         acc = 0.0  # the middle path's densities agree, so its weight is 1.0
         for w, r in ((w0, 1.0), (1.0, 2.0), (w2, 4.0)):
             acc += w * r
-        assert mis_objective(tree, (0,)) == 0.0 + acc / 3
+        # depth 2 hangs under the first path: its log ratios add to 0.4
+        assert [n.log_ratio for n in tree.nodes_at_depth(2)] == [0.4, 0.4 + 0.5]
+        acc2 = 0.0
+        for w, r in ((balance_weight(0.4, 1, 1), 8.0),
+                     (balance_weight(0.4 + 0.5, 1, 1), 16.0)):
+            acc2 += w * r
+        assert mis_objective(tree, (0, 0)) == 0.0 + acc / 3 + acc2 / 2
 
     def test_malformed_step_rejected(self):
-        level = [(1.0, 0.0, 0.0, TAG_NOMINAL)]
+        level = [(1.0, 0.0, TAG_NOMINAL)]
         tree = self._hand_tree(2, [level, level])
         assert mis_objective(tree, (0, 0)) == 2.0
         tree.node(1).children[0] = []  # empty slot at depth 2
@@ -170,15 +181,13 @@ def _record_objective(tree, seq):
     for depth in range(1, tree.horizon + 1):
         nodes = tree.paths_for_seq(seq, depth)
         record.append((tuple(n.reward for n in nodes),
-                       tuple(n.cum_log_p for n in nodes),
-                       tuple(n.cum_log_q for n in nodes),
+                       tuple(n.log_ratio for n in nodes),
                        tuple(n.tag for n in nodes)))
     total = 0.0
-    for rewards, cum_log_p, cum_log_q, tags in record:
+    for rewards, log_ratios, tags in record:
         n_reused = sum(1 for t in tags if t == TAG_REUSED)
         n_nominal = len(tags) - n_reused
-        weights = [balance_weight(lp, lq, n_reused, n_nominal)
-                   for lp, lq in zip(cum_log_p, cum_log_q)]
+        weights = [balance_weight(lr, n_reused, n_nominal) for lr in log_ratios]
         acc = 0.0
         for w, r in zip(weights, rewards):
             acc += w * r
@@ -215,6 +224,46 @@ class TestMisObjectiveMatchesRecord:
         for seq in res.tree.candidate_sequences():
             assert repr(mis_objective(res.tree, seq)) == repr(
                 _record_objective(res.tree, seq))
+
+
+class TestLogRatio:
+    """Each node's log ratio is its parent's plus its step's: 0.0 for a
+    nominal or wildfire step, and for a re-used step the sum over its kept
+    entries of their log densities under the node's propagated belief minus
+    those under the origin node's, recomputed here, bit for bit."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans(),
+           mode=st.sampled_from(sorted(_REUSE_CFGS)),
+           jitter=st.sampled_from([0.0, 0.005, 0.01]))
+    def test_parent_plus_step(self, seed, ml, mode, jitter):
+        # horizon 3 re-uses two levels, so re-used steps also stack
+        cfg = tiny_cfg(horizon=3, **_REUSE_CFGS[mode])
+        prior, motion, meas, goal = _setup(cfg)
+        fresh, inc = _PLANNER_PAIRS[ml]
+        res0 = fresh(prior, cfg, motion, meas, goal, 0)
+        act = res0.best_action.index
+        archive = PlanningArchive(res0.tree, (act,))
+        posterior = _execute(prior, act, motion, meas, jitter=jitter)
+        res = inc(posterior, archive, cfg, motion, meas, goal, seed)
+        assert res.reuse_info["mode"] == mode
+        tree = res.tree
+        steps = []
+        for node in tree.nodes[1:]:
+            step = 0.0
+            if node.tag == TAG_REUSED:
+                origin = archive.tree.node(node.origin)
+                kept = MeasurementSet(tuple(
+                    e for e in node.sample.z_set
+                    if origin.sample.z_set.get(e.key) is not None))
+                log_p = measurement_likelihood_density(kept, node.prop, meas)
+                log_q = measurement_likelihood_density(kept, origin.prop, meas)
+                for key in kept.keys():
+                    step += log_p[key] - log_q[key]
+                steps.append(step)
+            parent = tree.node(node.parent)
+            assert repr(node.log_ratio) == repr(parent.log_ratio + step)
+        assert (mode == "update") == bool(steps)
 
 
 class TestArchiveValidation:
@@ -309,6 +358,22 @@ class TestCandidateScan:
         assert d_ref == 0.0
         assert d_new <= 1e-6
         assert k_new == k_ref
+
+    def test_level_with_mixed_layouts_rejected(self):
+        # depth-2 propagated beliefs carry one more pose than depth-1 ones
+        cfg = tiny_cfg(n_x=2)
+        cands, tree, _ = self._candidates(cfg, seed=7)
+        shallow = tree.nodes_at_depth(1)[0]
+        with pytest.raises(IncompatibleTrees):
+            _CandidateScan(cands + [((0, 0), shallow.prop)])
+
+    def test_target_sharing_no_variable_rejected(self):
+        cfg = tiny_cfg(n_x=2)
+        cands, _, _ = self._candidates(cfg, seed=7)
+        target = GaussianState(VariableIndex.of([landmark_var(99)]),
+                               np.zeros(2), np.eye(2))
+        with pytest.raises(IncompatibleStates):
+            _CandidateScan(cands).closest(target)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(EmptyCandidates):
@@ -532,7 +597,6 @@ class TestIncrementalPlanners:
         archive = PlanningArchive(res0.tree, (act,))
         posterior = _execute(prior, act, motion, meas, jitter=0.005)
         res = plan_iml(posterior, archive, cfg, motion, meas, goal, base_seed=1)
-        assert res.method == "imlbsp"
         assert res.reuse_info["mode"] == "update"
         assert res.counts[TAG_REUSED] > 0
         assert [len(res.tree.nodes_at_depth(d)) for d in (1, 2)] == [3, 9]

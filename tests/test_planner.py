@@ -241,15 +241,12 @@ class TestPlanSessions:
         cfg = tiny_cfg(n_x=2)
         posterior, motion, meas, goal = self._posterior_with_history(cfg)
         res = plan_xbsp(posterior, cfg, motion, meas, goal, base_seed=1)
-        assert res.method == "xbsp"
         assert res.objective == res.objectives[res.best_seq]
         assert res.objective == max(res.objectives.values())
         n_children = len(res.tree.nodes) - 1
         assert res.counts == {TAG_NOMINAL: n_children, TAG_REUSED: 0,
                               TAG_WILDFIRE: 0, "gn_cap_hits": 0}
-        t = res.timing
-        assert t["total_s"] == pytest.approx(t["overlap_s"] + t["extension_s"])
-        assert all(v >= 0.0 for v in t.values())
+        assert 0.0 <= res.overlap_s <= sum(res.tree.depth_times)
 
     def test_counts_capped_solves_of_the_session(self, monkeypatch):
         cfg = tiny_cfg(n_x=2)
@@ -303,5 +300,4 @@ class TestPlanSessions:
         r2 = plan_mlbsp(posterior, cfg, motion, meas, goal, base_seed=42)
         assert r1.best_seq == r2.best_seq
         assert r1.objective == r2.objective
-        assert r1.method == "mlbsp"
         assert len(r1.tree.nodes) == 1 + 3 + 9  # horizon 2, n_u 3

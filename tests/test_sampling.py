@@ -116,12 +116,14 @@ class TestSampling:
     def test_sample_density_bookkeeping_consistent(self):
         prop, model = _prop()
         samples = sample_future_measurements(prop, model, 2, 2, node_rng(5, (1,)))
+        samples.append(most_likely_measurement(prop, model))
         for s in samples:
-            assert s.log_density == pytest.approx(
-                sum(s.entry_log_densities.values()))
-            assert set(s.entry_log_densities) == set(s.z_set.keys())
-            recomputed, _ = measurement_likelihood_density(s.z_set, prop, model)
-            assert recomputed == pytest.approx(s.log_density)
+            assert list(s.entry_log_densities) == list(s.z_set.keys())
+            assert s.entry_log_densities == measurement_likelihood_density(
+                s.z_set, prop, model)
+            for e in s.z_set:
+                assert s.entry_log_densities[e.key] == entry_log_density(
+                    e, prop, model)
 
 
 class TestPredictiveDensity:
@@ -173,9 +175,7 @@ class TestPredictiveDensity:
 
     def test_empty_set_has_unit_density(self):
         prop, model = _prop()
-        total, per_entry = measurement_likelihood_density(MeasurementSet(), prop, model)
-        assert total == 0.0
-        assert per_entry == {}
+        assert measurement_likelihood_density(MeasurementSet(), prop, model) == {}
 
     def test_bearing_residual_wraps(self):
         prop, model = _prop()

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixbsp.beliefs import (
     GaussianBelief,
@@ -91,7 +93,7 @@ _REUSE_CFGS = {
 }
 
 
-def _planner_trees():
+def _planner_trees(seed):
     """(label, tree) for all four planners; each incremental planner plans
     once without an archive, and once from its previous session's tree in
     each re-use mode."""
@@ -102,19 +104,19 @@ def _planner_trees():
             prior = _prior(cfg)
             motion, meas = cfg.motion_model(), cfg.meas_model()
             goal = np.array([5.0, 0.0])
-            res0 = inc(prior, None, cfg, motion, meas, goal, 3)
+            res0 = inc(prior, None, cfg, motion, meas, goal, seed)
             act = res0.best_action
             prop = propagate(prior, act, motion)
             posterior = update_with_measurements(
                 prop, most_likely_measurement(prop, meas).z_set, meas)
             archive = PlanningArchive(res0.tree, (act.index,))
-            res1 = inc(posterior, archive, cfg, motion, meas, goal, 4)
+            res1 = inc(posterior, archive, cfg, motion, meas, goal, seed + 1)
             assert res1.reuse_info["mode"] == mode
             out.append((f"{inc.__name__}-{mode}", res1.tree))
             if mode == "update":
                 out.append((inc.__name__, res0.tree))
                 out.append((fresh.__name__,
-                            fresh(prior, cfg, motion, meas, goal, 3).tree))
+                            fresh(prior, cfg, motion, meas, goal, seed).tree))
     return out
 
 
@@ -127,11 +129,13 @@ def _assert_same_belief(a, b):
 
 
 class TestTreeRoundTrip:
-    def test_structure_scores_and_tags_survive(self):
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 2))
+    def test_structure_scores_and_tags_survive(self, seed):
         """Every kept tree, node, sample and belief field survives bit for
         bit, for trees of all four planners, with and without an archive."""
         tags = set()
-        for label, tree in _planner_trees():
+        for label, tree in _planner_trees(seed):
             raw = json.loads(json.dumps(tree_to_json_dict(tree)))
             assert raw["format"] == TREE_FORMAT
             tree2 = tree_from_json_dict(raw)
@@ -145,8 +149,7 @@ class TestTreeRoundTrip:
                         a.children) == (b.node_id, b.parent, b.depth, b.path,
                                         b.tag, b.origin, b.children), label
                 # float ``==``: equal values, whatever the float type
-                assert (a.reward, a.log_q_step, a.cum_log_p, a.cum_log_q) == \
-                       (b.reward, b.log_q_step, b.cum_log_p, b.cum_log_q)
+                assert (a.reward, a.log_ratio) == (b.reward, b.log_ratio)
                 _assert_same_belief(a.belief, b.belief)
                 assert (a.prop is None) == (b.prop is None) == (a.depth == 0)
                 assert (a.sample is None) == (b.sample is None) == (a.depth == 0)
@@ -155,19 +158,11 @@ class TestTreeRoundTrip:
                 assert isinstance(b.prop, PropagatedBelief)
                 _assert_same_belief(a.prop, b.prop)
                 assert np.array_equal(a.sample.chi, b.sample.chi)
-                assert a.sample.log_density == b.sample.log_density
                 assert a.sample.entry_log_densities == b.sample.entry_log_densities
                 assert a.sample.z_set.keys() == b.sample.z_set.keys()
                 for ea, eb in zip(a.sample.z_set, b.sample.z_set):
                     assert np.array_equal(ea.value, eb.value)
         assert {TAG_REUSED, TAG_WILDFIRE} <= tags
-
-    def test_cumulative_densities_rebuilt_from_parent_chain(self):
-        tree, _ = _tree()
-        tree2 = tree_from_json_dict(tree_to_json_dict(tree))
-        for a, b in zip(tree.nodes, tree2.nodes):
-            assert b.cum_log_p == pytest.approx(a.cum_log_p, abs=1e-12)
-            assert b.cum_log_q == pytest.approx(a.cum_log_q, abs=1e-12)
 
     def test_objectives_rescore_identically(self):
         tree, cfg = _tree()
@@ -183,7 +178,8 @@ class TestTreeRoundTrip:
     def test_unknown_format_rejected(self):
         tree, _ = _tree()
         raw = tree_to_json_dict(tree)
-        for fmt in ("ixbsp-tree-v999", "ixbsp-tree-v1", "ixbsp-tree-v2"):
+        for fmt in ("ixbsp-tree-v999", "ixbsp-tree-v1", "ixbsp-tree-v2",
+                    "ixbsp-tree-v3"):
             raw["format"] = fmt
             with pytest.raises(InvalidInput):
                 tree_from_json_dict(raw)
@@ -206,4 +202,44 @@ class TestTreeRoundTrip:
         raw = tree_to_json_dict(tree)
         del raw["nodes"][1]["sample"]
         with pytest.raises(InvalidInput, match="'sample'"):
+            tree_from_json_dict(raw)
+
+
+def _set(node, key, value):
+    node[key] = value
+
+
+# Each corrupts the snapshot of ``_tree()``: node 0 is the root, nodes 1-6
+# its children (actions 0, 0, 1, 1, 2, 2), node 7 the first child of node 1.
+_MALFORMED = {
+    "parent_out_of_range": lambda nodes: _set(nodes[7], "parent", 10**6),
+    "parent_minus_one": lambda nodes: _set(nodes[7], "parent", -1),
+    "parent_not_earlier": lambda nodes: _set(nodes[1], "parent", 7),
+    "id_not_position": lambda nodes: _set(nodes[2], "node_id", 1),
+    "depth_not_parent_plus_one": lambda nodes: _set(nodes[7], "depth", 1),
+    "path_not_extending_parent": lambda nodes: _set(nodes[7], "path",
+                                                    [1, 0, 0, 0]),
+    "child_out_of_range": lambda nodes: nodes[0]["children"][0].append(10**6),
+    "child_of_another_node": lambda nodes: nodes[0]["children"][0].append(7),
+    "child_under_another_action": lambda nodes: nodes[0]["children"].reverse(),
+    "child_named_twice": lambda nodes: nodes[0]["children"][0].append(1),
+    "child_unnamed": lambda nodes: nodes[0]["children"][0].pop(),
+    "children_shorter_than_n_u": lambda nodes: nodes[0]["children"].pop(),
+}
+
+
+class TestMalformedStructure:
+    """A snapshot whose nodes do not form a planner's tree is rejected."""
+
+    def test_well_formed_snapshot_loads(self):
+        tree, _ = _tree()
+        assert [n.parent for n in tree.nodes[:8]] == [None] + [0] * 6 + [1]
+        tree_from_json_dict(json.loads(json.dumps(tree_to_json_dict(tree))))
+
+    @pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
+    def test_rejected(self, corrupt):
+        tree, _ = _tree()
+        raw = json.loads(json.dumps(tree_to_json_dict(tree)))
+        _MALFORMED[corrupt](raw["nodes"])
+        with pytest.raises(InvalidInput):
             tree_from_json_dict(raw)
