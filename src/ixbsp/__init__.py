@@ -19,6 +19,10 @@ importance weights of the incremental objective read one number per tree
 node, the path's log p - log q (``BeliefTreeNode.log_ratio``), which only
 re-used steps move.
 
+Each fact is stored once: a measurement entry is a landmark id and a value
+(its time is that of the belief it conditions), and a snapshot node
+(``serialize``, format ``ixbsp-tree-v5``) is its parent, action and payload.
+
 Supporting toolkits: belief distances (``distances``), objective-error
 bounds (``bounds``), an active-SLAM simulation harness (``simulation``), and
 a CLI (``ixbsp run|compare|bounds``).

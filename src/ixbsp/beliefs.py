@@ -158,9 +158,14 @@ class VariableIndex:
 
 
 def wrap_state(index: VariableIndex, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(x, dtype=float).copy()
+    """Copy of ``x`` with heading coordinates wrapped to (-pi, pi].
+
+    ``x`` is one state laid out by ``index`` or a stack of them (the last
+    axis is the state); a difference of states wraps the same way.
+    """
+    out = np.array(x, dtype=float)
     mask = index.theta_mask()
-    out[mask] = wrap_angle_array(out[mask])
+    out[..., mask] = wrap_angle_array(out[..., mask])
     return out
 
 
@@ -175,45 +180,37 @@ def overlay(index: VariableIndex, x: np.ndarray,
     return out
 
 
-def wrapped_diff(index: VariableIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b with heading coordinates wrapped to (-pi, pi]."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    mask = index.theta_mask()
-    diff[mask] = wrap_angle_array(diff[mask])
-    return diff
-
-
 # ---------------------------------------------------------------------------
 # measurements and data association
 
 
 @dataclass(frozen=True, slots=True)
 class MeasurementEntry:
-    """One range-bearing observation of landmark ``lm`` at time ``t``."""
+    """One range-bearing observation of landmark ``lm``.
 
-    t: int
+    An entry has no time of its own: it belongs to the one step whose
+    propagated belief it conditions, and takes that belief's time.
+    """
+
     lm: int
     value: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", _freeze(np.atleast_1d(self.value)))
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.t, self.lm)
-
 
 @dataclass(frozen=True, slots=True)
 class MeasurementSet:
-    """Sorted, keyed collection of measurement entries (the realized DA)."""
+    """One step's measurement entries, sorted by landmark id (the realized
+    data association); a landmark is observed at most once."""
 
     entries: tuple[MeasurementEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries, key=lambda e: e.key))
-        keys = [e.key for e in ordered]
+        ordered = tuple(sorted(self.entries, key=lambda e: e.lm))
+        keys = [e.lm for e in ordered]
         if len(set(keys)) != len(keys):
-            raise DaMismatch("duplicate (t, lm) key in measurement set")
+            raise DaMismatch("duplicate landmark in measurement set")
         object.__setattr__(self, "entries", ordered)
 
     def __len__(self) -> int:
@@ -222,12 +219,12 @@ class MeasurementSet:
     def __iter__(self):
         return iter(self.entries)
 
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e.key for e in self.entries)
+    def keys(self) -> tuple[int, ...]:
+        return tuple(e.lm for e in self.entries)
 
-    def get(self, key: tuple[int, int]) -> MeasurementEntry | None:
+    def get(self, lm: int) -> MeasurementEntry | None:
         for e in self.entries:
-            if e.key == key:
+            if e.lm == lm:
                 return e
         return None
 
@@ -258,16 +255,14 @@ class DensePriorFactor:
         object.__setattr__(self, "mean", _freeze(self.mean))
         object.__setattr__(self, "cov", _freeze(self.cov))
         object.__setattr__(self, "_wt", whitener(self.cov).T)
-        sub = VariableIndex(self.vars_)
-        object.__setattr__(self, "_theta", sub.theta_mask())
+        object.__setattr__(self, "_sub", VariableIndex(self.vars_))
 
     def involved(self) -> tuple[VariableId, ...]:
         return self.vars_
 
     def whitened(self, x: np.ndarray, layout: Layout):
         _, idx = layout
-        e = x[idx] - self.mean
-        e[self._theta] = wrap_angle_array(e[self._theta])
+        e = wrap_state(self._sub, x[idx] - self.mean)
         a = self._wt  # jacobian of e wrt the stacked vars is identity
         return self._wt @ e, a, idx
 
@@ -595,14 +590,11 @@ def update_with_measurements(
     pose_mean = prop.mean[index.slice_of(prop.new_pose())]
     new_lms: list[tuple[int, np.ndarray]] = []
     for entry in measurements:
-        if entry.t != prop.time:
-            raise DaMismatch(
-                f"entry time {entry.t} != propagated time {prop.time}")
         if landmark_var(entry.lm) not in index:
             if not inference:
                 raise UnknownLandmark(f"landmark {entry.lm} not in belief")
             new_lms.append((entry.lm, model.invert(pose_mean, entry.value)))
-    meas_factors = tuple(MeasurementFactor(e.t, e.lm, e.value, model)
+    meas_factors = tuple(MeasurementFactor(prop.time, e.lm, e.value, model)
                          for e in measurements)
 
     if not inference:

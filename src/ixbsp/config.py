@@ -69,13 +69,11 @@ class RewardConfig:
                             + (1-alpha) * (d2g_prev - d2g)
     distance_with_cov_penalty: r = (d2g_prev - d2g)
                             - penalty * [sqrt(tr(Sigma_pose)) > cov_threshold]
-    Lambda is the information matrix of the focused marginal (newest pose by
-    default; "position" focuses its 2-D position block).
+    Lambda is the information matrix of the newest pose's marginal.
     """
 
     kind: str = "info_and_distance"
     alpha: float = 0.5
-    focus: str = "pose"
     cov_threshold: float = 1.0
     penalty: float = 10.0
 
@@ -84,8 +82,6 @@ class RewardConfig:
             raise ConfigError(f"reward kind must be one of {REWARD_KINDS}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("reward alpha must lie in [0, 1]")
-        if self.focus not in ("pose", "position"):
-            raise ConfigError("reward focus must be 'pose' or 'position'")
         if not self.cov_threshold >= 0.0:
             raise ConfigError("reward cov_threshold must be non-negative")
         if not (self.penalty >= 0.0 and math.isfinite(self.penalty)):

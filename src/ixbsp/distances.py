@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gaussian import as_spd, spd_inverse, spd_logdet, spd_solve
-from .beliefs import GaussianState, canonical_order, wrapped_diff
+from .beliefs import GaussianState, canonical_order, wrap_state
 from .errors import IncompatibleStates, InvalidInput
 
 __all__ = [
@@ -95,7 +95,7 @@ def sqrt_j_moments(diff: np.ndarray, cov_p: np.ndarray,
 def kl_gaussian(p: GaussianState, q: GaussianState) -> float:
     """KL(P || Q) for Gaussians, aligned on common variables first."""
     pa, qa = align(p, q)
-    diff = wrapped_diff(pa.index, pa.mean, qa.mean)
+    diff = wrap_state(pa.index, pa.mean - qa.mean)
     return kl_gaussian_moments(diff, pa.cov, qa.cov)
 
 
@@ -110,7 +110,7 @@ def d_sqrt_j(p: GaussianState, q: GaussianState) -> float:
         raise IncompatibleStates("aligned indices disagree")
     if np.array_equal(pa.mean, qa.mean) and np.array_equal(pa.cov, qa.cov):
         return 0.0
-    diff = wrapped_diff(pa.index, pa.mean, qa.mean)
+    diff = wrap_state(pa.index, pa.mean - qa.mean)
     return sqrt_j_moments(diff, pa.cov, qa.cov)
 
 

@@ -44,6 +44,7 @@ from .beliefs import (
     planning_root,
     propagate,
     update_with_measurements,
+    wrap_state,
 )
 from .config import ScenarioConfig
 from .distances import d_sqrt_j
@@ -56,7 +57,7 @@ from .errors import (
     InvalidInput,
     NumericalError,
 )
-from .models import ActionId, MeasModel, MotionModel, wrap_angle_array
+from .models import ActionId, MeasModel, MotionModel
 from .planner import (
     TAG_REUSED,
     TAG_WILDFIRE,
@@ -235,23 +236,20 @@ class _CandidateScan:
         means = np.stack([p.mean[c_idx] for _, p in self.candidates])
         covs = np.stack([p.cov[sel] for _, p in self.candidates])
         self._stacks = (target_index.vars, t_idx, means, covs,
-                        np.linalg.inv(covs), sub.theta_mask(), sub.dim)
+                        np.linalg.inv(covs), sub)
         return self._stacks[1:]
 
     def closest(self, target: PropagatedBelief) -> tuple[float, tuple[int, int]]:
-        t_idx, means, covs, precs, mask, d = self._stacks_for(target.index)
-        mu_t = target.mean[t_idx]
+        t_idx, means, covs, precs, sub = self._stacks_for(target.index)
         cov_t = target.cov[np.ix_(t_idx, t_idx)]
         prec_t = spd_inverse(cov_t)
-        diffs = means - mu_t
-        if mask.any():
-            diffs[:, mask] = wrap_angle_array(diffs[:, mask])
+        diffs = wrap_state(sub, means - target.mean[t_idx])
         inner = (
             np.einsum("ci,cij,cj->c", diffs, precs, diffs)
             + np.einsum("ci,ij,cj->c", diffs, prec_t, diffs)
             + np.einsum("cij,ij->c", precs, cov_t)
             + np.einsum("cij,ij->c", covs, prec_t)
-            - 2.0 * d
+            - 2.0 * sub.dim
         )
         dists = 0.5 * np.sqrt(np.maximum(inner, 0.0))
         i = int(np.argmin(dists))
@@ -274,12 +272,9 @@ def is_rep_sample(
     common = [v for v in chi_index.vars if v in prop.index]
     if not common:
         return False
-    sub = VariableIndex(tuple(common))
-    idx_chi = chi_index.indices_of(common)
     idx_new = prop.index.indices_of(common)
-    diff = chi[idx_chi] - prop.mean[idx_new]
-    mask = sub.theta_mask()
-    diff[mask] = wrap_angle_array(diff[mask])
+    diff = wrap_state(VariableIndex(tuple(common)),
+                      chi[chi_index.indices_of(common)] - prop.mean[idx_new])
     sigma = np.sqrt(np.diag(prop.cov)[idx_new])
     return bool(np.all(np.abs(diff) <= beta_sigma * sigma))
 
@@ -343,11 +338,11 @@ def _reuse_group(
             # since keep the new propagated mean
             chi = overlay(prop_new.index, prop_new.mean, arch_prop.index,
                           lead.sample.chi)
-            da_keys = set(predicted_da(prop_new, meas, chi))
+            da = set(predicted_da(prop_new, meas, chi))
             for arch_node in group:
-                kept = tuple(e for e in arch_node.sample.z_set if e.key in da_keys)
+                kept = tuple(e for e in arch_node.sample.z_set if e.lm in da)
                 added_da = tuple(sorted(
-                    k for k in da_keys if arch_node.sample.z_set.get(k) is None))
+                    lm for lm in da if arch_node.sample.z_set.get(lm) is None))
                 added = _measure_at(prop_new, meas, chi, added_da,
                                     None if ml_mode else rng)
                 z_set = MeasurementSet(kept + tuple(added))
@@ -355,7 +350,7 @@ def _reuse_group(
                 log_q = arch_node.sample.entry_log_densities
                 step_log_ratio = 0.0
                 for e in kept:
-                    step_log_ratio += log_p[e.key] - log_q[e.key]
+                    step_log_ratio += log_p[e.lm] - log_q[e.lm]
                 belief = update_with_measurements(prop_new, z_set, meas)
                 tree.add_child(
                     parent, action_index, slot, step_log_ratio,

@@ -74,15 +74,15 @@ def reward_info_distance(
 ) -> float:
     """Immediate reward of reaching ``belief`` from ``prev_belief``.
 
-    info_and_distance blends the information of the focused marginal with the
-    step's progress toward the goal; distance_with_cov_penalty trades progress
-    against a hard uncertainty gate.
+    info_and_distance blends the information of the newest pose's marginal
+    with the step's progress toward the goal; distance_with_cov_penalty
+    trades progress against a hard uncertainty gate.
     """
     d2g_prev = distance_to_goal(prev_belief, goal)
     d2g = distance_to_goal(belief, goal)
     progress = d2g_prev - d2g
-    pose_marg = belief.marginal([belief.index.newest_pose()])
-    cov = pose_marg.cov if spec.focus == "pose" else pose_marg.cov[:2, :2]
+    sl = belief.index.slice_of(belief.index.newest_pose())
+    cov = belief.cov[sl, sl]
     if spec.kind == "info_and_distance":
         n = cov.shape[0]
         info = 0.5 * (n * _LOG_2PI_E - spd_logdet(cov))
@@ -121,7 +121,8 @@ class BeliefTreeNode:
 
 @dataclass
 class BeliefTree:
-    """Arena-allocated lookahead tree for one planning session."""
+    """Arena-allocated lookahead tree for one planning session: node 0 is
+    the root, and a node's id is its position in ``nodes``."""
 
     planning_time: int
     horizon: int
@@ -131,14 +132,13 @@ class BeliefTree:
     base_seed: int
     nodes: list[BeliefTreeNode] = field(default_factory=list)
     depth_times: list[float] = field(default_factory=list)
-    root_id: int = 0
 
     def node(self, node_id: int) -> BeliefTreeNode:
         return self.nodes[node_id]
 
     @property
     def root(self) -> BeliefTreeNode:
-        return self.nodes[self.root_id]
+        return self.nodes[0]
 
     def add_root(self, belief: GaussianBelief) -> BeliefTreeNode:
         if self.nodes:

@@ -37,15 +37,17 @@ from .models import MeasModel, landmark_var, wrap_angle
 class MeasurementSample:
     """One sampled future: a state realization and the measurements it yielded.
 
-    The realized data association is ``z_set.keys()``.  Each entry's log
-    density under the generating propagated belief is evaluated at creation
-    (``entry_log_densities``); a later session that keeps the entry reads it
-    as q, so re-use never has to reconstruct the generator.
+    The realized data association is ``z_set.keys()``, the landmark ids the
+    sample observes at its step.  Each entry's log density under the
+    generating propagated belief is evaluated at creation
+    (``entry_log_densities``, keyed by landmark id); a later session that
+    keeps the entry reads it as q, so re-use never has to reconstruct the
+    generator.
     """
 
     chi: np.ndarray
     z_set: MeasurementSet
-    entry_log_densities: dict[tuple[int, int], float]
+    entry_log_densities: dict[int, float]
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.chi, dtype=float)
@@ -65,8 +67,9 @@ def node_rng(base_seed: int, path: tuple[int, ...]) -> np.random.Generator:
 
 def predicted_da(
     prop: PropagatedBelief, model: MeasModel, at_state: np.ndarray
-) -> tuple[tuple[int, int], ...]:
-    """Visible-landmark keys (t, lm) at a state realization.
+) -> tuple[int, ...]:
+    """Ids of the landmarks visible from ``prop``'s new pose at a state
+    realization, ascending.
 
     Only landmarks already inside the belief are considered; planning never
     invents landmarks it has not mapped.
@@ -79,7 +82,7 @@ def predicted_da(
     for lm in prop.index.landmarks():
         lpos = x[prop.index.slice_of(lm)]
         if model.visible(pose, lpos):
-            keys.append((prop.time, lm.index))
+            keys.append(lm.index)
     return tuple(keys)
 
 
@@ -87,19 +90,19 @@ def _measure_at(
     prop: PropagatedBelief,
     model: MeasModel,
     chi: np.ndarray,
-    da: tuple[tuple[int, int], ...],
+    da: tuple[int, ...],
     rng: np.random.Generator | None,
 ) -> MeasurementSet:
     """Draw (or take the mean of) measurement values at a state realization."""
     pose = chi[prop.index.slice_of(prop.new_pose())]
     noise_l = chol_lower(model.noise_cov)
     entries = []
-    for t, lm in da:
+    for lm in da:
         z = model.predict(pose, chi[prop.index.slice_of(landmark_var(lm))])
         if rng is not None:
             z = z + noise_l @ rng.standard_normal(z.size)
             z = np.array([z[0], wrap_angle(z[1])])
-        entries.append(MeasurementEntry(t, lm, z))
+        entries.append(MeasurementEntry(lm, z))
     return MeasurementSet(tuple(entries))
 
 
@@ -155,41 +158,38 @@ def most_likely_measurement(
 def entry_predictive(
     prop: PropagatedBelief, model: MeasModel, lm: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized predictive Gaussian (mean, cov) of one entry under b-minus."""
+    """Linearized predictive Gaussian (mean, cov) of one entry under b-minus.
+
+    Reads the (landmark, new pose) moments of ``prop`` in place, in the
+    canonical landmark-then-pose order.
+    """
     pose_vid = prop.new_pose()
     lvid = landmark_var(lm)
     if lvid not in prop.index:
         raise UnknownLandmark(f"landmark {lm} not in propagated belief")
-    marg = prop.marginal([pose_vid, lvid])
-    pose = marg.mean[marg.index.slice_of(pose_vid)]
-    lpos = marg.mean[marg.index.slice_of(lvid)]
-    mean = model.predict(pose, lpos)
+    pose = prop.mean[prop.index.slice_of(pose_vid)]
+    lpos = prop.mean[prop.index.slice_of(lvid)]
     h_pose, h_lm = model.jacobians(pose, lpos)
-    jac = np.zeros((2, marg.index.dim))
-    jac[:, marg.index.slice_of(pose_vid)] = h_pose
-    jac[:, marg.index.slice_of(lvid)] = h_lm
-    cov = model.noise_cov + jac @ marg.cov @ jac.T
-    return mean, cov
-
-
-def entry_log_density(
-    entry: MeasurementEntry, prop: PropagatedBelief, model: MeasModel
-) -> float:
-    """Log predictive density of one measurement entry under b-minus."""
-    mean, cov = entry_predictive(prop, model, entry.lm)
-    diff = entry.value - mean
-    diff = np.array([diff[0], wrap_angle(diff[1])])
-    return gaussian_logpdf(diff, np.zeros(diff.size), cov)
+    jac = np.hstack((h_lm, h_pose))
+    idx = prop.index.indices_of((lvid, pose_vid))
+    cov = model.noise_cov + jac @ prop.cov[np.ix_(idx, idx)] @ jac.T
+    return model.predict(pose, lpos), cov
 
 
 def measurement_likelihood_density(
     z_set: MeasurementSet, prop: PropagatedBelief, model: MeasModel
-) -> dict[tuple[int, int], float]:
-    """Log density of each entry of a measurement set under a propagated
-    belief, keyed by entry.
+) -> dict[int, float]:
+    """Log predictive density of each entry of a measurement set under a
+    propagated belief, keyed by landmark id.
 
     The set's density is their product; no caller needs it, because a
     re-use weight compares only the entries a later session keeps.  An empty
     set has density one: with nothing observed the event carries no weight.
     """
-    return {entry.key: entry_log_density(entry, prop, model) for entry in z_set}
+    out = {}
+    for entry in z_set:
+        mean, cov = entry_predictive(prop, model, entry.lm)
+        diff = entry.value - mean
+        diff = np.array([diff[0], wrap_angle(diff[1])])
+        out[entry.lm] = gaussian_logpdf(diff, np.zeros(diff.size), cov)
+    return out

@@ -1,21 +1,31 @@
 """Versioned JSON snapshots of lookahead trees.
 
 A snapshot captures everything needed to analyse or re-score a planning
-session offline: tree structure, per-node posterior and propagated moments,
-sampled measurements and their per-entry log densities, each path's
-``log_ratio``, tags and rewards.  Loaded beliefs carry solved moments but
-empty factor lists, so they support distances, objectives and action
-selection; they are not meant to seed further factor-graph solves.
+session offline: per-node posterior and propagated moments, sampled
+measurements and their per-entry log densities, each path's ``log_ratio``,
+tags and rewards.  Loaded beliefs carry solved moments but empty factor
+lists, so they support distances, objectives and action selection; they are
+not meant to seed further factor-graph solves.
 
-Nothing that another stored field determines is written: a node's action is
-``path[-2]``, a sample's data association is its measurement keys, and a
-measurement set's log density is the sum of its entries'.  Posterior and
-propagated beliefs share one codec; a posterior also carries the
+Each fact is written once.  A non-root node writes its ``parent``, its
+``action`` and its payload (``sample``, ``belief``, ``prop``, ``reward``,
+``log_ratio``, ``tag``, ``origin``); the root writes only its ``belief``.
+The loader rebuilds the tree with ``BeliefTree.add_root`` and ``add_child``
+in node order, each child taking the next sample slot under its action, so
+node ids, depths, paths and children lists are a build's by construction.
+A measurement entry is ``[lm, [range, bearing]]``: its time is that of the
+belief it conditions, and a sample's data association is its entries'
+landmarks.  A per-entry log density is ``[lm, log_density]``.  Posterior
+and propagated beliefs share one codec; a posterior also carries the
 Gauss-Newton iteration count of its solve (``gn_iters``).
 
-This is format ``ixbsp-tree-v4``.  A document of another format, including
-``ixbsp-tree-v1`` to ``-v3``, one that lacks a key, or one whose nodes do not
-form a planner's tree is rejected with ``InvalidInput``.
+This is format ``ixbsp-tree-v5``.  ``InvalidInput`` rejects a document of
+another format (``ixbsp-tree-v1`` to ``-v4`` included) and one that lacks a
+key or holds a value of the wrong type or shape.  It also rejects a node
+whose parent is not an earlier node or whose action is not in
+``range(n_u)``, a child without a sample or a ``prop``, a sample whose state
+is not laid out as its ``prop`` or whose densities are not one per entry,
+and a tag that is not one of the three.
 
 Covariances are stored packed (lower triangle, row major) to halve snapshot
 size; all arrays round-trip bit exactly through Python floats.
@@ -36,10 +46,19 @@ from .beliefs import (
 )
 from .errors import InvalidInput
 from .models import VariableId
-from .planner import BeliefTree, BeliefTreeNode
+from .planner import TAG_NOMINAL, TAG_REUSED, TAG_WILDFIRE, BeliefTree, BeliefTreeNode
 from .sampling import MeasurementSample
 
-TREE_FORMAT = "ixbsp-tree-v4"
+TREE_FORMAT = "ixbsp-tree-v5"
+
+_TAGS = (TAG_NOMINAL, TAG_REUSED, TAG_WILDFIRE)
+
+
+def _int(value: Any, name: str) -> int:
+    """``value`` when it is an int; a float or a bool is malformed."""
+    if type(value) is not int:
+        raise InvalidInput(f"snapshot {name} must be an integer, got {value!r}")
+    return value
 
 
 def pack_sym(mat: np.ndarray) -> list[float]:
@@ -64,17 +83,24 @@ def _index_to_list(index: VariableIndex) -> list[list[Any]]:
 
 
 def _index_from_list(data: list[list[Any]]) -> VariableIndex:
-    return VariableIndex(tuple(VariableId(kind, int(i)) for kind, i in data))
+    return VariableIndex(tuple(
+        VariableId(kind, _int(i, "variable index")) for kind, i in data))
 
 
 def _zset_to_list(z_set: MeasurementSet) -> list[list[Any]]:
-    return [[e.t, e.lm, [float(v) for v in e.value]] for e in z_set.entries]
+    return [[e.lm, [float(v) for v in e.value]] for e in z_set.entries]
 
 
 def _zset_from_list(data: list[list[Any]]) -> MeasurementSet:
-    return MeasurementSet(tuple(
-        MeasurementEntry(int(t), int(lm), np.asarray(vals, dtype=float))
-        for t, lm, vals in data))
+    entries = []
+    for lm, value in data:
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(v) in (int, float) for v in value)):
+            raise InvalidInput(
+                f"snapshot measurement value {value!r} is not two numbers")
+        entries.append(MeasurementEntry(_int(lm, "landmark"),
+                                        np.asarray(value, dtype=float)))
+    return MeasurementSet(tuple(entries))
 
 
 def belief_to_json_dict(belief: GaussianBelief | PropagatedBelief) -> dict[str, Any]:
@@ -95,12 +121,13 @@ def belief_from_json_dict(data: dict[str, Any], cls=GaussianBelief):
     """Inverse of ``belief_to_json_dict``; ``cls`` is ``GaussianBelief`` or
     ``PropagatedBelief``."""
     index = _index_from_list(data["vars"])
-    extra = {"gn_iters": int(data["gn_iters"])} if cls is GaussianBelief else {}
+    extra = ({"gn_iters": _int(data["gn_iters"], "gn_iters")}
+             if cls is GaussianBelief else {})
     return cls(
         index=index,
         mean=np.asarray(data["mean"], dtype=float),
         cov=unpack_sym(data["cov_packed"], index.dim),
-        time=int(data["time"]),
+        time=_int(data["time"], "time"),
         **extra,
     )
 
@@ -110,7 +137,7 @@ def _sample_to_json_dict(sample: MeasurementSample) -> dict[str, Any]:
         "chi": [float(v) for v in sample.chi],
         "z": _zset_to_list(sample.z_set),
         "entry_log_densities": [
-            [t, lm, lp] for (t, lm), lp in sorted(sample.entry_log_densities.items())
+            [lm, lp] for lm, lp in sorted(sample.entry_log_densities.items())
         ],
     }
 
@@ -120,46 +147,57 @@ def _sample_from_json_dict(data: dict[str, Any]) -> MeasurementSample:
         chi=np.asarray(data["chi"], dtype=float),
         z_set=_zset_from_list(data["z"]),
         entry_log_densities={
-            (int(t), int(lm)): float(lp)
-            for t, lm, lp in data["entry_log_densities"]
+            _int(lm, "landmark"): float(lp)
+            for lm, lp in data["entry_log_densities"]
         },
     )
 
 
 def _node_to_json_dict(node: BeliefTreeNode) -> dict[str, Any]:
+    if node.parent is None:
+        return {"belief": belief_to_json_dict(node.belief)}
     return {
-        "node_id": node.node_id,
         "parent": node.parent,
-        "depth": node.depth,
-        "path": list(node.path),
-        "sample": None if node.sample is None else _sample_to_json_dict(node.sample),
+        "action": node.path[-2],
+        "sample": _sample_to_json_dict(node.sample),
         "belief": belief_to_json_dict(node.belief),
-        "prop": None if node.prop is None else belief_to_json_dict(node.prop),
+        "prop": belief_to_json_dict(node.prop),
         "reward": node.reward,
         "log_ratio": node.log_ratio,
         "tag": node.tag,
         "origin": node.origin,
-        "children": [list(group) for group in node.children],
     }
 
 
-def _node_from_json_dict(data: dict[str, Any]) -> BeliefTreeNode:
-    sample = data["sample"]
-    prop = data["prop"]
-    return BeliefTreeNode(
-        node_id=int(data["node_id"]),
-        parent=None if data["parent"] is None else int(data["parent"]),
-        depth=int(data["depth"]),
-        path=tuple(int(a) for a in data["path"]),
-        sample=None if sample is None else _sample_from_json_dict(sample),
-        belief=belief_from_json_dict(data["belief"]),
-        prop=None if prop is None else belief_from_json_dict(prop, PropagatedBelief),
+def _add_node(tree: BeliefTree, pos: int, data: dict[str, Any]) -> None:
+    """Append snapshot node ``pos`` as the next child of its parent."""
+    parent = _int(data["parent"], "parent")
+    action = _int(data["action"], "action")
+    if parent not in range(pos) or action not in range(tree.n_u):
+        raise InvalidInput(
+            f"snapshot node {pos} names parent {parent} and action {action}; "
+            f"a parent is an earlier node and an action is in range({tree.n_u})")
+    if data["sample"] is None or data["prop"] is None:
+        raise InvalidInput(f"snapshot node {pos} lacks a sample or a prop")
+    if data["tag"] not in _TAGS:
+        raise InvalidInput(f"snapshot node {pos} has unknown tag {data['tag']!r}")
+    sample = _sample_from_json_dict(data["sample"])
+    prop = belief_from_json_dict(data["prop"], PropagatedBelief)
+    if (sample.chi.shape != (prop.dim,)
+            or set(sample.entry_log_densities) != set(sample.z_set.keys())):
+        raise InvalidInput(f"snapshot node {pos} has a sample whose state is "
+                           "not laid out as its prop or whose densities are "
+                           "not one per entry")
+    origin = data["origin"]
+    parent_node = tree.nodes[parent]
+    node = tree.add_child(
+        parent_node, action, len(parent_node.children[action]),
+        sample=sample, belief=belief_from_json_dict(data["belief"]), prop=prop,
         reward=float(data["reward"]),
-        log_ratio=float(data["log_ratio"]),
-        tag=str(data["tag"]),
-        origin=None if data["origin"] is None else int(data["origin"]),
-        children=[[int(i) for i in group] for group in data["children"]],
+        tag=data["tag"],
+        origin=None if origin is None else _int(origin, "origin"),
     )
+    node.log_ratio = float(data["log_ratio"])
 
 
 def tree_to_json_dict(tree: BeliefTree) -> dict[str, Any]:
@@ -171,66 +209,35 @@ def tree_to_json_dict(tree: BeliefTree) -> dict[str, Any]:
         "n_x": tree.n_x,
         "n_z": tree.n_z,
         "base_seed": tree.base_seed,
-        "root_id": tree.root_id,
         "nodes": [_node_to_json_dict(n) for n in tree.nodes],
     }
 
 
 def tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
-    if data.get("format") != TREE_FORMAT:
-        raise InvalidInput(f"unknown snapshot format {data.get('format')!r}")
+    format_ = data.get("format") if isinstance(data, dict) else None
+    if format_ != TREE_FORMAT:
+        raise InvalidInput(f"unknown snapshot format {format_!r}")
     try:
         return _tree_from_json_dict(data)
     except KeyError as exc:
         raise InvalidInput(f"snapshot lacks key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed snapshot: {exc}") from None
 
 
 def _tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
     tree = BeliefTree(
-        planning_time=int(data["planning_time"]),
-        horizon=int(data["horizon"]),
-        n_u=int(data["n_u"]),
-        n_x=int(data["n_x"]),
-        n_z=int(data["n_z"]),
-        base_seed=int(data["base_seed"]),
-        root_id=int(data["root_id"]),
+        planning_time=_int(data["planning_time"], "planning_time"),
+        horizon=_int(data["horizon"], "horizon"),
+        n_u=_int(data["n_u"], "n_u"),
+        n_x=_int(data["n_x"], "n_x"),
+        n_z=_int(data["n_z"], "n_z"),
+        base_seed=_int(data["base_seed"], "base_seed"),
     )
-    tree.nodes = [_node_from_json_dict(n) for n in data["nodes"]]
-    _check_structure(tree)
+    nodes = data["nodes"]
+    if not isinstance(nodes, list) or not nodes:
+        raise InvalidInput("snapshot nodes must be a non-empty list")
+    tree.add_root(belief_from_json_dict(nodes[0]["belief"]))
+    for pos in range(1, len(nodes)):
+        _add_node(tree, pos, nodes[pos])
     return tree
-
-
-def _check_structure(tree: BeliefTree) -> None:
-    """Raise ``InvalidInput`` unless the nodes form the tree a build makes.
-
-    Node 0 is the root and each node id is its position.  Every other node
-    has a sample, an earlier parent, one more depth than that parent and a
-    path that extends the parent's by one action and one slot.  Each node
-    lists exactly its children: n_u lists, by action, in id order.
-    """
-    nodes = tree.nodes
-    if not nodes or tree.root_id != 0:
-        raise InvalidInput("snapshot tree needs its root at node 0")
-    children: list[list[list[int]]] = [[[] for _ in range(tree.n_u)] for _ in nodes]
-    for pos, node in enumerate(nodes):
-        if pos == 0:
-            ok = (node.node_id, node.parent, node.depth, node.path) == (0, None, 0, ())
-        else:
-            parent = nodes[node.parent] if node.parent in range(pos) else None
-            ok = (node.node_id == pos and parent is not None
-                  and node.sample is not None
-                  and node.depth == parent.depth + 1
-                  and node.path[:-2] == parent.path
-                  and len(node.path) == len(parent.path) + 2
-                  and node.path[-2] in range(tree.n_u))
-            if ok:
-                children[node.parent][node.path[-2]].append(pos)
-        if not ok:
-            raise InvalidInput(
-                f"snapshot node {pos} (id {node.node_id}, parent {node.parent!r}, "
-                f"path {node.path}) is neither the root nor one step below an "
-                "earlier node")
-    for node, expect in zip(nodes, children):
-        if node.children != expect:
-            raise InvalidInput(f"snapshot node {node.node_id} lists children "
-                               f"{node.children}, not {expect}")

@@ -90,7 +90,6 @@ def _noise_draw(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def simulate_step(
     gt_pose: np.ndarray,
-    t_next: int,
     action: ActionId,
     world: WorldModel,
     motion: MotionModel,
@@ -99,8 +98,9 @@ def simulate_step(
 ) -> tuple[np.ndarray, MeasurementSet]:
     """Advance ground truth one noisy step and sense the visible landmarks.
 
-    Returns the new ground-truth pose and the realized measurement set stamped
-    ``t_next``.
+    Returns the new ground-truth pose and the realized measurement set, which
+    belongs to the step it ends: conditioning the belief propagated by
+    ``action`` on it gives that step's time to every entry.
     """
     new_gt = motion.step_mean(gt_pose, action) + _noise_draw(motion.noise_cov, rng)
     new_gt[2] = wrap_angle(new_gt[2])
@@ -111,7 +111,7 @@ def simulate_step(
             continue
         z = meas.predict(new_gt, pos_arr) + _noise_draw(meas.noise_cov, rng)
         z[1] = wrap_angle(z[1])
-        entries.append(MeasurementEntry(t_next, lm_id, z))
+        entries.append(MeasurementEntry(lm_id, z))
     return new_gt, MeasurementSet(tuple(entries))
 
 
@@ -143,7 +143,7 @@ def factor_reuse_counts(
     already exists in the planning root, the ceiling on what re-use could keep.
     """
     tree = result.tree
-    root_index = tree.node(tree.root_id).belief.index
+    root_index = tree.root.belief.index
     overlap_depths = tree.horizon - 1  # rollouts archive one executed action
     reused = removed = reusable = 0
     arch_nodes = archive.tree.nodes if archive is not None else None
@@ -369,8 +369,7 @@ def run_rollout(
 
         final_tree = results[planner_kind].tree
 
-        gt, z_set = simulate_step(gt, belief.time + 1, action, world,
-                                     motion, meas, rng)
+        gt, z_set = simulate_step(gt, action, world, motion, meas, rng)
         prop = propagate(belief, action, motion)
         belief = update_with_measurements(prop, z_set, meas, inference=True)
 

@@ -30,15 +30,14 @@ from ixbsp.beliefs import (
     solve_factors,
     update_with_measurements,
     wrap_state,
-    wrapped_diff,
 )
 from ixbsp.serialize import belief_from_json_dict, belief_to_json_dict
 from ixbsp.errors import DaMismatch, InvalidBelief, UnknownLandmark, UnknownVariable
 from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
 
 
-def _entry(t, lm, value):
-    return MeasurementEntry(t, lm, np.asarray(value, dtype=float))
+def _entry(lm, value):
+    return MeasurementEntry(lm, np.asarray(value, dtype=float))
 
 
 class _LinearFactor:
@@ -158,24 +157,31 @@ class TestVariableIndex:
                    for v in belief.index.vars)
 
     def test_wrapped_diff_wraps_heading_only(self):
+        """``wrap_state`` of a difference, or of a stack of them, wraps only
+        the heading coordinates and leaves its input alone."""
         idx = VariableIndex.of([pose_var(0)])
         a = np.array([1.0, 2.0, math.pi - 0.1])
         b = np.array([0.0, 0.0, -math.pi + 0.1])
-        d = wrapped_diff(idx, a, b)
+        diff = a - b
+        d = wrap_state(idx, diff)
         assert np.allclose(d[:2], [1.0, 2.0])
         assert d[2] == pytest.approx(-0.2)
+        assert np.array_equal(diff, a - b)
+        rows = [diff, -diff, b]
+        assert np.array_equal(wrap_state(idx, np.stack(rows)),
+                              np.stack([wrap_state(idx, r) for r in rows]))
 
 
 class TestMeasurementSets:
     def test_sorted_and_keyed(self):
-        s = MeasurementSet((_entry(2, 1, [1.0, 0.1]), _entry(1, 3, [2.0, 0.2])))
-        assert s.keys() == ((1, 3), (2, 1))
-        assert s.get((2, 1)).value[0] == 1.0
-        assert s.get((9, 9)) is None
+        s = MeasurementSet((_entry(3, [2.0, 0.2]), _entry(1, [1.0, 0.1])))
+        assert s.keys() == (1, 3)
+        assert s.get(1).value[0] == 1.0
+        assert s.get(9) is None
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(DaMismatch):
-            MeasurementSet((_entry(1, 1, [1.0]), _entry(1, 1, [2.0])))
+            MeasurementSet((_entry(1, [1.0]), _entry(1, [2.0])))
 
 
 class TestPriorAndPropagate:
@@ -271,7 +277,7 @@ class TestConditioning:
         b = make_prior_belief(np.zeros(3), np.eye(3) * 0.1)
         prop = propagate(b, ActionId(0), MotionModel())
         meas = MeasModel(fov=2 * math.pi, min_range=0.0)
-        z = MeasurementSet((_entry(1, 4, [3.0, 0.1]),))
+        z = MeasurementSet((_entry(4, [3.0, 0.1]),))
         with pytest.raises(UnknownLandmark):
             update_with_measurements(prop, z, meas)
         post = update_with_measurements(prop, z, meas, inference=True)
@@ -292,7 +298,7 @@ class TestConditioning:
         truth = meas.predict(prop.mean[prop.index.slice_of(pose_var(1))],
                              np.array([4.0, 0.0]))
         post = update_with_measurements(
-            prop, MeasurementSet((_entry(1, 0, truth),)), meas)
+            prop, MeasurementSet((_entry(0, truth),)), meas)
         before = np.trace(prop.cov)
         after = np.trace(post.cov)
         assert after < before
@@ -339,7 +345,7 @@ class TestPlanningUpdate:
                                  random_spd(rng, 2, 0.01) * 0.02)
         pose = prop.mean[index.slice_of(pose_var(1))]
         z_set = MeasurementSet(tuple(
-            _entry(1, j, model.predict(pose, prop.mean[index.slice_of(landmark_var(j))])
+            _entry(j, model.predict(pose, prop.mean[index.slice_of(landmark_var(j))])
                    + 0.1 * rng.standard_normal(2))
             for j in seen))
 
@@ -362,7 +368,7 @@ class TestPlanningUpdate:
         planned = update_with_measurements(prop, steps[1][1], meas)
         mean, cov, iters = solve_factors(planned.factors, prop.index, prop.mean)
         assert planned.gn_iters < iters
-        move = wrapped_diff(prop.index, planned.mean, mean)
+        move = wrap_state(prop.index, planned.mean - mean)
         assert math.sqrt(float(move @ spd_inverse(cov) @ move)) < 0.1
 
     def test_planning_belief_holds_only_its_step(self):
@@ -377,13 +383,13 @@ class TestPlanningUpdate:
         assert np.array_equal(prior.mean, prop.mean)
         assert np.array_equal(prior.cov, prop.cov)
         assert [(f.t, f.lm, f.z.tolist()) for f in rest] == [
-            (e.t, e.lm, e.value.tolist()) for e in z_set]
+            (prop.time, e.lm, e.value.tolist()) for e in z_set]
         assert planned.index == prop.index and planned.time == prop.time
         # inference keeps the whole history and adds the same entries
         inferred = update_with_measurements(prop, z_set, meas, inference=True)
         assert inferred.factors[:len(prop.factors)] == prop.factors
         assert [(f.t, f.lm) for f in inferred.factors[len(prop.factors):]] == [
-            e.key for e in z_set]
+            (prop.time, e.lm) for e in z_set]
 
 
 def _chain(root, steps, motion, meas):
@@ -405,9 +411,9 @@ def _two_landmark_setup():
                    1: (np.array([5.0, -2.0]), np.eye(2) * 2.0)},
     )
     steps = (
-        (ActionId(0), MeasurementSet((_entry(1, 0, [2.2, 0.5]),))),
-        (ActionId(1), MeasurementSet((_entry(2, 0, [1.9, -0.8]),
-                                      _entry(2, 1, [3.6, -1.1])))),
+        (ActionId(0), MeasurementSet((_entry(0, [2.2, 0.5]),))),
+        (ActionId(1), MeasurementSet((_entry(0, [1.9, -0.8]),
+                                      _entry(1, [3.6, -1.1])))),
     )
     return motion, meas, root, steps
 
@@ -631,7 +637,7 @@ def _lookahead_problem(seed):
         pose = motion.step_mean(pose, act)
         prop = propagate(belief, act, motion)
         z_set = MeasurementSet(tuple(
-            _entry(prop.time, j, meas.predict(pose, p)
+            _entry(j, meas.predict(pose, p)
                    + noise_std * rng.standard_normal(2))
             for j, p in lms.items()))
         if step == 0:
@@ -639,7 +645,7 @@ def _lookahead_problem(seed):
                 update_with_measurements(prop, z_set, meas, inference=True))
             continue
         factors = prop.factors + tuple(
-            MeasurementFactor(e.t, e.lm, e.value, meas) for e in z_set)
+            MeasurementFactor(prop.time, e.lm, e.value, meas) for e in z_set)
         mean, cov, _ = solve_factors(factors, prop.index, prop.mean)
         belief = GaussianBelief(index=prop.index, mean=mean, cov=cov,
                                 factors=factors, time=prop.time)
@@ -664,7 +670,7 @@ class TestStoppingRule:
         assume(iters < beliefs._GN_MAX_ITER)
         mean2, _, iters2 = solve_factors(factors, index, mean)
         assert iters2 == 1
-        move = wrapped_diff(index, mean2, mean)
+        move = wrap_state(index, mean2 - mean)
         assert math.sqrt(float(move @ spd_inverse(cov) @ move)) < beliefs._GN_TOL
 
     # Of seeds 0-19, these two converge slowly; eleven others stop before
@@ -678,7 +684,7 @@ class TestStoppingRule:
         factors, index, init = _lookahead_problem(seed)
         x59 = solve_factors(factors, index, init, tol=0.0, max_iter=59)[0]
         x60 = solve_factors(factors, index, init, tol=0.0, max_iter=60)[0]
-        assert np.max(np.abs(wrapped_diff(index, x60, x59))) >= 1e-11
+        assert np.max(np.abs(wrap_state(index, x60 - x59))) >= 1e-11
         mean, _, iters = solve_factors(factors, index, init)
         assert iters < beliefs._GN_MAX_ITER
         cost60 = _cost(factors, index, x60)
@@ -701,7 +707,7 @@ class TestStoppingRule:
         motion, meas = MotionModel(), MeasModel(fov=2 * math.pi, min_range=0.0)
         prop = propagate(prior, ActionId(0), motion)
         assert update_with_measurements(prop, MeasurementSet(), meas).gn_iters == 0
-        z_set = MeasurementSet((_entry(1, 0, [5.0, 0.3]), _entry(1, 1, [4.0, -1.0])))
+        z_set = MeasurementSet((_entry(0, [5.0, 0.3]), _entry(1, [4.0, -1.0])))
         belief = update_with_measurements(prop, z_set, meas)
         assert returned and belief.gn_iters == returned[-1] > 1
         assert not belief.gn_capped

@@ -74,7 +74,7 @@ def _execute(prior, action, motion, meas, jitter=0.0):
         lpos = prop.mean[prop.index.slice_of(lm)]
         if meas.visible(pose, lpos):
             z = meas.predict(pose, lpos) + jitter
-            entries.append(MeasurementEntry(prop.time, lm.index, z))
+            entries.append(MeasurementEntry(lm.index, z))
     return update_with_measurements(prop, MeasurementSet(tuple(entries)), meas)
 
 
@@ -255,11 +255,11 @@ class TestLogRatio:
                 origin = archive.tree.node(node.origin)
                 kept = MeasurementSet(tuple(
                     e for e in node.sample.z_set
-                    if origin.sample.z_set.get(e.key) is not None))
+                    if origin.sample.z_set.get(e.lm) is not None))
                 log_p = measurement_likelihood_density(kept, node.prop, meas)
                 log_q = measurement_likelihood_density(kept, origin.prop, meas)
-                for key in kept.keys():
-                    step += log_p[key] - log_q[key]
+                for lm in kept.keys():
+                    step += log_p[lm] - log_q[lm]
                 steps.append(step)
             parent = tree.node(node.parent)
             assert repr(node.log_ratio) == repr(parent.log_ratio + step)
@@ -581,7 +581,7 @@ class TestIncrementalPlanners:
         pose = prop.mean[prop.index.slice_of(prop.new_pose())]
         z = meas.predict(pose, np.array([2.0, 2.0]))
         novel = update_with_measurements(
-            prop, MeasurementSet((MeasurementEntry(prop.time, 7, z),)),
+            prop, MeasurementSet((MeasurementEntry(7, z),)),
             meas, inference=True)
         # rebuild archive at the right time for the two-step posterior
         res1 = plan_xbsp(posterior, cfg, motion, meas, goal, base_seed=1)

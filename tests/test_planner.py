@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ixbsp.beliefs import DensePriorFactor, make_prior_belief, propagate, update_with_measurements
+from ixbsp._gaussian import spd_logdet
 from ixbsp.config import RewardConfig
 from ixbsp.errors import NumericalError, UnknownSequence
 from ixbsp.models import ActionId, pose_var
@@ -47,10 +48,21 @@ def _setup(cfg):
 
 class TestReward:
     def test_frozen_identity_pose_info(self):
-        spec = RewardConfig(kind="info_and_distance", alpha=1.0, focus="pose")
+        spec = RewardConfig(kind="info_and_distance", alpha=1.0)
         b = _pose_state([0.0, 0.0, 0.0], np.eye(3))
         got = reward_info_distance(b, b, spec, np.array([4.0, 0.0]))
         assert got == pytest.approx(INFO_REWARD_IDENTITY_POSE, abs=1e-12)
+
+    def test_info_reads_the_newest_pose_block_of_a_joint(self):
+        """On a joint belief the reward equals, bit for bit, the formula on
+        the newest pose's marginal."""
+        root, motion, _, goal = _setup(tiny_cfg())
+        b = propagate(root, ActionId(1), motion)
+        cov = b.marginal([b.index.newest_pose()]).cov
+        info = 0.5 * (3 * float(np.log(2.0 * np.pi) + 1.0) - spd_logdet(cov))
+        progress = distance_to_goal(root, goal) - distance_to_goal(b, goal)
+        spec = RewardConfig(kind="info_and_distance", alpha=0.5)
+        assert reward_info_distance(b, root, spec, goal) == 0.5 * info + 0.5 * progress
 
     def test_pure_progress_when_alpha_zero(self):
         spec = RewardConfig(kind="info_and_distance", alpha=0.0)
@@ -58,12 +70,6 @@ class TestReward:
         cur = _pose_state([3.0, 0.0, 0.0], np.eye(3))
         got = reward_info_distance(cur, prev, spec, np.array([10.0, 0.0]))
         assert got == pytest.approx(3.0, abs=1e-12)
-
-    def test_position_focus_uses_2d_block(self):
-        spec = RewardConfig(kind="info_and_distance", alpha=1.0, focus="position")
-        b = _pose_state([0.0, 0.0, 0.0], np.eye(3))
-        got = reward_info_distance(b, b, spec, np.array([4.0, 0.0]))
-        assert got == pytest.approx(math.log(2 * math.pi) + 1.0, abs=1e-12)
 
     def test_cov_penalty_gate(self):
         spec = RewardConfig(kind="distance_with_cov_penalty",
@@ -220,7 +226,7 @@ class TestPlanSessions:
                 lpos = prop.mean[prop.index.slice_of(lm)]
                 if meas.visible(pose, lpos):
                     from ixbsp.beliefs import MeasurementEntry, MeasurementSet
-                    entries.append(MeasurementEntry(t, lm.index,
+                    entries.append(MeasurementEntry(lm.index,
                                                     meas.predict(pose, lpos)))
             from ixbsp.beliefs import MeasurementSet
             b = update_with_measurements(prop, MeasurementSet(tuple(entries)), meas)
@@ -290,7 +296,7 @@ class TestPlanSessions:
             assert np.array_equal(prior.mean, prop.mean)
             assert np.array_equal(prior.cov, prop.cov)
             assert [(f.t, f.lm, f.z.tolist()) for f in rest] == [
-                (e.t, e.lm, e.value.tolist()) for e in z_set]
+                (prop.time, e.lm, e.value.tolist()) for e in z_set]
         assert measured > 0
 
     def test_ml_plan_deterministic_across_calls(self):

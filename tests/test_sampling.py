@@ -12,7 +12,6 @@ from ixbsp.beliefs import MeasurementEntry, MeasurementSet, make_prior_belief, p
 from ixbsp.errors import InvalidInput, UnknownLandmark
 from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
 from ixbsp.sampling import (
-    entry_log_density,
     entry_predictive,
     measurement_likelihood_density,
     most_likely_measurement,
@@ -32,6 +31,11 @@ def _prop(fov=2 * math.pi, min_range=0.0, landmarks=None, pos_std=0.5):
     motion = MotionModel()
     return propagate(b, ActionId(0), motion), MeasModel(fov=fov, min_range=min_range,
                                                         max_range=20.0)
+
+
+def _log_density(entry, prop, model):
+    z_set = MeasurementSet((entry,))
+    return measurement_likelihood_density(z_set, prop, model)[entry.lm]
 
 
 class TestNodeRng:
@@ -58,7 +62,7 @@ class TestPredictedDa:
         prop, model = _prop()
         da = predicted_da(prop, model, prop.mean)
         # lm 1 sits 30m away, beyond max_range=20
-        assert da == ((1, 0),)
+        assert da == (0,)
 
     def test_gating_at_realization_not_mean(self):
         prop, model = _prop(fov=math.pi / 2)
@@ -66,7 +70,7 @@ class TestPredictedDa:
         # turn the new pose to face lm 1 (due +y from origin-ish pose)
         x[prop.index.slice_of(pose_var(1))] = np.array([0.0, 10.0, math.pi / 2])
         da = predicted_da(prop, model, x)
-        assert da == ((1, 1),)
+        assert da == (1,)
 
     def test_dimension_mismatch_rejected(self):
         prop, model = _prop()
@@ -122,27 +126,31 @@ class TestSampling:
             assert s.entry_log_densities == measurement_likelihood_density(
                 s.z_set, prop, model)
             for e in s.z_set:
-                assert s.entry_log_densities[e.key] == entry_log_density(
-                    e, prop, model)
+                assert s.entry_log_densities[e.lm] == _log_density(e, prop, model)
 
 
 class TestPredictiveDensity:
     def test_range_bearing_predictive_matches_hand_formula(self):
+        """The predictive moments equal, bit for bit, those computed on the
+        (landmark, pose) marginal of ``prop``."""
         prop, model = _prop()
         mean, cov = entry_predictive(prop, model, lm=0)
-        sl = prop.index.indices_of([pose_var(1), landmark_var(0)])
-        pose, lpos = prop.mean[sl][:3], prop.mean[sl][3:]
+        marg = prop.marginal([pose_var(1), landmark_var(0)])
+        assert marg.index.vars == (landmark_var(0), pose_var(1))
+        lpos, pose = marg.mean[:2], marg.mean[2:]
         h_pose, h_lm = model.jacobians(pose, lpos)
-        jac = np.hstack([h_pose, h_lm])
-        assert np.allclose(mean, model.predict(pose, lpos))
-        assert np.allclose(cov, model.noise_cov + jac @ prop.cov[np.ix_(sl, sl)] @ jac.T)
+        jac = np.zeros((2, 5))
+        jac[:, :2] = h_lm
+        jac[:, 2:] = h_pose
+        assert np.array_equal(mean, model.predict(pose, lpos))
+        assert np.array_equal(cov, model.noise_cov + jac @ marg.cov @ jac.T)
 
     def test_entry_log_density_matches_scipy(self):
         prop, model = _prop()
-        entry = MeasurementEntry(1, 0, np.array([3.2, 0.05]))
+        entry = MeasurementEntry(0, np.array([3.2, 0.05]))
         mean, cov = entry_predictive(prop, model, lm=0)
         expect = stats.multivariate_normal(mean, cov).logpdf(entry.value)
-        assert entry_log_density(entry, prop, model) == pytest.approx(expect, abs=1e-10)
+        assert _log_density(entry, prop, model) == pytest.approx(expect, abs=1e-10)
 
     def test_range_bearing_predictive_covers_monte_carlo(self):
         # first-order predictive moments track simulation up to second-order
@@ -180,9 +188,9 @@ class TestPredictiveDensity:
     def test_bearing_residual_wraps(self):
         prop, model = _prop()
         mean, _ = entry_predictive(prop, model, lm=0)
-        near = MeasurementEntry(1, 0, np.array([mean[0], wrap_angle_near(mean[1])]))
-        far = MeasurementEntry(1, 0, np.array([mean[0], mean[1] + 0.5]))
-        assert entry_log_density(near, prop, model) > entry_log_density(far, prop, model)
+        near = MeasurementEntry(0, np.array([mean[0], wrap_angle_near(mean[1])]))
+        far = MeasurementEntry(0, np.array([mean[0], mean[1] + 0.5]))
+        assert _log_density(near, prop, model) > _log_density(far, prop, model)
 
 
 def wrap_angle_near(theta: float) -> float:

@@ -140,7 +140,7 @@ class TestTreeRoundTrip:
             assert raw["format"] == TREE_FORMAT
             tree2 = tree_from_json_dict(raw)
             for name in ("planning_time", "horizon", "n_u", "n_x", "n_z",
-                         "base_seed", "root_id"):
+                         "base_seed"):
                 assert getattr(tree2, name) == getattr(tree, name), (label, name)
             assert len(tree2.nodes) == len(tree.nodes)
             for a, b in zip(tree.nodes, tree2.nodes):
@@ -179,12 +179,31 @@ class TestTreeRoundTrip:
         tree, _ = _tree()
         raw = tree_to_json_dict(tree)
         for fmt in ("ixbsp-tree-v999", "ixbsp-tree-v1", "ixbsp-tree-v2",
-                    "ixbsp-tree-v3"):
+                    "ixbsp-tree-v3", "ixbsp-tree-v4"):
             raw["format"] = fmt
             with pytest.raises(InvalidInput):
                 tree_from_json_dict(raw)
         with pytest.raises(InvalidInput):
             tree_from_json_dict({"nodes": []})
+
+    def test_nodes_write_one_record_per_fact(self):
+        """A child writes its parent, its action and its payload; the root
+        writes only its belief.  Ids, depths, paths and children are not
+        written, and a measurement entry carries no time."""
+        tree, _ = _tree()
+        raw = tree_to_json_dict(tree)
+        assert set(raw) == {"format", "planning_time", "horizon", "n_u", "n_x",
+                            "n_z", "base_seed", "nodes"}
+        assert set(raw["nodes"][0]) == {"belief"}
+        for data, node in zip(raw["nodes"][1:], tree.nodes[1:]):
+            assert set(data) == {"parent", "action", "sample", "belief", "prop",
+                                 "reward", "log_ratio", "tag", "origin"}
+            assert (data["parent"], data["action"]) == (node.parent, node.path[-2])
+            assert data["sample"]["z"] == [
+                [e.lm, e.value.tolist()] for e in node.sample.z_set]
+            assert data["sample"]["entry_log_densities"] == [
+                [lm, node.sample.entry_log_densities[lm]]
+                for lm in node.sample.z_set.keys()]
 
     def test_child_without_sample_rejected(self):
         tree, _ = _tree()
@@ -210,36 +229,47 @@ def _set(node, key, value):
 
 
 # Each corrupts the snapshot of ``_tree()``: node 0 is the root, nodes 1-6
-# its children (actions 0, 0, 1, 1, 2, 2), node 7 the first child of node 1.
+# its children (actions 0, 0, 1, 1, 2, 2), node 7 the first child of node 1,
+# and node 1 observes two landmarks.
 _MALFORMED = {
-    "parent_out_of_range": lambda nodes: _set(nodes[7], "parent", 10**6),
-    "parent_minus_one": lambda nodes: _set(nodes[7], "parent", -1),
-    "parent_not_earlier": lambda nodes: _set(nodes[1], "parent", 7),
-    "id_not_position": lambda nodes: _set(nodes[2], "node_id", 1),
-    "depth_not_parent_plus_one": lambda nodes: _set(nodes[7], "depth", 1),
-    "path_not_extending_parent": lambda nodes: _set(nodes[7], "path",
-                                                    [1, 0, 0, 0]),
-    "child_out_of_range": lambda nodes: nodes[0]["children"][0].append(10**6),
-    "child_of_another_node": lambda nodes: nodes[0]["children"][0].append(7),
-    "child_under_another_action": lambda nodes: nodes[0]["children"].reverse(),
-    "child_named_twice": lambda nodes: nodes[0]["children"][0].append(1),
-    "child_unnamed": lambda nodes: nodes[0]["children"][0].pop(),
-    "children_shorter_than_n_u": lambda nodes: nodes[0]["children"].pop(),
+    "parent_out_of_range": lambda raw: _set(raw["nodes"][7], "parent", 10**6),
+    "parent_minus_one": lambda raw: _set(raw["nodes"][7], "parent", -1),
+    "parent_not_earlier": lambda raw: _set(raw["nodes"][1], "parent", 7),
+    "parent_not_int": lambda raw: _set(raw["nodes"][7], "parent", 0.5),
+    "parent_bool": lambda raw: _set(raw["nodes"][7], "parent", True),
+    "action_out_of_range": lambda raw: _set(raw["nodes"][7], "action", 3),
+    "action_not_int": lambda raw: _set(raw["nodes"][7], "action", 1.0),
+    "origin_not_int": lambda raw: _set(raw["nodes"][1], "origin", "x"),
+    "tag_unknown": lambda raw: _set(raw["nodes"][1], "tag", "bogus"),
+    "child_without_prop": lambda raw: _set(raw["nodes"][1], "prop", None),
+    "value_one_number": lambda raw: _set(raw["nodes"][1]["sample"]["z"][0], 1,
+                                         [1.0]),
+    "value_not_numbers": lambda raw: _set(raw["nodes"][1]["sample"]["z"][0], 1,
+                                          ["1", "2"]),
+    "chi_not_prop_layout": lambda raw: _set(raw["nodes"][1]["sample"], "chi",
+                                            [1.0]),
+    "density_of_unobserved_landmark": lambda raw: raw["nodes"][1]["sample"][
+        "entry_log_densities"].append([99, 0.0]),
+    "nodes_not_a_list": lambda raw: _set(raw, "nodes", "abc"),
+    "nodes_empty": lambda raw: _set(raw, "nodes", []),
+    "node_not_a_dict": lambda raw: raw["nodes"].append([1, 2]),
 }
 
 
 class TestMalformedStructure:
-    """A snapshot whose nodes do not form a planner's tree is rejected."""
+    """A snapshot whose nodes do not form a planner's tree, or whose fields
+    have the wrong type or shape, is rejected with ``InvalidInput``."""
 
     def test_well_formed_snapshot_loads(self):
         tree, _ = _tree()
         assert [n.parent for n in tree.nodes[:8]] == [None] + [0] * 6 + [1]
+        assert len(tree.nodes[1].sample.z_set) == 2
         tree_from_json_dict(json.loads(json.dumps(tree_to_json_dict(tree))))
 
     @pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
     def test_rejected(self, corrupt):
         tree, _ = _tree()
         raw = json.loads(json.dumps(tree_to_json_dict(tree)))
-        _MALFORMED[corrupt](raw["nodes"])
+        _MALFORMED[corrupt](raw)
         with pytest.raises(InvalidInput):
             tree_from_json_dict(raw)

@@ -70,10 +70,9 @@ class TestSimulateStep:
                            goals=((5.0, 0.0),))
         rng = np.random.default_rng(0)
         gt = np.array([0.0, 0.0, 0.0])
-        new_gt, z_set = simulate_step(gt, 1, ActionId(0), world,
-                                      motion, meas, rng)
+        new_gt, z_set = simulate_step(gt, ActionId(0), world, motion, meas, rng)
         assert np.allclose(new_gt, [1.0, 0.0, 0.0])
-        assert z_set.keys() == ((1, 0),)  # the far landmark is out of range
+        assert z_set.keys() == (0,)  # the far landmark is out of range
         z = z_set.entries[0].value
         assert z == pytest.approx([2.0, 0.0])
 
@@ -82,9 +81,9 @@ class TestSimulateStep:
         motion, meas = cfg.motion_model(), cfg.meas_model()
         world = world_from_config(cfg.world, seed=1)
         gt = np.array([0.1, -0.2, 0.3])
-        out1 = simulate_step(gt, 1, ActionId(1), world, motion, meas,
+        out1 = simulate_step(gt, ActionId(1), world, motion, meas,
                              np.random.default_rng(42))
-        out2 = simulate_step(gt, 1, ActionId(1), world, motion, meas,
+        out2 = simulate_step(gt, ActionId(1), world, motion, meas,
                              np.random.default_rng(42))
         assert np.array_equal(out1[0], out2[0])
         assert out1[1].keys() == out2[1].keys()
@@ -103,8 +102,8 @@ class TestSimulateStep:
         n = 10_000
         residuals = np.empty((n, 3))
         for i in range(n):
-            new_gt, z_set = simulate_step(gt, 1, ActionId(0), world,
-                                          motion, meas, rng)
+            new_gt, z_set = simulate_step(gt, ActionId(0), world, motion,
+                                          meas, rng)
             assert len(z_set.entries) == 0
             residuals[i] = new_gt - mean_step
         sample_cov = np.cov(residuals.T)
