@@ -8,16 +8,17 @@ Four planners over one Gaussian belief engine:
   previous session's tree through importance reweighting and, optionally,
   verbatim wildfire adoption.
 
-The four differ only in how a lookahead level is filled: fresh futures,
-re-used archived futures, or adopted archived subtrees.  Every tree comes
-from ``build_tree``, and every fresh future becomes a node through
-``planner.add_nominal_children``, so with nothing to re-use an incremental
-planner builds its fresh twin's tree bit for bit.  A re-used archived future
-(its measurement set) is conditioned on the new propagated belief by the
-same one-step ``update_with_measurements`` call as a fresh future.  The
-importance weights of the incremental objective read one number per tree
-node, the path's log p - log q (``BeliefTreeNode.log_ratio``), which only
-re-used steps move.
+The four differ only in how an action slot is filled: fresh futures, re-used
+archived futures, or adopted archived subtrees.  ``build_tree`` is the one
+loop that makes tree levels; an incremental planner passes it an
+``ArchiveReuse``, which fills the slots it can from the archive.  Every
+fresh future becomes a node through ``planner.add_nominal_children``, so
+with nothing to re-use an incremental planner builds its fresh twin's tree
+bit for bit.  A re-used archived future (its measurement set) is conditioned
+on the new propagated belief by the same one-step
+``update_with_measurements`` call as a fresh future.  The importance weights
+of the incremental objective read one number per tree node, the path's
+log p - log q (``BeliefTreeNode.log_ratio``), which only re-used steps move.
 
 Each fact is stored once: a measurement entry is a landmark id and a value
 (its time is that of the belief it conditions), and a snapshot node
@@ -85,10 +86,10 @@ from .errors import (
     UnsupportedModel,
 )
 from .incremental import (
+    ArchiveReuse,
     PlanningArchive,
     balance_weight,
     closest_belief,
-    inc_update_belief_tree,
     is_rep_sample,
     mis_objective,
     plan_iml,

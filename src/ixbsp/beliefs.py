@@ -93,8 +93,7 @@ class VariableIndex:
     """
 
     vars: tuple[VariableId, ...]
-    offsets: tuple[int, ...] = field(default=())
-    dim: int = 0
+    dim: int = field(init=False)
     _offset_map: dict[VariableId, int] = field(init=False, repr=False, compare=False)
     _theta: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -111,7 +110,6 @@ class VariableIndex:
             if v.kind == "pose":
                 theta[off + 2] = True
         theta.flags.writeable = False
-        object.__setattr__(self, "offsets", tuple(offset_map.values()))
         object.__setattr__(self, "dim", total)
         object.__setattr__(self, "_offset_map", offset_map)
         object.__setattr__(self, "_theta", theta)

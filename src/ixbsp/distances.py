@@ -29,19 +29,6 @@ from ._gaussian import as_spd, spd_inverse, spd_logdet, spd_solve
 from .beliefs import GaussianState, canonical_order, wrap_state
 from .errors import IncompatibleStates, InvalidInput
 
-__all__ = [
-    "align",
-    "kl_gaussian",
-    "d_sqrt_j",
-    "incremental_delta",
-    "delta_quadratic",
-    "zeta_distribution",
-    "gaussian_quadratic_moments",
-    "check_chi_squared_conditions",
-    "ZetaDistribution",
-    "ChiSquaredCheck",
-]
-
 
 def align(a: GaussianState, b: GaussianState) -> tuple[GaussianState, GaussianState]:
     """Marginalize both states onto their common variables (canonical order)."""

@@ -12,6 +12,11 @@ posterior and re-uses as much of that subtree as the distances allow:
   one-step update a fresh future gets), recompute rewards.
 * otherwise: plan from scratch.
 
+``planner.build_tree`` makes every level of the new tree, as for the fresh
+planners.  ``ArchiveReuse`` carries the selected branch and answers, for each
+action slot of the levels the archived tree also spans, whether the slot takes
+archived children (copied or re-used) or fresh futures.
+
 Because re-used futures were sampled under last session's propagated beliefs,
 objective averages weight every sample path by multiple importance sampling
 with the balance heuristic (Veach & Guibas, SIGGRAPH 1995).  With p and q the
@@ -27,7 +32,6 @@ log p - log q.  Paths whose log ratio is zero get weight exactly one.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -57,7 +61,7 @@ from .errors import (
     InvalidInput,
     NumericalError,
 )
-from .models import ActionId, MeasModel, MotionModel
+from .models import MeasModel, MotionModel
 from .planner import (
     TAG_REUSED,
     TAG_WILDFIRE,
@@ -73,7 +77,6 @@ from .sampling import (
     _measure_at,
     measurement_likelihood_density,
     most_likely_measurement,
-    node_rng,
     predicted_da,
     sample_future_measurements,
     sample_state_futures,
@@ -283,174 +286,134 @@ def is_rep_sample(
 # tree update
 
 
-def _copy_children_verbatim(
-    tree: BeliefTree,
-    parent: BeliefTreeNode,
-    arch_tree: BeliefTree,
-    arch_child_ids: list[int],
-    action_index: int,
-) -> None:
-    """Wildfire adoption: archived children become new children untouched."""
-    for s_idx, cid in enumerate(arch_child_ids):
-        arch = arch_tree.node(cid)
-        tree.add_child(
-            parent, action_index, s_idx,
-            sample=arch.sample, belief=arch.belief, prop=arch.prop,
-            reward=arch.reward, tag=TAG_WILDFIRE, origin=arch.node_id,
-        )
-
-
-def _reuse_group(
-    tree: BeliefTree,
-    parent: BeliefTreeNode,
-    action_index: int,
-    prop_new: PropagatedBelief,
-    arch_tree: BeliefTree,
-    arch_child_ids: list[int],
-    cfg: ScenarioConfig,
-    meas: MeasModel,
-    reward_fn,
-    rng: np.random.Generator,
-    *,
-    ml_mode: bool,
-) -> None:
-    """Re-use archived futures where representative, refresh the rest.
-
-    Archived children are grouped by generating state (state-major order);
-    each group is accepted or rejected as a whole, mirroring how the state
-    realization, not the value draw, decides representativeness.  A re-used
-    child's step log ratio sums its kept entries' log densities under
-    ``prop_new`` minus their archived ones.
-    """
-    n_z = tree.n_z
-    slot = 0
-    for g in range(0, len(arch_child_ids), n_z):
-        group = [arch_tree.node(cid) for cid in arch_child_ids[g:g + n_z]]
-        lead = group[0]
-        arch_prop = lead.prop
-        if ml_mode:
-            accepted = True  # the eps_c gate already passed for the branch
-        else:
-            accepted = is_rep_sample(lead.sample.chi, arch_prop.index,
-                                     prop_new, cfg.beta_sigma)
-        if accepted:
-            # the archived realization over the new index; landmarks mapped
-            # since keep the new propagated mean
-            chi = overlay(prop_new.index, prop_new.mean, arch_prop.index,
-                          lead.sample.chi)
-            da = set(predicted_da(prop_new, meas, chi))
-            for arch_node in group:
-                kept = tuple(e for e in arch_node.sample.z_set if e.lm in da)
-                added_da = tuple(sorted(
-                    lm for lm in da if arch_node.sample.z_set.get(lm) is None))
-                added = _measure_at(prop_new, meas, chi, added_da,
-                                    None if ml_mode else rng)
-                z_set = MeasurementSet(kept + tuple(added))
-                log_p = measurement_likelihood_density(z_set, prop_new, meas)
-                log_q = arch_node.sample.entry_log_densities
-                step_log_ratio = 0.0
-                for e in kept:
-                    step_log_ratio += log_p[e.lm] - log_q[e.lm]
-                belief = update_with_measurements(prop_new, z_set, meas)
-                tree.add_child(
-                    parent, action_index, slot, step_log_ratio,
-                    sample=MeasurementSample(chi, z_set, log_p), belief=belief,
-                    prop=prop_new, reward=reward_fn(belief, parent.belief),
-                    tag=TAG_REUSED, origin=arch_node.node_id,
-                )
-                slot += 1
-        else:
-            if ml_mode:
-                fresh = [most_likely_measurement(prop_new, meas)]
-            else:
-                fresh = sample_state_futures(prop_new, meas, n_z, rng)
-            add_nominal_children(tree, parent, action_index, prop_new, fresh,
-                                 meas, reward_fn, first_slot=slot)
-            slot += len(fresh)
-
-
-def inc_update_belief_tree(
-    tree: BeliefTree,
-    archive: PlanningArchive,
-    branch_id: int,
-    branch_dist: float,
-    cfg: ScenarioConfig,
-    motion: MotionModel,
-    meas: MeasModel,
-    reward_fn,
-    *,
-    ml_mode: bool,
-) -> str:
-    """Build the overlap levels of ``tree`` from the archived branch
-    ``branch_id`` at distance ``branch_dist``; return the re-use mode.
+class ArchiveReuse:
+    """One session's re-use of the archived branch within eps_c of its root,
+    asked by ``build_tree`` about each slot of the first ``levels`` levels.
 
     Verbatim (wildfire) copies need wildfire on and a branch holding every
     variable of the new root: distances over shared variables cannot certify
     a copy that lacks one.  Planning adds one pose per level and no landmark,
-    so this one test decides every action slot below.  Within eps_wf the
-    root counts as adopted from the branch (mode ``"adopt"``).
-
-    Level by level, a wildfire parent copies all the children of its
-    archived counterpart.  Every other parent scans the same-level archived
-    propagated beliefs per action, then adopts / re-uses / draws fresh
-    futures by distance zone.  Appends one depth timing per level.
+    so this one test decides every slot below.  Within eps_wf the root counts
+    as adopted from the branch (``mode`` ``"adopt"``, else ``"update"``).
     """
-    arch_tree = archive.tree
-    wildfire = cfg.use_wildfire and set(tree.root.belief.index.vars) <= set(
-        arch_tree.node(branch_id).belief.index.vars)
-    adopt = wildfire and branch_dist <= cfg.epsilon_wf
-    overlap_depths = cfg.horizon - archive.overlap
 
-    # archived levels under the selected branch
-    arch_levels: list[list[int]] = [[branch_id]]
-    for _ in range(overlap_depths):
-        nxt: list[int] = []
-        for nid in arch_levels[-1]:
-            for ids in arch_tree.node(nid).children:
-                nxt.extend(ids)
-        arch_levels.append(nxt)
+    def __init__(self, archive: PlanningArchive, branch_id: int,
+                 branch_dist: float, root: GaussianBelief, cfg: ScenarioConfig,
+                 meas: MeasModel, *, ml_mode: bool) -> None:
+        arch = self.arch_tree = archive.tree
+        self.meas = meas
+        self.ml_mode = ml_mode
+        self.epsilon_wf = cfg.epsilon_wf
+        self.epsilon_c = cfg.epsilon_c
+        self.beta_sigma = cfg.beta_sigma
+        self.wildfire = cfg.use_wildfire and set(root.index.vars) <= set(
+            arch.node(branch_id).belief.index.vars)
+        adopt = self.wildfire and branch_dist <= cfg.epsilon_wf
+        self.adopted = branch_id if adopt else None
+        self.mode = "adopt" if adopt else "update"
+        self.levels = cfg.horizon - archive.overlap
+        # one scan per level over the archived slots under the branch
+        self.scans: list[_CandidateScan] = []
+        parents = [branch_id]
+        for _ in range(self.levels):
+            candidates: list[tuple[tuple[int, int], PropagatedBelief]] = []
+            children: list[int] = []
+            for pid in parents:
+                for a, ids in enumerate(arch.node(pid).children):
+                    if ids:
+                        candidates.append(((pid, a), arch.node(ids[0]).prop))
+                    children.extend(ids)
+            self.scans.append(_CandidateScan(candidates))
+            parents = children
 
-    for depth in range(1, overlap_depths + 1):
-        t0 = time.perf_counter()
-        candidates: list[tuple[tuple[int, int], PropagatedBelief]] = []
-        for pid in arch_levels[depth - 1]:
-            pnode = arch_tree.node(pid)
-            for a in range(arch_tree.n_u):
-                ids = pnode.children[a]
-                if ids:
-                    candidates.append(((pid, a), arch_tree.node(ids[0]).prop))
-        scan = _CandidateScan(candidates)
-        for parent in tree.nodes_at_depth(depth - 1):
-            source = branch_id if adopt and depth == 1 else (
-                parent.origin if parent.tag == TAG_WILDFIRE else None)
-            if source is not None:
-                counterpart = arch_tree.node(source)
-                for a in range(tree.n_u):
-                    _copy_children_verbatim(
-                        tree, parent, arch_tree, counterpart.children[a], a)
+    def copy(self, tree: BeliefTree, parent: BeliefTreeNode) -> bool:
+        """Before any propagation: an adopted root or a wildfire node copies
+        its archived counterpart's children."""
+        source = self.adopted if parent.parent is None else (
+            parent.origin if parent.tag == TAG_WILDFIRE else None)
+        if source is None:
+            return False
+        for a, ids in enumerate(self.arch_tree.node(source).children):
+            self._copy(tree, parent, a, ids)
+        return True
+
+    def fill(self, tree: BeliefTree, parent: BeliefTreeNode, action_index: int,
+             prop: PropagatedBelief, rng: np.random.Generator | None,
+             reward_fn) -> bool:
+        """The nearest archived slot to ``prop`` gives its children: copied
+        within eps_wf, re-used within eps_c, else none (fresh futures)."""
+        dist, (c_pid, c_a) = self.scans[parent.depth].closest(prop)
+        arch_ids = self.arch_tree.node(c_pid).children[c_a]
+        if self.wildfire and dist <= self.epsilon_wf:
+            self._copy(tree, parent, action_index, arch_ids)
+        elif dist <= self.epsilon_c:
+            self._reuse(tree, parent, action_index, prop, arch_ids, rng,
+                        reward_fn)
+        else:
+            return False
+        return True
+
+    def _copy(self, tree: BeliefTree, parent: BeliefTreeNode,
+              action_index: int, arch_ids: list[int]) -> None:
+        """Wildfire adoption: archived children become new children untouched."""
+        for s_idx, cid in enumerate(arch_ids):
+            arch = self.arch_tree.node(cid)
+            tree.add_child(
+                parent, action_index, s_idx,
+                sample=arch.sample, belief=arch.belief, prop=arch.prop,
+                reward=arch.reward, tag=TAG_WILDFIRE, origin=arch.node_id,
+            )
+
+    def _reuse(self, tree: BeliefTree, parent: BeliefTreeNode,
+               action_index: int, prop: PropagatedBelief, arch_ids: list[int],
+               rng: np.random.Generator | None, reward_fn) -> None:
+        """Re-use archived futures where representative, refresh the rest.
+
+        Archived children are grouped by generating state (state-major
+        order); each group is accepted or rejected as a whole, mirroring how
+        the state realization, not the value draw, decides
+        representativeness.  ML mode accepts every group: its one future has
+        no spread to test, and the eps_c gate already passed.  A re-used
+        child's step log ratio sums its kept entries' log densities under
+        ``prop`` minus their archived ones.
+        """
+        meas = self.meas
+        n_z = tree.n_z
+        slot = 0
+        for g in range(0, len(arch_ids), n_z):
+            group = [self.arch_tree.node(cid) for cid in arch_ids[g:g + n_z]]
+            lead = group[0]
+            arch_prop = lead.prop
+            if not (self.ml_mode or is_rep_sample(
+                    lead.sample.chi, arch_prop.index, prop, self.beta_sigma)):
+                fresh = sample_state_futures(prop, meas, n_z, rng)
+                add_nominal_children(tree, parent, action_index, prop, fresh,
+                                     meas, reward_fn, first_slot=slot)
+                slot += len(fresh)
                 continue
-            for a in range(tree.n_u):
-                prop_new = propagate(parent.belief, ActionId(a), motion)
-                rng = node_rng(tree.base_seed, parent.path + (a,))
-                dist, (c_pid, c_a) = scan.closest(prop_new)
-                arch_child_ids = arch_tree.node(c_pid).children[c_a]
-                if wildfire and dist <= cfg.epsilon_wf:
-                    _copy_children_verbatim(tree, parent, arch_tree,
-                                            arch_child_ids, a)
-                elif dist <= cfg.epsilon_c:
-                    _reuse_group(tree, parent, a, prop_new, arch_tree,
-                                 arch_child_ids, cfg, meas, reward_fn, rng,
-                                 ml_mode=ml_mode)
-                else:
-                    if ml_mode:
-                        samples = [most_likely_measurement(prop_new, meas)]
-                    else:
-                        samples = sample_future_measurements(
-                            prop_new, meas, tree.n_x, tree.n_z, rng)
-                    add_nominal_children(tree, parent, a, prop_new, samples,
-                                         meas, reward_fn)
-        tree.depth_times.append(time.perf_counter() - t0)
-    return "adopt" if adopt else "update"
+            # the archived realization over the new index; landmarks mapped
+            # since keep the new propagated mean
+            chi = overlay(prop.index, prop.mean, arch_prop.index, lead.sample.chi)
+            da = set(predicted_da(prop, meas, chi))
+            for arch_node in group:
+                kept = tuple(e for e in arch_node.sample.z_set if e.lm in da)
+                added_da = tuple(sorted(
+                    lm for lm in da if arch_node.sample.z_set.get(lm) is None))
+                added = _measure_at(prop, meas, chi, added_da, rng)
+                z_set = MeasurementSet(kept + tuple(added))
+                log_p = measurement_likelihood_density(z_set, prop, meas)
+                log_q = arch_node.sample.entry_log_densities
+                step_log_ratio = 0.0
+                for e in kept:
+                    step_log_ratio += log_p[e.lm] - log_q[e.lm]
+                belief = update_with_measurements(prop, z_set, meas)
+                tree.add_child(
+                    parent, action_index, slot, step_log_ratio,
+                    sample=MeasurementSample(chi, z_set, log_p), belief=belief,
+                    prop=prop, reward=reward_fn(belief, parent.belief),
+                    tag=TAG_REUSED, origin=arch_node.node_id,
+                )
+                slot += 1
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +448,19 @@ def _plan_incremental(
     root = planning_root(posterior)
     info: dict = {"mode": "no_archive", "branch_dist": None, "branch_id": None}
     overlap_depths = cfg.horizon - cfg.overlap
-    reuse_levels = None
+    reuse = None
     if archive is not None:
         _check_archive(archive, posterior, cfg, ml_mode=ml_mode)
         dist, branch_id = select_closest_branch(root, archive)
-        info = {"mode": "fresh", "branch_dist": dist, "branch_id": branch_id}
         overlap_depths = cfg.horizon - archive.overlap
         if dist <= cfg.epsilon_c:
-            def reuse_levels(tree: BeliefTree, reward_fn) -> None:
-                info["mode"] = inc_update_belief_tree(
-                    tree, archive, branch_id, dist, cfg, motion, meas,
-                    reward_fn, ml_mode=ml_mode)
+            reuse = ArchiveReuse(archive, branch_id, dist, root, cfg, meas,
+                                 ml_mode=ml_mode)
+        info = {"mode": "fresh" if reuse is None else reuse.mode,
+                "branch_dist": dist, "branch_id": branch_id}
 
     tree = build_tree(root, cfg, motion, meas, goal, base_seed,
-                      most_likely=ml_mode, reuse_levels=reuse_levels)
+                      most_likely=ml_mode, reuse=reuse)
     return planning_result(tree, overlap_depths, objective_fn=mis_objective,
                            reuse_info=info)
 

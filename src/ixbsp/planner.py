@@ -12,13 +12,14 @@ level by level:
 with unit weights for freshly sampled trees.  The argmax over sequences (ties
 to the lowest enumeration index) gives the action to execute.
 
-All four planners share one expansion path.  ``build_tree`` makes every
-session's tree: an incremental planner first fills the overlap levels from
-its archive (``incremental.inc_update_belief_tree``), then one timed level
-loop expands fresh levels down to the horizon.  Wherever a fresh future
-becomes a node, in a fresh level or in a re-used action slot, it goes
-through ``add_nominal_children``.  ``planning_result`` scores the tree and
-splits its depth timings.
+All four planners share one level loop.  ``build_tree`` makes every
+session's tree: it times each level, propagates each ``(parent, action)``
+slot, draws the slot's ``node_rng`` stream (sampled mode only) and turns
+fresh futures into nodes through ``add_nominal_children``.  An incremental
+planner passes its archive's re-use object
+(``incremental.ArchiveReuse``), which may fill the slots of the overlap
+levels with archived children instead.  ``planning_result`` scores the tree
+and splits its depth timings.
 
 Per-node random streams are keyed by the node's path from the root, so a tree
 build is deterministic under any traversal or parallel order.
@@ -266,16 +267,18 @@ def build_tree(
     base_seed: int,
     *,
     most_likely: bool,
-    reuse_levels=None,
+    reuse=None,
 ) -> BeliefTree:
     """Lookahead tree of one session, for every planner.
 
-    ``most_likely`` selects one model-mean future per action instead of
-    n_x * n_z sampled ones.  ``reuse_levels(tree, reward_fn)``, when given,
-    first builds the overlap levels from an archived tree (appending one
-    depth timing per level).  Fresh levels fill the rest down to the
-    horizon: every candidate action under every deepest node, each level
-    timed the same way.
+    The one loop over tree levels, each level timed: under every node of the
+    level above, every candidate action's slot is propagated and gets fresh
+    futures, one model-mean future when ``most_likely`` and otherwise
+    n_x * n_z draws from the slot's ``node_rng`` stream.  ``reuse``, an
+    ``incremental.ArchiveReuse``, answers for the slots of its first
+    ``reuse.levels`` levels: ``reuse.copy`` takes all of a node's slots from
+    the archive before any propagation, and ``reuse.fill`` one propagated
+    slot; a slot neither takes gets fresh futures.
     """
     tree = BeliefTree(
         planning_time=root_belief.time, horizon=cfg.horizon,
@@ -284,24 +287,28 @@ def build_tree(
     )
     tree.add_root(root_belief)
     reward_fn = make_reward_fn(cfg.reward, goal)
-    if reuse_levels is not None:
-        reuse_levels(tree, reward_fn)
-    built = tree.nodes[-1].depth
-    frontier = tree.nodes_at_depth(built)
-    for _ in range(built, cfg.horizon):
+    frontier = [tree.root]
+    for depth in range(cfg.horizon):
         t0 = time.perf_counter()
-        parents, frontier = frontier, []
-        for parent in parents:
+        first = len(tree.nodes)
+        archived = reuse is not None and depth < reuse.levels
+        for parent in frontier:
+            if archived and reuse.copy(tree, parent):
+                continue
             for a in range(tree.n_u):
                 prop = propagate(parent.belief, ActionId(a), motion)
-                if most_likely:
+                rng = None if most_likely else node_rng(
+                    tree.base_seed, parent.path + (a,))
+                if archived and reuse.fill(tree, parent, a, prop, rng, reward_fn):
+                    continue
+                if rng is None:
                     samples = [most_likely_measurement(prop, meas)]
                 else:
-                    rng = node_rng(tree.base_seed, parent.path + (a,))
                     samples = sample_future_measurements(
                         prop, meas, tree.n_x, tree.n_z, rng)
-                frontier += add_nominal_children(tree, parent, a, prop, samples,
-                                                 meas, reward_fn)
+                add_nominal_children(tree, parent, a, prop, samples, meas,
+                                     reward_fn)
+        frontier = tree.nodes[first:]
         tree.depth_times.append(time.perf_counter() - t0)
     return tree
 

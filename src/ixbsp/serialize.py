@@ -25,7 +25,9 @@ key or holds a value of the wrong type or shape.  It also rejects a node
 whose parent is not an earlier node or whose action is not in
 ``range(n_u)``, a child without a sample or a ``prop``, a sample whose state
 is not laid out as its ``prop`` or whose densities are not one per entry,
-and a tag that is not one of the three.
+a tag that is not one of the three, and a float field (a moment, a state, a
+measurement value, a density, a reward or a log ratio) holding anything but
+finite ints and floats.
 
 Covariances are stored packed (lower triangle, row major) to halve snapshot
 size; all arrays round-trip bit exactly through Python floats.
@@ -33,6 +35,7 @@ size; all arrays round-trip bit exactly through Python floats.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 import numpy as np
@@ -59,6 +62,29 @@ def _int(value: Any, name: str) -> int:
     if type(value) is not int:
         raise InvalidInput(f"snapshot {name} must be an integer, got {value!r}")
     return value
+
+
+def _float(value: Any, name: str) -> float:
+    """``value`` when it is a finite int or float; a bool, a string, NaN or
+    an infinity is malformed."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise InvalidInput(f"snapshot {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _floats(values: Any, name: str) -> np.ndarray:
+    """``values`` as a float array when it is a list of finite ints and
+    floats."""
+    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+        raise InvalidInput(f"snapshot {name} must be a list of numbers")
+    try:
+        out = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise InvalidInput(f"snapshot {name} holds a number that is not finite")
+    return out
 
 
 def pack_sym(mat: np.ndarray) -> list[float]:
@@ -94,12 +120,11 @@ def _zset_to_list(z_set: MeasurementSet) -> list[list[Any]]:
 def _zset_from_list(data: list[list[Any]]) -> MeasurementSet:
     entries = []
     for lm, value in data:
-        if not (isinstance(value, list) and len(value) == 2
-                and all(type(v) in (int, float) for v in value)):
+        z = _floats(value, "measurement value")
+        if z.shape != (2,):
             raise InvalidInput(
                 f"snapshot measurement value {value!r} is not two numbers")
-        entries.append(MeasurementEntry(_int(lm, "landmark"),
-                                        np.asarray(value, dtype=float)))
+        entries.append(MeasurementEntry(_int(lm, "landmark"), z))
     return MeasurementSet(tuple(entries))
 
 
@@ -125,8 +150,8 @@ def belief_from_json_dict(data: dict[str, Any], cls=GaussianBelief):
              if cls is GaussianBelief else {})
     return cls(
         index=index,
-        mean=np.asarray(data["mean"], dtype=float),
-        cov=unpack_sym(data["cov_packed"], index.dim),
+        mean=_floats(data["mean"], "mean"),
+        cov=unpack_sym(_floats(data["cov_packed"], "cov_packed"), index.dim),
         time=_int(data["time"], "time"),
         **extra,
     )
@@ -144,10 +169,10 @@ def _sample_to_json_dict(sample: MeasurementSample) -> dict[str, Any]:
 
 def _sample_from_json_dict(data: dict[str, Any]) -> MeasurementSample:
     return MeasurementSample(
-        chi=np.asarray(data["chi"], dtype=float),
+        chi=_floats(data["chi"], "chi"),
         z_set=_zset_from_list(data["z"]),
         entry_log_densities={
-            _int(lm, "landmark"): float(lp)
+            _int(lm, "landmark"): _float(lp, "log density")
             for lm, lp in data["entry_log_densities"]
         },
     )
@@ -193,11 +218,11 @@ def _add_node(tree: BeliefTree, pos: int, data: dict[str, Any]) -> None:
     node = tree.add_child(
         parent_node, action, len(parent_node.children[action]),
         sample=sample, belief=belief_from_json_dict(data["belief"]), prop=prop,
-        reward=float(data["reward"]),
+        reward=_float(data["reward"], "reward"),
         tag=data["tag"],
         origin=None if origin is None else _int(origin, "origin"),
     )
-    node.log_ratio = float(data["log_ratio"])
+    node.log_ratio = _float(data["log_ratio"], "log_ratio")
 
 
 def tree_to_json_dict(tree: BeliefTree) -> dict[str, Any]:

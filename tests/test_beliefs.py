@@ -130,6 +130,8 @@ class TestVariableIndex:
             off += v.dim
         assert idx.dim == off
         assert pose_var(9) not in idx and landmark_var(1) not in idx
+        with pytest.raises(TypeError):
+            VariableIndex(vars_, dim=off)  # derived from vars only
 
     def test_equal_vars_give_equal_hashable_indexes(self):
         vars_ = (landmark_var(0), pose_var(1), pose_var(2))
@@ -144,7 +146,7 @@ class TestVariableIndex:
         payload = pickle.dumps(idx)
         assert b"_offset_map" not in payload and b"_theta" not in payload
         back = pickle.loads(payload)
-        assert back == idx and back.offsets == idx.offsets
+        assert back == idx and back.dim == idx.dim
         assert all(back.offset(v) == idx.offset(v) for v in idx.vars)
         assert np.array_equal(back.theta_mask(), idx.theta_mask())
         assert not back.theta_mask().flags.writeable

@@ -21,9 +21,16 @@ MODULES = sorted(
     key=lambda p: str(p.relative_to(ROOT)),
 )
 
-# "<module path>": names imported only for perfbench to wrap.  Every binding
-# spans.py wraps is called by its module today, so there are none.
-PERFBENCH_ONLY: dict[str, tuple[str, ...]] = {}
+# "<module path>": names imported only for perfbench to wrap.
+PERFBENCH_ONLY: dict[str, tuple[str, ...]] = {
+    # planner.build_tree makes every level, so incremental no longer calls
+    # these; spans.py still wraps incremental's bindings of them
+    "src/ixbsp/incremental.py": (
+        "most_likely_measurement",  # sampling.draw
+        "propagate",  # beliefs.propagate
+        "sample_future_measurements",  # sampling.draw
+    ),
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

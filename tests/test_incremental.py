@@ -221,6 +221,7 @@ class TestMisObjectiveMatchesRecord:
         assert res.reuse_info["mode"] == mode
         tags = {n.tag for n in res.tree.nodes[1:]}
         assert (TAG_REUSED if mode == "update" else TAG_WILDFIRE) in tags
+        _assert_level_times(res, cfg)
         for seq in res.tree.candidate_sequences():
             assert repr(mis_objective(res.tree, seq)) == repr(
                 _record_objective(res.tree, seq))
@@ -600,6 +601,8 @@ class TestIncrementalPlanners:
         assert res.reuse_info["mode"] == "update"
         assert res.counts[TAG_REUSED] > 0
         assert [len(res.tree.nodes_at_depth(d)) for d in (1, 2)] == [3, 9]
+        # ML keeps every archived future it re-uses: no representativeness test
+        assert {n.tag for n in res.tree.nodes_at_depth(1)} == {TAG_REUSED}
 
 
 def _assert_same_plan(fresh, inc):
@@ -617,6 +620,13 @@ def _assert_same_plan(fresh, inc):
 _PLANNER_PAIRS = {False: (plan_xbsp, plan_ixbsp), True: (plan_mlbsp, plan_iml)}
 
 
+def _assert_level_times(res, cfg):
+    """One timing per level, whoever filled it; the overlap time is that of
+    the levels the archived tree also spans (one executed action)."""
+    assert len(res.tree.depth_times) == cfg.horizon
+    assert res.overlap_s == sum(res.tree.depth_times[:cfg.horizon - 1])
+
+
 class TestNothingReusedEqualsFresh:
     """With nothing to re-use, an incremental planner is its fresh twin."""
 
@@ -627,8 +637,9 @@ class TestNothingReusedEqualsFresh:
         cfg = tiny_cfg(horizon=horizon, n_x=2 if horizon < 3 else 1)
         prior, motion, meas, goal = _setup(cfg)
         fresh, inc = _PLANNER_PAIRS[ml]
-        _assert_same_plan(fresh(prior, cfg, motion, meas, goal, seed),
-                          inc(prior, None, cfg, motion, meas, goal, seed))
+        res = inc(prior, None, cfg, motion, meas, goal, seed)
+        _assert_same_plan(fresh(prior, cfg, motion, meas, goal, seed), res)
+        _assert_level_times(res, cfg)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans())
@@ -643,3 +654,4 @@ class TestNothingReusedEqualsFresh:
         res = inc(posterior, archive, cfg, motion, meas, goal, seed)
         assert res.reuse_info["mode"] == "fresh"
         _assert_same_plan(fresh(posterior, cfg, motion, meas, goal, seed), res)
+        _assert_level_times(res, cfg)

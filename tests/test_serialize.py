@@ -250,6 +250,20 @@ _MALFORMED = {
                                             [1.0]),
     "density_of_unobserved_landmark": lambda raw: raw["nodes"][1]["sample"][
         "entry_log_densities"].append([99, 0.0]),
+    "mean_strings": lambda raw: _set(raw["nodes"][1]["belief"], "mean", [
+        str(v) for v in raw["nodes"][1]["belief"]["mean"]]),
+    "cov_packed_strings": lambda raw: _set(raw["nodes"][1]["prop"], "cov_packed", [
+        str(v) for v in raw["nodes"][1]["prop"]["cov_packed"]]),
+    "chi_strings": lambda raw: _set(raw["nodes"][1]["sample"], "chi", [
+        str(v) for v in raw["nodes"][1]["sample"]["chi"]]),
+    "reward_string": lambda raw: _set(raw["nodes"][1], "reward", "1.5"),
+    "reward_nan": lambda raw: _set(raw["nodes"][1], "reward", float("nan")),
+    "reward_inf": lambda raw: _set(raw["nodes"][1], "reward", float("inf")),
+    "log_ratio_string": lambda raw: _set(raw["nodes"][1], "log_ratio", "0"),
+    "value_nan": lambda raw: _set(raw["nodes"][1]["sample"]["z"][0], 1,
+                                  [float("nan"), 0.0]),
+    "density_bool": lambda raw: _set(raw["nodes"][1]["sample"][
+        "entry_log_densities"][0], 1, True),
     "nodes_not_a_list": lambda raw: _set(raw, "nodes", "abc"),
     "nodes_empty": lambda raw: _set(raw, "nodes", []),
     "node_not_a_dict": lambda raw: raw["nodes"].append([1, 2]),
