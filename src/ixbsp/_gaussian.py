@@ -1,10 +1,9 @@
 """Dense Gaussian linear-algebra helpers.
 
 Thin wrappers around Cholesky factorizations so every module spells SPD
-solves, log-determinants and density evaluations the same way.  All inputs
-are plain ``numpy`` arrays; covariance arguments must be finite and
-symmetric (else ``InvalidInput``) and positive definite (else
-``NumericalError``).
+solves, log-determinants and whiteners the same way.  All inputs are plain
+``numpy`` arrays; covariance arguments must be finite and symmetric (else
+``InvalidInput``) and positive definite (else ``NumericalError``).
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import InvalidInput, NumericalError
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 def _factor(mat: np.ndarray, name: str, factorize):
     """Validate an SPD candidate; return its symmetrized copy and factor.
@@ -23,16 +20,19 @@ def _factor(mat: np.ndarray, name: str, factorize):
     The single SPD check: shape, a non-finite entry and asymmetry beyond
     ``1e-9 * (1 + max|A|)`` raise ``InvalidInput``, and a failed
     factorization (not positive definite) raises ``NumericalError``.
+    ``mat`` may be a stack of square matrices (``(..., n, n)``) when
+    ``factorize`` takes one; each matrix is checked on its own scale.
     """
     arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
-    scale = np.abs(arr).max()  # NaN or inf when any entry is
-    if not np.isfinite(scale):
+    trans = arr.swapaxes(-2, -1)
+    scale = np.abs(arr).max(axis=(-2, -1))  # NaN or inf when any entry is
+    if not np.isfinite(scale).all():
         raise InvalidInput(f"{name} must be finite")
-    if np.abs(arr - arr.T).max() > 1e-9 * (1.0 + scale):
+    if (np.abs(arr - trans).max(axis=(-2, -1)) > 1e-9 * (1.0 + scale)).any():
         raise InvalidInput(f"{name} must be symmetric")
-    sym = np.ascontiguousarray(0.5 * (arr + arr.T))
+    sym = np.ascontiguousarray(0.5 * (arr + trans))
     try:
         return sym, factorize(sym)
     except np.linalg.LinAlgError as exc:
@@ -45,7 +45,8 @@ def as_spd(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
 
 
 def chol_lower(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Lower Cholesky factor of a validated SPD matrix."""
+    """Lower Cholesky factor of a validated SPD matrix, or of each matrix of
+    a stack."""
     return _factor(mat, name, np.linalg.cholesky)[1]
 
 
@@ -75,18 +76,3 @@ def whitener(cov: np.ndarray) -> np.ndarray:
     """
     low = chol_lower(cov)
     return solve_triangular(low, np.eye(low.shape[0]), lower=True).T
-
-
-def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Log density of N(mean, cov) at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if x.shape != mean.shape:
-        raise InvalidInput(f"point/mean shape mismatch: {x.shape} vs {mean.shape}")
-    low = chol_lower(cov)
-    diff = x - mean
-    if not np.isfinite(diff).all():  # NaN or inf when either input is
-        raise InvalidInput("point and mean must be finite")
-    diff = solve_triangular(low, diff, lower=True, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    return -0.5 * (diff @ diff + logdet + x.size * _LOG_2PI)

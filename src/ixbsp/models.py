@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._gaussian import whitener
+from ._gaussian import chol_lower, whitener
 from .errors import InvalidInput
 
 POSE_DIM = 3
@@ -43,23 +43,32 @@ def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     return wrapped - np.pi
 
 
-class _NoiseWhitener:
-    """Mixin for models with a ``noise_cov``: its whitener, computed once."""
+class _NoiseFactors:
+    """Mixin for models with a ``noise_cov``: its factors, computed once.
+
+    Every caller built from one model shares these read-only arrays instead
+    of validating and factorizing the same covariance again.
+    """
+
+    @cached_property
+    def noise_chol(self) -> np.ndarray:
+        """Read-only ``chol_lower(noise_cov)``; ``noise_chol @ e`` with
+        standard normal ``e`` draws the noise."""
+        low = chol_lower(self.noise_cov)
+        low.flags.writeable = False
+        return low
 
     @cached_property
     def noise_wt(self) -> np.ndarray:
-        """Read-only ``whitener(noise_cov).T``; ``noise_wt @ r`` whitens a residual.
-
-        Every factor built from one model shares this array instead of
-        factorizing the same covariance again.
-        """
+        """Read-only ``whitener(noise_cov).T``; ``noise_wt @ r`` whitens a residual."""
         wt = whitener(self.noise_cov).T
         wt.flags.writeable = False
         return wt
 
     def __getstate__(self) -> dict:
-        # pickling leaves the cache out; the receiver recomputes it
+        # pickling leaves the caches out; the receiver recomputes them
         state = dict(self.__dict__)
+        state.pop("noise_chol", None)
         state.pop("noise_wt", None)
         return state
 
@@ -121,7 +130,7 @@ DEFAULT_PRIMITIVES: tuple[Primitive, ...] = (
 
 
 @dataclass(frozen=True)
-class MotionModel(_NoiseWhitener):
+class MotionModel(_NoiseFactors):
     """Unicycle process model.
 
     Actions index into ``primitives``; ``noise_cov`` is the 3x3 additive
@@ -156,7 +165,7 @@ class MotionModel(_NoiseWhitener):
 
 
 @dataclass(frozen=True)
-class MeasModel(_NoiseWhitener):
+class MeasModel(_NoiseFactors):
     """Range-bearing observation model.
 
     z = (range, bearing) to a landmark with additive noise ``noise_cov``
@@ -198,6 +207,37 @@ class MeasModel(_NoiseWhitener):
              [-dy / q, dx / q]]
         )
         return h_pose, h_lm
+
+    def linearize(
+        self, pose: np.ndarray, landmarks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``predict`` and ``jacobians`` of k landmarks seen from one pose,
+        stacked.
+
+        ``landmarks`` is (k, 2).  Returns h (k, 2) and the Jacobians
+        (k, 2, 5), whose columns are d h / d landmark, then d h / d pose
+        (the canonical landmark-then-pose order).  Each row and block equals
+        the scalar pair's bit for bit: range and bearing come from
+        ``math.hypot`` and ``math.atan2`` per landmark, because ``np.hypot``
+        and ``np.arctan2`` differ from them in the last bit.
+        """
+        x, y, heading = pose.tolist()
+        dx = landmarks[:, 0] - x
+        dy = landmarks[:, 1] - y
+        q = dx * dx + dy * dy
+        rng = np.sqrt(q)
+        if (rng < 1e-9).any():
+            raise InvalidInput("landmark coincides with pose; range-bearing undefined")
+        z = np.array([(math.hypot(a, b), wrap_angle(math.atan2(b, a) - heading))
+                      for a, b in zip(dx.tolist(), dy.tolist())]).reshape(-1, 2)
+        jac = np.empty((q.size, 2, 5))
+        jac[:, 0, 0] = dx / rng  # d h / d landmark
+        jac[:, 0, 1] = dy / rng
+        jac[:, 1, 0] = -dy / q
+        jac[:, 1, 1] = dx / q
+        jac[:, :, 2:4] = -jac[:, :, :2]  # d h / d pose position
+        jac[:, :, 4] = (0.0, -1.0)  # d h / d heading
+        return z, jac
 
     def visible(self, pose: np.ndarray, landmark: np.ndarray) -> bool:
         """Field-of-view and range gate evaluated at a concrete pose."""

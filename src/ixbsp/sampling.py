@@ -14,6 +14,20 @@ shared-pose correlation between entries of one step is deliberately dropped
 so that each entry's density can be archived with its sample and compared
 entry by entry when a later session keeps only some entries.  Reweighting
 ratios always compare densities computed the same way.
+
+A set's k entries are evaluated in one stacked pass: the (k, 2, 5)
+Jacobians, the k predictive covariances from one stacked matmul, one batched
+Cholesky factorization and a 2x2 forward substitution.  Each entry's log
+density equals, bit for bit, the entry-by-entry evaluation
+(``MeasModel.predict`` and ``jacobians``, a Cholesky factor,
+``scipy.linalg.solve_triangular`` and ``y @ y``), so archived densities and
+re-use weights do not depend on how a set is evaluated.  The numpy calls
+that round differently are avoided: ``np.hypot`` and ``np.arctan2`` differ
+from ``math.hypot`` and ``math.atan2`` in the last bit, so range and bearing
+are computed per entry with ``math``; ``einsum`` and ``(y * y).sum()``
+differ from the BLAS dot behind ``y @ y``, which ``np.vecdot`` reproduces.
+The substitution ``y1 = (d1 - l10 * y0) / l11`` reproduces
+``solve_triangular``'s bits.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussian import chol_lower, gaussian_logpdf
+from ._gaussian import chol_lower
 from .beliefs import (
     MeasurementEntry,
     MeasurementSet,
@@ -31,6 +45,8 @@ from .beliefs import (
 )
 from .errors import InvalidInput, UnknownLandmark
 from .models import MeasModel, landmark_var, wrap_angle
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +111,7 @@ def _measure_at(
 ) -> MeasurementSet:
     """Draw (or take the mean of) measurement values at a state realization."""
     pose = chi[prop.index.slice_of(prop.new_pose())]
-    noise_l = chol_lower(model.noise_cov)
+    noise_l = model.noise_chol
     entries = []
     for lm in da:
         z = model.predict(pose, chi[prop.index.slice_of(landmark_var(lm))])
@@ -155,27 +171,6 @@ def most_likely_measurement(
         chi, z_set, measurement_likelihood_density(z_set, prop, model))
 
 
-def entry_predictive(
-    prop: PropagatedBelief, model: MeasModel, lm: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized predictive Gaussian (mean, cov) of one entry under b-minus.
-
-    Reads the (landmark, new pose) moments of ``prop`` in place, in the
-    canonical landmark-then-pose order.
-    """
-    pose_vid = prop.new_pose()
-    lvid = landmark_var(lm)
-    if lvid not in prop.index:
-        raise UnknownLandmark(f"landmark {lm} not in propagated belief")
-    pose = prop.mean[prop.index.slice_of(pose_vid)]
-    lpos = prop.mean[prop.index.slice_of(lvid)]
-    h_pose, h_lm = model.jacobians(pose, lpos)
-    jac = np.hstack((h_lm, h_pose))
-    idx = prop.index.indices_of((lvid, pose_vid))
-    cov = model.noise_cov + jac @ prop.cov[np.ix_(idx, idx)] @ jac.T
-    return model.predict(pose, lpos), cov
-
-
 def measurement_likelihood_density(
     z_set: MeasurementSet, prop: PropagatedBelief, model: MeasModel
 ) -> dict[int, float]:
@@ -185,11 +180,38 @@ def measurement_likelihood_density(
     The set's density is their product; no caller needs it, because a
     re-use weight compares only the entries a later session keeps.  An empty
     set has density one: with nothing observed the event carries no weight.
+
+    All entries are evaluated in one stacked pass whose results equal the
+    entry-by-entry evaluation bit for bit (see the module docstring).  A
+    landmark that ``prop`` does not hold raises ``UnknownLandmark``; a
+    landmark on the new pose and a non-finite value raise ``InvalidInput``,
+    and a predictive covariance raises as ``chol_lower`` does.
     """
-    out = {}
-    for entry in z_set:
-        mean, cov = entry_predictive(prop, model, entry.lm)
-        diff = entry.value - mean
-        diff = np.array([diff[0], wrap_angle(diff[1])])
-        out[entry.lm] = gaussian_logpdf(diff, np.zeros(diff.size), cov)
-    return out
+    if not len(z_set):
+        return {}
+    index = prop.index
+    lms = z_set.keys()
+    at = index.offset(prop.new_pose())
+    rows = []  # each entry's (landmark, new pose) coordinates
+    for lm in lms:
+        lvid = landmark_var(lm)
+        if lvid not in index:
+            raise UnknownLandmark(f"landmark {lm} not in propagated belief")
+        off = index.offset(lvid)
+        rows.append((off, off + 1, at, at + 1, at + 2))
+    idx = np.array(rows)
+    mean, jac = model.linearize(prop.mean[at:at + 3], prop.mean[idx[:, :2]])
+    cov = model.noise_cov + (
+        jac @ prop.cov[idx[:, :, None], idx[:, None, :]] @ jac.transpose(0, 2, 1))
+    low = chol_lower(cov)
+    values = np.array([e.value for e in z_set])
+    if not np.isfinite(values).all():
+        raise InvalidInput("measurement values must be finite")
+    y = np.empty(values.shape)
+    y[:, 0] = (values[:, 0] - mean[:, 0]) / low[:, 0, 0]
+    bearing = [wrap_angle(z - m)
+               for z, m in zip(values[:, 1].tolist(), mean[:, 1].tolist())]
+    y[:, 1] = (bearing - low[:, 1, 0] * y[:, 0]) / low[:, 1, 1]
+    log_diag = np.log(low[:, (0, 1), (0, 1)])
+    logdet = 2.0 * (log_diag[:, 0] + log_diag[:, 1])
+    return dict(zip(lms, -0.5 * (np.vecdot(y, y) + logdet + 2 * _LOG_2PI)))

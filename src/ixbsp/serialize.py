@@ -21,13 +21,15 @@ Gauss-Newton iteration count of its solve (``gn_iters``).
 
 This is format ``ixbsp-tree-v5``.  ``InvalidInput`` rejects a document of
 another format (``ixbsp-tree-v1`` to ``-v4`` included) and one that lacks a
-key or holds a value of the wrong type or shape.  It also rejects a node
-whose parent is not an earlier node or whose action is not in
-``range(n_u)``, a child without a sample or a ``prop``, a sample whose state
-is not laid out as its ``prop`` or whose densities are not one per entry,
-a tag that is not one of the three, and a float field (a moment, a state, a
-measurement value, a density, a reward or a log ratio) holding anything but
-finite ints and floats.
+key or holds a value of the wrong type or shape.  It also rejects a horizon
+below 1, a root belief whose time is not the planning time, a node whose
+parent is not an earlier node, whose action is not in ``range(n_u)`` or
+that lies deeper than the horizon, a child whose belief or ``prop`` time is
+not its parent's plus one, a child without a sample or a ``prop``, a sample
+whose state is not laid out as its ``prop`` or whose densities are not one
+per entry, a tag that is not one of the three, and a float field (a moment,
+a state, a measurement value, a density, a reward or a log ratio) holding
+anything but finite ints and floats.
 
 Covariances are stored packed (lower triangle, row major) to halve snapshot
 size; all arrays round-trip bit exactly through Python floats.
@@ -206,18 +208,26 @@ def _add_node(tree: BeliefTree, pos: int, data: dict[str, Any]) -> None:
         raise InvalidInput(f"snapshot node {pos} lacks a sample or a prop")
     if data["tag"] not in _TAGS:
         raise InvalidInput(f"snapshot node {pos} has unknown tag {data['tag']!r}")
+    parent_node = tree.nodes[parent]
+    if parent_node.depth == tree.horizon:
+        raise InvalidInput(
+            f"snapshot node {pos} lies deeper than the horizon {tree.horizon}")
     sample = _sample_from_json_dict(data["sample"])
     prop = belief_from_json_dict(data["prop"], PropagatedBelief)
+    belief = belief_from_json_dict(data["belief"])
+    if not prop.time == belief.time == parent_node.belief.time + 1:
+        raise InvalidInput(
+            f"snapshot node {pos} has prop time {prop.time} and belief time "
+            f"{belief.time}; both must be its parent's time plus one")
     if (sample.chi.shape != (prop.dim,)
             or set(sample.entry_log_densities) != set(sample.z_set.keys())):
         raise InvalidInput(f"snapshot node {pos} has a sample whose state is "
                            "not laid out as its prop or whose densities are "
                            "not one per entry")
     origin = data["origin"]
-    parent_node = tree.nodes[parent]
     node = tree.add_child(
         parent_node, action, len(parent_node.children[action]),
-        sample=sample, belief=belief_from_json_dict(data["belief"]), prop=prop,
+        sample=sample, belief=belief, prop=prop,
         reward=_float(data["reward"], "reward"),
         tag=data["tag"],
         origin=None if origin is None else _int(origin, "origin"),
@@ -259,10 +269,16 @@ def _tree_from_json_dict(data: dict[str, Any]) -> BeliefTree:
         n_z=_int(data["n_z"], "n_z"),
         base_seed=_int(data["base_seed"], "base_seed"),
     )
+    if tree.horizon < 1:
+        raise InvalidInput(f"snapshot horizon must be >= 1, got {tree.horizon}")
     nodes = data["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise InvalidInput("snapshot nodes must be a non-empty list")
-    tree.add_root(belief_from_json_dict(nodes[0]["belief"]))
+    root = belief_from_json_dict(nodes[0]["belief"])
+    if root.time != tree.planning_time:
+        raise InvalidInput(f"snapshot root belief time {root.time} is not the "
+                           f"planning time {tree.planning_time}")
+    tree.add_root(root)
     for pos in range(1, len(nodes)):
         _add_node(tree, pos, nodes[pos])
     return tree

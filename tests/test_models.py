@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ixbsp._gaussian import chol_lower
 from ixbsp.errors import InvalidInput
 from ixbsp.models import (
     ActionId,
@@ -117,3 +119,41 @@ class TestRangeBearing:
         model = MeasModel()
         with pytest.raises(InvalidInput):
             model.jacobians(np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidInput, match="coincides with pose"):
+            model.linearize(np.array([1.0, 1.0, 0.0]),
+                            np.array([[4.0, 1.0], [1.0, 1.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pose=st.tuples(*[st.floats(-50.0, 50.0)] * 2,
+                          st.floats(-math.pi, math.pi)),
+           landmarks=st.lists(st.tuples(st.floats(-50.0, 50.0),
+                                        st.floats(-50.0, 50.0)),
+                              min_size=1, max_size=6))
+    def test_linearize_stacks_the_scalar_pair_bit_for_bit(self, pose, landmarks):
+        model = MeasModel()
+        pose = np.array(pose)
+        lms = np.array(landmarks)
+        if any(math.hypot(*(lm - pose[:2])) < 1e-6 for lm in lms):
+            return
+        z, jac = model.linearize(pose, lms)
+        assert z.shape == (len(lms), 2) and jac.shape == (len(lms), 2, 5)
+        for i, lm in enumerate(lms):
+            h_pose, h_lm = model.jacobians(pose, lm)
+            assert z[i].tobytes() == model.predict(pose, lm).tobytes()
+            assert jac[i].tobytes() == np.hstack((h_lm, h_pose)).tobytes()
+
+
+class TestNoiseFactors:
+    @pytest.mark.parametrize("model", [MotionModel(), MeasModel()],
+                             ids=["motion", "meas"])
+    def test_cached_read_only_and_left_out_of_pickles(self, model):
+        low = model.noise_chol
+        assert low is model.noise_chol
+        assert np.array_equal(low, chol_lower(model.noise_cov))
+        assert not low.flags.writeable
+        assert model.noise_wt is not None  # fill the whitener's cache too
+        back = pickle.loads(pickle.dumps(model))
+        assert "noise_chol" not in back.__dict__
+        assert "noise_wt" not in back.__dict__
+        assert np.array_equal(back.noise_chol, low)
+        assert not back.noise_chol.flags.writeable

@@ -6,13 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
-from ixbsp.beliefs import MeasurementEntry, MeasurementSet, make_prior_belief, propagate
+from _util import random_spd
+from ixbsp._gaussian import as_spd
+from ixbsp.beliefs import (
+    MeasurementEntry,
+    MeasurementSet,
+    PropagatedBelief,
+    VariableIndex,
+    make_prior_belief,
+    propagate,
+)
 from ixbsp.errors import InvalidInput, UnknownLandmark
-from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
+from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var, wrap_angle
 from ixbsp.sampling import (
-    entry_predictive,
     measurement_likelihood_density,
     most_likely_measurement,
     node_rng,
@@ -129,28 +140,101 @@ class TestSampling:
                 assert s.entry_log_densities[e.lm] == _log_density(e, prop, model)
 
 
+def _predictive(prop, model, lm):
+    """Linearized predictive Gaussian (mean, cov) of one entry, computed on
+    the (landmark, new pose) marginal of ``prop``."""
+    marg = prop.marginal([prop.new_pose(), landmark_var(lm)])
+    assert marg.index.vars == (landmark_var(lm), prop.new_pose())
+    lpos, pose = marg.mean[:2], marg.mean[2:]
+    h_pose, h_lm = model.jacobians(pose, lpos)
+    jac = np.hstack((h_lm, h_pose))
+    return model.predict(pose, lpos), model.noise_cov + jac @ marg.cov @ jac.T
+
+
+def _reference_density(z_set, prop, model):
+    """The entry-by-entry evaluation the stacked density must equal bit for
+    bit: one predictive Gaussian, Cholesky factor and triangular solve per
+    entry."""
+    out = {}
+    for entry in z_set:
+        mean, cov = _predictive(prop, model, entry.lm)
+        diff = entry.value - mean
+        diff = np.array([diff[0], wrap_angle(diff[1])])
+        low = np.linalg.cholesky(as_spd(cov))
+        y = solve_triangular(low, diff, lower=True)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+        out[entry.lm] = -0.5 * (y @ y + logdet + 2 * math.log(2.0 * math.pi))
+    return out
+
+
+def _random_prop(seed, n_landmarks, heading):
+    """A propagated belief over landmarks 0..n-1 around a pose at the
+    origin; landmarks lie in every direction, so bearings reach +-pi."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, n_landmarks)
+    radii = rng.uniform(1.0, 20.0, n_landmarks)
+    vars_ = [landmark_var(j) for j in range(n_landmarks)] + [pose_var(1)]
+    index = VariableIndex.of(vars_)
+    mean = np.concatenate(
+        [np.ravel(np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))),
+         [0.0, 0.0, heading]])
+    cov = random_spd(rng, index.dim, scale=rng.uniform(1e-4, 1.0))
+    return PropagatedBelief(index=index, mean=mean, cov=cov, time=1)
+
+
 class TestPredictiveDensity:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_landmarks=st.integers(1, 5),
+           heading=st.floats(-math.pi, math.pi),
+           data=st.data())
+    def test_stacked_density_equals_entry_by_entry(self, seed, n_landmarks,
+                                                    heading, data):
+        prop = _random_prop(seed, n_landmarks, heading)
+        model = MeasModel()
+        lms = data.draw(st.sets(st.integers(0, n_landmarks - 1)))
+        bearing = st.one_of(
+            st.floats(-math.pi, math.pi),
+            st.sampled_from([math.pi, -math.pi, math.nextafter(-math.pi, 0.0),
+                             math.nextafter(math.pi, 0.0)]))
+        z_set = MeasurementSet(tuple(
+            MeasurementEntry(lm, np.array([data.draw(st.floats(0.0, 30.0)),
+                                           data.draw(bearing)]))
+            for lm in lms))
+        got = measurement_likelihood_density(z_set, prop, model)
+        want = _reference_density(z_set, prop, model)
+        assert list(got) == list(want) == list(z_set.keys())
+        for lm in want:
+            assert got[lm].tobytes() == want[lm].tobytes(), lm
+
     def test_range_bearing_predictive_matches_hand_formula(self):
-        """The predictive moments equal, bit for bit, those computed on the
-        (landmark, pose) marginal of ``prop``."""
-        prop, model = _prop()
-        mean, cov = entry_predictive(prop, model, lm=0)
-        marg = prop.marginal([pose_var(1), landmark_var(0)])
-        assert marg.index.vars == (landmark_var(0), pose_var(1))
-        lpos, pose = marg.mean[:2], marg.mean[2:]
-        h_pose, h_lm = model.jacobians(pose, lpos)
-        jac = np.zeros((2, 5))
-        jac[:, :2] = h_lm
-        jac[:, 2:] = h_pose
-        assert np.array_equal(mean, model.predict(pose, lpos))
-        assert np.array_equal(cov, model.noise_cov + jac @ marg.cov @ jac.T)
+        """Every density of a realistic set equals, bit for bit, the one
+        computed entry by entry on the (landmark, pose) marginals."""
+        prop, model = _prop(landmarks={
+            j: (np.array([4.0 * math.cos(j), 4.0 * math.sin(j)]), np.eye(2) * 0.5)
+            for j in range(5)})
+        for sample in sample_future_measurements(prop, model, 3, 2,
+                                                 node_rng(2, (0,))):
+            want = _reference_density(sample.z_set, prop, model)
+            assert len(want) == 5
+            assert sample.entry_log_densities == want
 
     def test_entry_log_density_matches_scipy(self):
         prop, model = _prop()
         entry = MeasurementEntry(0, np.array([3.2, 0.05]))
-        mean, cov = entry_predictive(prop, model, lm=0)
+        mean, cov = _predictive(prop, model, lm=0)
         expect = stats.multivariate_normal(mean, cov).logpdf(entry.value)
         assert _log_density(entry, prop, model) == pytest.approx(expect, abs=1e-10)
+        # random beliefs, values near the predicted mean
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            prop = _random_prop(seed, 3, rng.uniform(-1.0, 1.0))
+            for lm in range(3):
+                mean, cov = _predictive(prop, model, lm)
+                value = mean + 0.5 * rng.standard_normal(2)
+                expect = stats.multivariate_normal(mean, cov).logpdf(value)
+                got = _log_density(MeasurementEntry(lm, value), prop, model)
+                assert got == pytest.approx(expect, abs=1e-10)
 
     def test_range_bearing_predictive_covers_monte_carlo(self):
         # first-order predictive moments track simulation up to second-order
@@ -163,7 +247,7 @@ class TestPredictiveDensity:
             noise_cov=np.diag([0.05**2, 0.05**2, math.radians(0.5) ** 2]))
         prop = propagate(b, ActionId(0), motion)
         model = MeasModel(fov=2 * math.pi, min_range=0.0, max_range=20.0)
-        mean, cov = entry_predictive(prop, model, lm=0)
+        mean, cov = _predictive(prop, model, lm=0)
         rng = np.random.default_rng(8)
         n = 100_000
         xs = rng.multivariate_normal(prop.mean, prop.cov, size=n)
@@ -175,19 +259,47 @@ class TestPredictiveDensity:
         zs += rng.multivariate_normal(np.zeros(2), model.noise_cov, size=n)
         assert np.all(np.abs(zs.mean(axis=0) - mean) <= 0.005)
         assert np.allclose(np.cov(zs.T), cov, rtol=0.05, atol=1e-4)
+        # the density is that Gaussian's
+        value = np.array([5.1, 0.01])
+        assert _log_density(MeasurementEntry(0, value), prop, model) == \
+            pytest.approx(stats.multivariate_normal(mean, cov).logpdf(value),
+                          abs=1e-10)
 
     def test_unknown_landmark_rejected(self):
         prop, model = _prop()
-        with pytest.raises(UnknownLandmark):
-            entry_predictive(prop, model, lm=77)
+        z_set = MeasurementSet((MeasurementEntry(0, np.array([4.0, 0.0])),
+                                MeasurementEntry(77, np.array([4.0, 0.0]))))
+        with pytest.raises(UnknownLandmark, match="landmark 77"):
+            measurement_likelihood_density(z_set, prop, model)
+
+    def test_landmark_on_the_pose_rejected(self):
+        prop = _random_prop(3, 2, 0.0)
+        mean = prop.mean.copy()
+        mean[prop.index.slice_of(landmark_var(1))] = 0.0  # the pose's position
+        prop = PropagatedBelief(index=prop.index, mean=mean, cov=prop.cov, time=1)
+        z_set = MeasurementSet((MeasurementEntry(0, np.array([4.0, 0.0])),
+                                MeasurementEntry(1, np.array([4.0, 0.0]))))
+        with pytest.raises(InvalidInput, match="coincides with pose"):
+            measurement_likelihood_density(z_set, prop, MeasModel())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["range", "bearing"])
+    def test_non_finite_value_rejected(self, where, bad):
+        prop, model = _prop()
+        value = np.array([4.0, 0.1])
+        value[0 if where == "range" else 1] = bad
+        z_set = MeasurementSet((MeasurementEntry(0, value),))
+        with pytest.raises(InvalidInput, match="finite"):
+            measurement_likelihood_density(z_set, prop, model)
 
     def test_empty_set_has_unit_density(self):
         prop, model = _prop()
         assert measurement_likelihood_density(MeasurementSet(), prop, model) == {}
+        assert _reference_density(MeasurementSet(), prop, model) == {}
 
     def test_bearing_residual_wraps(self):
         prop, model = _prop()
-        mean, _ = entry_predictive(prop, model, lm=0)
+        mean, _ = _predictive(prop, model, lm=0)
         near = MeasurementEntry(0, np.array([mean[0], wrap_angle_near(mean[1])]))
         far = MeasurementEntry(0, np.array([mean[0], mean[1] + 0.5]))
         assert _log_density(near, prop, model) > _log_density(far, prop, model)

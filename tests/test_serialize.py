@@ -264,6 +264,13 @@ _MALFORMED = {
                                   [float("nan"), 0.0]),
     "density_bool": lambda raw: _set(raw["nodes"][1]["sample"][
         "entry_log_densities"][0], 1, True),
+    "horizon_zero": lambda raw: _set(raw, "horizon", 0),
+    "horizon_below_depth": lambda raw: _set(raw, "horizon", 1),
+    "root_time_not_planning_time": lambda raw: _set(raw, "planning_time", 5),
+    "belief_time_not_parent_plus_one": lambda raw: _set(
+        raw["nodes"][1]["belief"], "time", 99),
+    "prop_time_not_parent_plus_one": lambda raw: _set(
+        raw["nodes"][7]["prop"], "time", 1),
     "nodes_not_a_list": lambda raw: _set(raw, "nodes", "abc"),
     "nodes_empty": lambda raw: _set(raw, "nodes", []),
     "node_not_a_dict": lambda raw: raw["nodes"].append([1, 2]),
@@ -276,7 +283,9 @@ class TestMalformedStructure:
 
     def test_well_formed_snapshot_loads(self):
         tree, _ = _tree()
+        assert tree.horizon == max(n.depth for n in tree.nodes) == 2
         assert [n.parent for n in tree.nodes[:8]] == [None] + [0] * 6 + [1]
+        assert [n.belief.time for n in tree.nodes[:8]] == [0] + [1] * 6 + [2]
         assert len(tree.nodes[1].sample.z_set) == 2
         tree_from_json_dict(json.loads(json.dumps(tree_to_json_dict(tree))))
 
