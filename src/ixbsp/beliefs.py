@@ -23,14 +23,24 @@ a planning decision.  A solve that reaches ``max_iter`` (60) first stops
 there, and the belief it makes records its iteration count as ``gn_iters``,
 so a capped solve is never silent.
 
+A solve whose gradient is exactly zero is already at its optimum: that
+iteration's step is exactly zero, so the rule fires without a factorization
+or a step.  A most-likely lookahead future makes such a solve: its
+measurements are the model mean at the propagated mean, so the one-step
+problem starts at its optimum.  The solve then takes its covariance from the
+information matrix that iteration built, which is the one at the final
+linearization point when re-wrapping leaves the headings bitwise unchanged.
+
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings, covariances come from the information matrix at the final
-linearization point.
+linearization point.  ``propagate`` gives every child of one index the same
+extended index, so each tree level shares one layout and its cached factor
+positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,15 +97,24 @@ def canonical_order(vars_: Iterable[VariableId]) -> tuple[VariableId, ...]:
 class VariableIndex:
     """Ordered variable layout of a joint state vector.
 
-    The offset map and the heading mask are computed once, at construction.
-    They stay out of ``==``, ``hash`` and ``repr``, and pickling sends only
-    ``vars`` and rebuilds them.
+    The offset map, the heading mask and the newest pose are computed once,
+    at construction.  The extension by one variable (``extended``) and the
+    layout of each tuple of variables (``layout``) are computed once per
+    instance, when first asked for.  Planning gives every node of one tree
+    level the same index, so a level resolves each layout once.  None of
+    this takes part in ``==``, ``hash`` or ``repr``, and pickling sends only
+    ``vars`` and rebuilds it.
     """
 
     vars: tuple[VariableId, ...]
     dim: int = field(init=False)
     _offset_map: dict[VariableId, int] = field(init=False, repr=False, compare=False)
     _theta: np.ndarray = field(init=False, repr=False, compare=False)
+    _newest_pose: VariableId | None = field(init=False, repr=False, compare=False)
+    _extended: dict[VariableId, VariableIndex] = field(
+        init=False, repr=False, compare=False)
+    _layouts: dict[tuple[VariableId, ...], tuple[Layout, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         offset_map: dict[VariableId, int] = {}
@@ -106,13 +125,18 @@ class VariableIndex:
             offset_map[v] = total
             total += v.dim
         theta = np.zeros(total, dtype=bool)
+        newest = None
         for v, off in offset_map.items():
             if v.kind == "pose":
                 theta[off + 2] = True
+                newest = v
         theta.flags.writeable = False
         object.__setattr__(self, "dim", total)
         object.__setattr__(self, "_offset_map", offset_map)
         object.__setattr__(self, "_theta", theta)
+        object.__setattr__(self, "_newest_pose", newest)
+        object.__setattr__(self, "_extended", {})
+        object.__setattr__(self, "_layouts", {})
 
     def __reduce__(self):
         return (VariableIndex, (self.vars,))
@@ -120,6 +144,13 @@ class VariableIndex:
     @classmethod
     def of(cls, vars_: Iterable[VariableId]) -> "VariableIndex":
         return cls(canonical_order(vars_))
+
+    def extended(self, var: VariableId) -> "VariableIndex":
+        """This layout with ``var`` appended: one shared index per ``var``."""
+        child = self._extended.get(var)
+        if child is None:
+            child = self._extended[var] = VariableIndex(self.vars + (var,))
+        return child
 
     def __contains__(self, var: VariableId) -> bool:
         return var in self._offset_map
@@ -141,15 +172,28 @@ class VariableIndex:
             idx.extend(range(off, off + v.dim))
         return np.asarray(idx, dtype=int)
 
+    def layout(self, vars_: tuple[VariableId, ...]) -> tuple[Layout, np.ndarray]:
+        """The ``Layout`` of a factor over ``vars_`` and the flat positions of
+        its block in a ``dim x dim`` information matrix; both arrays are
+        read-only, and each tuple is resolved once per index."""
+        hit = self._layouts.get(vars_)
+        if hit is None:
+            idx = self.indices_of(vars_)
+            block = (idx[:, None] * self.dim + idx).ravel()
+            idx.flags.writeable = False
+            block.flags.writeable = False
+            hit = ((tuple(self.slice_of(v) for v in vars_), idx), block)
+            self._layouts[vars_] = hit
+        return hit
+
     def theta_mask(self) -> np.ndarray:
         """Read-only boolean mask of heading coordinates (third slot of each pose)."""
         return self._theta
 
     def newest_pose(self) -> VariableId:
-        poses = [v for v in self.vars if v.kind == "pose"]
-        if not poses:
+        if self._newest_pose is None:
             raise UnknownVariable("index holds no pose variable")
-        return poses[-1]
+        return self._newest_pose
 
     def landmarks(self) -> tuple[VariableId, ...]:
         return tuple(v for v in self.vars if v.kind == "landmark")
@@ -236,24 +280,28 @@ class MeasurementSet:
 Layout = tuple[tuple[slice, ...], np.ndarray]
 
 
-def factor_layout(factor: Factor, index: VariableIndex) -> Layout:
-    vars_ = factor.involved()
-    return tuple(index.slice_of(v) for v in vars_), index.indices_of(vars_)
-
-
 @dataclass(frozen=True)
 class DensePriorFactor:
-    """Gaussian prior over a tuple of variables (the belief-tree root anchor)."""
+    """Gaussian prior over a tuple of variables (the belief-tree root anchor).
+
+    ``index``, when given, is a layout of exactly ``vars_``; the factor then
+    wraps its residual by that index instead of building its own.
+    """
 
     vars_: tuple[VariableId, ...]
     mean: np.ndarray
     cov: np.ndarray
+    index: InitVar[VariableIndex | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, index: VariableIndex | None) -> None:
+        if index is None:
+            index = VariableIndex(self.vars_)
+        elif index.vars != self.vars_:
+            raise InvalidBelief("prior index does not lay out the prior's variables")
         object.__setattr__(self, "mean", _freeze(self.mean))
         object.__setattr__(self, "cov", _freeze(self.cov))
         object.__setattr__(self, "_wt", whitener(self.cov).T)
-        object.__setattr__(self, "_sub", VariableIndex(self.vars_))
+        object.__setattr__(self, "_sub", index)
 
     def involved(self) -> tuple[VariableId, ...]:
         return self.vars_
@@ -352,20 +400,26 @@ def solve_factors(
     ``y`` is the first triangular solve.  ``iters == max_iter`` means the
     rule did not fire.
 
+    A gradient that is exactly zero (a most-likely future starts at its own
+    optimum) makes ``y`` exactly zero, so that iteration counts and the rule
+    fires without factoring ``Lambda`` or solving for the zero step.  When
+    re-wrapping the headings leaves the state bitwise unchanged, the final
+    linearization point is the current one and the covariance comes from
+    the ``Lambda`` just built; otherwise it comes from the usual final pass.
+    Either way ``spd_inverse`` checks ``Lambda``, and a singular one raises
+    ``DegenerateUpdate``.
+
     The solve is deterministic: fixed iteration order, fixed stopping rule.
     Linear systems converge in a single step.  Each factor's layout (its
     slices, index array and the flat positions of its information block) is
-    resolved once per solve, not once per iteration; the arithmetic and its
-    order are those of resolving it every iteration.
+    the index's cached ``layout``, not rebuilt per solve or per iteration;
+    the arithmetic and its order are those of rebuilding it every iteration.
     """
     x = wrap_state(index, np.asarray(init, dtype=float))
     d = index.dim
-    plan = []
-    for f in factors:
-        layout = factor_layout(f, index)
-        idx = layout[1]
-        plan.append((f, layout, (idx[:, None] * d + idx).ravel()))
+    plan = [(f,) + index.layout(f.involved()) for f in factors]
     iters = 0
+    stationary = False
     for _ in range(max_iter):
         lam = np.zeros((d, d))
         lam_flat = lam.reshape(-1)  # a view: writes land in lam
@@ -374,6 +428,12 @@ def solve_factors(
             ew, a, idx = f.whitened(x, layout)
             lam_flat[block] += (a.T @ a).ravel()
             rhs[idx] -= a.T @ ew
+        iters += 1
+        if not rhs.any() and 0.0 < tol:  # y = L^-1 0 = 0 < tol
+            wrapped = wrap_state(index, x)
+            stationary = wrapped.tobytes() == x.tobytes()
+            x = wrapped
+            break
         try:
             low = chol_lower(lam, "information matrix")
         except NumericalError as exc:
@@ -381,15 +441,14 @@ def solve_factors(
         y = np.linalg.solve(low, rhs)
         delta = np.linalg.solve(low.T, y)
         x = wrap_state(index, x + delta)
-        iters += 1
         if float(np.linalg.norm(y)) < tol:
             break
-    # covariance at the final linearization point
-    lam = np.zeros((d, d))
-    lam_flat = lam.reshape(-1)
-    for f, layout, block in plan:
-        _, a, _ = f.whitened(x, layout)
-        lam_flat[block] += (a.T @ a).ravel()
+    if not stationary:  # covariance at the final linearization point
+        lam = np.zeros((d, d))
+        lam_flat = lam.reshape(-1)
+        for f, layout, block in plan:
+            _, a, _ = f.whitened(x, layout)
+            lam_flat[block] += (a.T @ a).ravel()
     try:
         cov = spd_inverse(lam)
     except NumericalError as exc:
@@ -498,7 +557,7 @@ def make_prior_belief(
         sl = index.slice_of(v)
         mean[sl] = means[v]
         cov[sl, sl] = covs[v]
-    prior = DensePriorFactor(index.vars, mean, cov)
+    prior = DensePriorFactor(index.vars, mean, cov, index)
     return GaussianBelief(index=index, mean=mean, cov=cov, factors=(prior,),
                           time=t)
 
@@ -511,7 +570,7 @@ def planning_root(belief: GaussianBelief) -> GaussianBelief:
     """
     keep = canonical_order(list(belief.index.landmarks()) + [belief.index.newest_pose()])
     marg = belief.marginal(keep)
-    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov)
+    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov, marg.index)
     return GaussianBelief(index=marg.index, mean=marg.mean, cov=marg.cov,
                           factors=(prior,), time=belief.time)
 
@@ -526,9 +585,7 @@ def propagate(
     """
     cur = belief.index.newest_pose()
     new_t = cur.index + 1
-    new_var = pose_var(new_t)
-    new_vars = belief.index.vars + (new_var,)
-    index = VariableIndex(new_vars)
+    index = belief.index.extended(pose_var(new_t))
 
     sl = belief.index.slice_of(cur)
     mu = belief.mean
@@ -596,7 +653,7 @@ def update_with_measurements(
                          for e in measurements)
 
     if not inference:
-        factors = (DensePriorFactor(index.vars, prop.mean, prop.cov),) + meas_factors
+        factors = (DensePriorFactor(index.vars, prop.mean, prop.cov, index),) + meas_factors
         mean, cov, iters = solve_factors(factors, index, prop.mean, tol=_PLAN_TOL)
         return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
                               time=prop.time, gn_iters=iters)

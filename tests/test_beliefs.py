@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from ixbsp.beliefs import (
     MotionFactor,
     VariableIndex,
     canonical_order,
-    factor_layout,
     make_prior_belief,
     planning_root,
     propagate,
@@ -32,7 +32,13 @@ from ixbsp.beliefs import (
     wrap_state,
 )
 from ixbsp.serialize import belief_from_json_dict, belief_to_json_dict
-from ixbsp.errors import DaMismatch, InvalidBelief, UnknownLandmark, UnknownVariable
+from ixbsp.errors import (
+    DaMismatch,
+    DegenerateUpdate,
+    InvalidBelief,
+    UnknownLandmark,
+    UnknownVariable,
+)
 from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
 
 
@@ -99,6 +105,8 @@ class TestVariableIndex:
         assert idx.landmarks() == (landmark_var(0),)
         with pytest.raises(UnknownVariable):
             idx.offset(landmark_var(9))
+        with pytest.raises(UnknownVariable):
+            VariableIndex.of([landmark_var(0)]).newest_pose()
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(InvalidBelief):
@@ -141,10 +149,33 @@ class TestVariableIndex:
         assert len({a, b}) == 1
         assert "_offset_map" not in repr(a) and "_theta" not in repr(a)
 
+    def test_extension_and_layouts_are_resolved_once(self):
+        """``extended`` gives one child per variable, equal to a fresh index;
+        ``layout`` gives one read-only layout per variable tuple, equal to
+        one built from the offsets."""
+        idx = VariableIndex.of([landmark_var(3), pose_var(0)])
+        child = idx.extended(pose_var(1))
+        assert child is idx.extended(pose_var(1))
+        assert child == VariableIndex(idx.vars + (pose_var(1),))
+        assert child.newest_pose() == pose_var(1)
+        vars_ = (pose_var(1), landmark_var(3))
+        (slices, coords), block = child.layout(vars_)
+        assert child.layout(vars_)[0][1] is coords
+        assert slices == (slice(5, 8), slice(0, 2))
+        assert coords.tolist() == [5, 6, 7, 0, 1]
+        assert block.tolist() == [r * child.dim + c for r in coords for c in coords]
+        for arr in (coords, block):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert "_layouts" not in repr(child) and "_extended" not in repr(child)
+
     def test_pickle_and_serialize_round_trips_keep_offsets(self):
         idx = VariableIndex.of([pose_var(0), landmark_var(4), pose_var(1)])
+        idx.extended(pose_var(2))
+        idx.layout((pose_var(1), landmark_var(4)))
         payload = pickle.dumps(idx)
         assert b"_offset_map" not in payload and b"_theta" not in payload
+        assert b"_layouts" not in payload and b"_extended" not in payload
         back = pickle.loads(payload)
         assert back == idx and back.dim == idx.dim
         assert all(back.offset(v) == idx.offset(v) for v in idx.vars)
@@ -199,6 +230,13 @@ class TestPriorAndPropagate:
         assert np.allclose(b.cov[2:5, 2:5], pose_cov)
         assert np.allclose(b.cov[0:2, 2:5], 0.0)
         assert len(b.factors) == 1 and isinstance(b.factors[0], DensePriorFactor)
+
+    def test_dense_prior_takes_only_an_index_of_its_variables(self):
+        index = VariableIndex.of([landmark_var(0), pose_var(0)])
+        mean, cov = np.zeros(index.dim), np.eye(index.dim)
+        assert DensePriorFactor(index.vars, mean, cov, index)._sub is index
+        with pytest.raises(InvalidBelief):
+            DensePriorFactor(index.vars, mean, cov, index.extended(pose_var(1)))
 
     def test_propagate_matches_hand_formula(self):
         rng = np.random.default_rng(3)
@@ -494,6 +532,12 @@ class TestFactorWhiteners:
 # solve_factors against the loop it replaced
 
 
+def _fresh_layout(f, index):
+    """A factor's layout built from the index's offsets, not its cache."""
+    vars_ = f.involved()
+    return tuple(index.slice_of(v) for v in vars_), index.indices_of(vars_)
+
+
 def _reference_solve(factors, index, init, max_iter):
     """Gauss-Newton with every layout and ``np.ix_`` block rebuilt per iteration."""
     x = wrap_state(index, np.asarray(init, dtype=float))
@@ -503,7 +547,7 @@ def _reference_solve(factors, index, init, max_iter):
         lam = np.zeros((d, d))
         rhs = np.zeros(d)
         for f in factors:
-            ew, a, idx = f.whitened(x, factor_layout(f, index))
+            ew, a, idx = f.whitened(x, _fresh_layout(f, index))
             lam[np.ix_(idx, idx)] += a.T @ a
             rhs[idx] -= a.T @ ew
         low = chol_lower(lam, "information matrix")
@@ -515,7 +559,7 @@ def _reference_solve(factors, index, init, max_iter):
             break
     lam = np.zeros((d, d))
     for f in factors:
-        _, a, idx = f.whitened(x, factor_layout(f, index))
+        _, a, idx = f.whitened(x, _fresh_layout(f, index))
         lam[np.ix_(idx, idx)] += a.T @ a
     return x, spd_inverse(lam), iters
 
@@ -587,6 +631,61 @@ class TestSolveFactorsBitIdentity:
         assert np.array_equal(cov, ref_cov)
 
 
+def _most_likely_prop(rng, n_lm, action, seen):
+    """A propagated belief over random landmarks and a random pose, and the
+    measurements of ``seen`` at its mean: ``z = h(mu)``.  The prior mean is
+    wrapped once, as every solved mean is, so the solve starts exactly at
+    the propagated mean and its gradient is exactly zero."""
+    index = VariableIndex.of([landmark_var(j) for j in range(n_lm)] + [pose_var(0)])
+    mean = wrap_state(index, rng.uniform(-8.0, 8.0, index.dim))
+    prior = GaussianBelief(index=index, mean=mean,
+                           cov=random_spd(rng, index.dim, 0.1), time=0)
+    prop = propagate(prior, ActionId(action), MotionModel())
+    meas = MeasModel(fov=2 * math.pi, min_range=0.0)
+    pose = prop.mean[prop.index.slice_of(prop.new_pose())]
+    z_set = MeasurementSet(tuple(
+        _entry(j, meas.predict(pose, prop.mean[prop.index.slice_of(landmark_var(j))]))
+        for j in seen))
+    return prop, z_set, meas
+
+
+class TestStationaryStart:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
+           action=st.integers(0, 2), data=st.data())
+    def test_most_likely_update_equals_the_reference(self, seed, n_lm, action,
+                                                     data):
+        """A solve that starts at a zero gradient counts one iteration and
+        factors no information matrix, and its belief is the reference
+        solve's bit for bit."""
+        seen = data.draw(st.lists(st.integers(0, n_lm - 1), min_size=1,
+                                  max_size=n_lm, unique=True))
+        prop, z_set, meas = _most_likely_prop(np.random.default_rng(seed),
+                                              n_lm, action, seen)
+        names = []
+
+        def spy(mat, name="covariance"):
+            names.append(name)
+            return chol_lower(mat, name)
+
+        with mock.patch.object(beliefs, "chol_lower", spy):
+            belief = update_with_measurements(prop, z_set, meas)
+        assert names == []
+        mean, cov, iters = _reference_solve(belief.factors, prop.index, prop.mean,
+                                            beliefs._GN_MAX_ITER)
+        assert belief.gn_iters == iters == 1
+        assert belief.mean.tobytes() == mean.tobytes()
+        assert belief.cov.tobytes() == cov.tobytes()
+
+    def test_singular_information_still_raises(self):
+        """A zero gradient skips the step's factorization, not the check of
+        the information matrix the covariance comes from."""
+        index = VariableIndex.of([landmark_var(0)])
+        seen_once = _LinearFactor((landmark_var(0),), [[1.0, 0.0]], [2.0], [[0.5]])
+        with pytest.raises(DegenerateUpdate):
+            solve_factors([seen_once], index, np.array([2.0, 7.0]))
+
+
 class TestLinearSolve:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 3))
@@ -612,7 +711,7 @@ def _cost(factors, index, x):
     """Whitened least-squares cost 0.5 * sum |e|^2 at ``x``."""
     total = 0.0
     for f in factors:
-        ew, _, _ = f.whitened(x, factor_layout(f, index))
+        ew, _, _ = f.whitened(x, _fresh_layout(f, index))
         total += 0.5 * float(ew @ ew)
     return total
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ixbsp import beliefs
 from ixbsp.beliefs import DensePriorFactor, make_prior_belief, propagate, update_with_measurements
 from ixbsp._gaussian import spd_logdet
 from ixbsp.config import RewardConfig
@@ -26,7 +27,7 @@ from ixbsp.planner import (
 )
 from ixbsp.beliefs import GaussianState, VariableIndex
 
-from _util import cap_solves_at, tiny_cfg
+from _util import bench_cfg, cap_solves_at, tiny_cfg
 
 # alpha=1, identity pose covariance, zero progress:
 # r = 0.5 * 3 * ln(2*pi*e) = 1.5 * (ln(2*pi) + 1)
@@ -271,6 +272,39 @@ class TestPlanSessions:
         res = plan_mlbsp(posterior, cfg, motion, meas, goal, base_seed=1)
         assert {n.belief.gn_iters for n in res.tree.nodes[1:]} == {1}
         assert res.counts["gn_cap_hits"] == 0
+
+    def test_ml_session_factors_nothing_and_shares_one_index_per_level(
+            self, monkeypatch):
+        """Every most-likely solve starts at its optimum, so no planning
+        solve factors its information matrix.  The nodes of one level share
+        one index, the extension of the level above's, and each factor's
+        layout is cached on it read-only."""
+        cfg = bench_cfg()
+        posterior, motion, meas, goal = self._posterior_with_history(cfg)
+        names = []
+        chol = beliefs.chol_lower
+
+        def spy(mat, name="covariance"):
+            names.append(name)
+            return chol(mat, name)
+
+        monkeypatch.setattr(beliefs, "chol_lower", spy)
+        res = plan_mlbsp(posterior, cfg, motion, meas, goal, base_seed=0)
+        assert "information matrix" not in names
+        above = res.tree.root.belief.index
+        for depth in range(1, cfg.horizon + 1):
+            level = res.tree.nodes_at_depth(depth)
+            index = level[0].belief.index
+            assert index is above.extended(pose_var(res.tree.planning_time + depth))
+            for node in level:
+                assert node.belief.index is index and node.prop.index is index
+                assert node.belief.gn_iters == 1
+                for f in node.belief.factors:
+                    layout, block = index.layout(f.involved())
+                    assert index.layout(f.involved())[1] is block
+                    assert not layout[1].flags.writeable
+                    assert not block.flags.writeable
+            above = index
 
     @pytest.mark.parametrize("plan", [plan_xbsp, plan_mlbsp])
     def test_each_node_solves_only_its_own_step(self, plan):
