@@ -28,8 +28,8 @@ iteration's step is exactly zero, so the rule fires without a factorization
 or a step.  A most-likely lookahead future makes such a solve: its
 measurements are the model mean at the propagated mean, so the one-step
 problem starts at its optimum.  The solve then takes its covariance from the
-information matrix that iteration built, which is the one at the final
-linearization point when re-wrapping leaves the headings bitwise unchanged.
+information matrix that iteration built: the heading wrap returns its own
+outputs unchanged, so that matrix is the one at the final linearization point.
 
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings, covariances come from the information matrix at the final
@@ -40,8 +40,9 @@ positions.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def canonical_order(vars_: Iterable[VariableId]) -> tuple[VariableId, ...]:
     return tuple(lms) + tuple(poses)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class VariableIndex:
     """Ordered variable layout of a joint state vector.
 
@@ -101,9 +102,11 @@ class VariableIndex:
     at construction.  The extension by one variable (``extended``) and the
     layout of each tuple of variables (``layout``) are computed once per
     instance, when first asked for.  Planning gives every node of one tree
-    level the same index, so a level resolves each layout once.  None of
-    this takes part in ``==``, ``hash`` or ``repr``, and pickling sends only
-    ``vars`` and rebuilds it.
+    level the same index, so a level resolves each layout once.  An index
+    holds its extensions weakly: one lives while a belief uses it, so a
+    rollout's chain of inference indices does not outlive its beliefs.
+    None of this takes part in ``==``, ``hash`` or ``repr``, and pickling
+    sends only ``vars`` and rebuilds it.
     """
 
     vars: tuple[VariableId, ...]
@@ -111,7 +114,7 @@ class VariableIndex:
     _offset_map: dict[VariableId, int] = field(init=False, repr=False, compare=False)
     _theta: np.ndarray = field(init=False, repr=False, compare=False)
     _newest_pose: VariableId | None = field(init=False, repr=False, compare=False)
-    _extended: dict[VariableId, VariableIndex] = field(
+    _extended: WeakValueDictionary[VariableId, VariableIndex] = field(
         init=False, repr=False, compare=False)
     _layouts: dict[tuple[VariableId, ...], tuple[Layout, np.ndarray]] = field(
         init=False, repr=False, compare=False)
@@ -135,7 +138,7 @@ class VariableIndex:
         object.__setattr__(self, "_offset_map", offset_map)
         object.__setattr__(self, "_theta", theta)
         object.__setattr__(self, "_newest_pose", newest)
-        object.__setattr__(self, "_extended", {})
+        object.__setattr__(self, "_extended", WeakValueDictionary())
         object.__setattr__(self, "_layouts", {})
 
     def __reduce__(self):
@@ -282,26 +285,17 @@ Layout = tuple[tuple[slice, ...], np.ndarray]
 
 @dataclass(frozen=True)
 class DensePriorFactor:
-    """Gaussian prior over a tuple of variables (the belief-tree root anchor).
-
-    ``index``, when given, is a layout of exactly ``vars_``; the factor then
-    wraps its residual by that index instead of building its own.
-    """
+    """Gaussian prior over a tuple of variables (the belief-tree root anchor)."""
 
     vars_: tuple[VariableId, ...]
     mean: np.ndarray
     cov: np.ndarray
-    index: InitVar[VariableIndex | None] = None
 
-    def __post_init__(self, index: VariableIndex | None) -> None:
-        if index is None:
-            index = VariableIndex(self.vars_)
-        elif index.vars != self.vars_:
-            raise InvalidBelief("prior index does not lay out the prior's variables")
+    def __post_init__(self) -> None:
         object.__setattr__(self, "mean", _freeze(self.mean))
         object.__setattr__(self, "cov", _freeze(self.cov))
         object.__setattr__(self, "_wt", whitener(self.cov).T)
-        object.__setattr__(self, "_sub", index)
+        object.__setattr__(self, "_sub", VariableIndex(self.vars_))
 
     def involved(self) -> tuple[VariableId, ...]:
         return self.vars_
@@ -402,12 +396,12 @@ def solve_factors(
 
     A gradient that is exactly zero (a most-likely future starts at its own
     optimum) makes ``y`` exactly zero, so that iteration counts and the rule
-    fires without factoring ``Lambda`` or solving for the zero step.  When
-    re-wrapping the headings leaves the state bitwise unchanged, the final
-    linearization point is the current one and the covariance comes from
-    the ``Lambda`` just built; otherwise it comes from the usual final pass.
-    Either way ``spd_inverse`` checks ``Lambda``, and a singular one raises
-    ``DegenerateUpdate``.
+    fires without factoring ``Lambda`` or solving for the zero step.  The
+    state is then the final linearization point: ``x`` is always an output
+    of ``wrap_state``, which returns its own outputs unchanged, so the zero
+    step would leave it bitwise as it is.  The covariance comes from the
+    ``Lambda`` just built, with no second pass; ``spd_inverse`` checks it,
+    and a singular one raises ``DegenerateUpdate``.
 
     The solve is deterministic: fixed iteration order, fixed stopping rule.
     Linear systems converge in a single step.  Each factor's layout (its
@@ -430,9 +424,7 @@ def solve_factors(
             rhs[idx] -= a.T @ ew
         iters += 1
         if not rhs.any() and 0.0 < tol:  # y = L^-1 0 = 0 < tol
-            wrapped = wrap_state(index, x)
-            stationary = wrapped.tobytes() == x.tobytes()
-            x = wrapped
+            stationary = True
             break
         try:
             low = chol_lower(lam, "information matrix")
@@ -557,7 +549,7 @@ def make_prior_belief(
         sl = index.slice_of(v)
         mean[sl] = means[v]
         cov[sl, sl] = covs[v]
-    prior = DensePriorFactor(index.vars, mean, cov, index)
+    prior = DensePriorFactor(index.vars, mean, cov)
     return GaussianBelief(index=index, mean=mean, cov=cov, factors=(prior,),
                           time=t)
 
@@ -570,7 +562,7 @@ def planning_root(belief: GaussianBelief) -> GaussianBelief:
     """
     keep = canonical_order(list(belief.index.landmarks()) + [belief.index.newest_pose()])
     marg = belief.marginal(keep)
-    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov, marg.index)
+    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov)
     return GaussianBelief(index=marg.index, mean=marg.mean, cov=marg.cov,
                           factors=(prior,), time=belief.time)
 
@@ -653,7 +645,7 @@ def update_with_measurements(
                          for e in measurements)
 
     if not inference:
-        factors = (DensePriorFactor(index.vars, prop.mean, prop.cov, index),) + meas_factors
+        factors = (DensePriorFactor(index.vars, prop.mean, prop.cov),) + meas_factors
         mean, cov, iters = solve_factors(factors, index, prop.mean, tol=_PLAN_TOL)
         return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
                               time=prop.time, gn_iters=iters)

@@ -45,6 +45,25 @@ class TestWrapAngle:
         wrapped = wrap_angle_array(vals)
         assert np.allclose(wrapped, [wrap_angle(v) for v in vals])
 
+    @staticmethod
+    def _edge_angles() -> np.ndarray:
+        """Zero, the subnormals and 200 floats each side of every k*pi, |k| <= 6."""
+        out = [0.0, -0.0, 5e-324, -5e-324]
+        for k in range(-6, 7):
+            up = down = k * np.pi
+            for _ in range(200):
+                out += [up, down]
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        return np.array(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                    min_size=1, max_size=20))
+    def test_array_variant_returns_its_outputs_unchanged(self, thetas):
+        # solve_factors relies on this: a zero step leaves a wrapped state as it is
+        wrapped = wrap_angle_array(np.concatenate([thetas, self._edge_angles()]))
+        assert wrap_angle_array(wrapped).tobytes() == wrapped.tobytes()
+
 
 class TestVariableIds:
     def test_kinds_and_dims(self):
