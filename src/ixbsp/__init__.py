@@ -16,9 +16,11 @@ fresh future becomes a node through ``planner.add_nominal_children``, so
 with nothing to re-use an incremental planner builds its fresh twin's tree
 bit for bit.  A re-used archived future (its measurement set) is conditioned
 on the new propagated belief by the same one-step
-``update_with_measurements`` call as a fresh future.  The importance weights
-of the incremental objective read one number per tree node, the path's
-log p - log q (``BeliefTreeNode.log_ratio``), which only re-used steps move.
+``update_with_measurements`` call as a fresh future.  All four planners score
+sequences with one objective, ``planner.objective``, which defines the
+balance-heuristic importance weights: they read one number per tree node, the
+path's log p - log q (``BeliefTreeNode.log_ratio``), which only re-used steps
+move, so a fresh tree's weights are all one.
 
 Each fact is stored once: a measurement entry is a landmark id and a value
 (its time is that of the belief it conditions), and a snapshot node
@@ -88,10 +90,8 @@ from .errors import (
 from .incremental import (
     ArchiveReuse,
     PlanningArchive,
-    balance_weight,
     closest_belief,
     is_rep_sample,
-    mis_objective,
     plan_iml,
     plan_ixbsp,
     select_closest_branch,
@@ -112,6 +112,7 @@ from .planner import (
     BeliefTree,
     BeliefTreeNode,
     PlanningResult,
+    balance_weight,
     best_action,
     build_tree,
     objective,

@@ -184,8 +184,9 @@ def objective_bound_sampled(
             r_acc += wj * prev.reward if not uniform else prev.reward
             slack += wj * spec.scale * dist ** spec.alpha
             d2_acc += wj * dist * dist
-        # uniform weights accumulate exactly like the plain objective, so the
-        # identical-tree case cancels to phi == 0.0 bit-exactly
+        # J_prev is the planner's objective, which on the fresh trees built
+        # here is the plain mean; uniform weights accumulate exactly like it,
+        # so the identical-tree case cancels to phi == 0.0 bit-exactly
         center += r_acc / n if uniform else r_acc
         mean_d2.append(d2_acc)
     j_prev = objective(tree_prev, seq)

@@ -143,8 +143,12 @@ class ScenarioConfig:
             raise ConfigError("n_x and n_z must be >= 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        if not 1 <= self.overlap <= self.horizon:
-            raise ConfigError("overlap must be in [1, horizon]")
+        # rollouts archive exactly one executed action, and an archive's own
+        # overlap sets the incremental planners' overlap timings, so any other
+        # value would time different levels for different planners
+        if self.overlap != 1:
+            raise ConfigError(
+                "overlap must be 1: rollouts archive one executed action")
         # ``not x >= 0`` also rejects NaN, which every comparison fails
         if not (self.epsilon_c >= 0.0 and self.epsilon_wf >= 0.0):
             raise ConfigError("thresholds must be non-negative")

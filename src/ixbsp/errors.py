@@ -59,10 +59,6 @@ class IncompatibleHorizon(IxbspError):
     """Archive and current session horizons cannot overlap as requested."""
 
 
-class IncompleteRecord(IxbspError):
-    """A reuse record lacks cached densities or samples it should carry."""
-
-
 class IncompatibleTrees(IxbspError):
     """Two belief trees cannot be compared node-for-node."""
 

@@ -18,15 +18,10 @@ action slot of the levels the archived tree also spans, whether the slot takes
 archived children (copied or re-used) or fresh futures.
 
 Because re-used futures were sampled under last session's propagated beliefs,
-objective averages weight every sample path by multiple importance sampling
-with the balance heuristic (Veach & Guibas, SIGGRAPH 1995).  With p and q the
-path's densities under this session's propagated beliefs and under the
-generators that drew it, and n_r of a step's n paths re-used:
-
-    w = p / ((n_r / n) q + (1 - n_r / n) p) = 1 / (1 + (n_r / n) (exp(-log_ratio) - 1))
-
-so a weight reads one number per path, ``BeliefTreeNode.log_ratio`` =
-log p - log q.  Paths whose log ratio is zero get weight exactly one.
+a re-used step records its log p - log q in ``BeliefTreeNode.log_ratio``, and
+``planner.objective``, the one objective of every planner, weights each path
+by the balance heuristic defined there.  Paths whose log ratio is zero get
+weight exactly one.
 """
 
 from __future__ import annotations
@@ -57,9 +52,7 @@ from .errors import (
     IncompatibleHorizon,
     IncompatibleStates,
     IncompatibleTrees,
-    IncompleteRecord,
     InvalidInput,
-    NumericalError,
 )
 from .models import MeasModel, MotionModel
 from .planner import (
@@ -72,6 +65,7 @@ from .planner import (
     build_tree,
     planning_result,
 )
+from .planner import objective as mis_objective  # a perfbench span's binding
 from .sampling import (
     MeasurementSample,
     _measure_at,
@@ -100,61 +94,6 @@ class PlanningArchive:
     @property
     def overlap(self) -> int:
         return len(self.executed_actions)
-
-
-# ---------------------------------------------------------------------------
-# balance-heuristic weights
-
-_LOG_MAX_WEIGHT = math.log(np.finfo(float).max)
-
-
-def balance_weight(log_ratio: float, n_reused: int, n_nominal: int) -> float:
-    """Balance-heuristic weight of one sample path at one step.
-
-    ``log_ratio`` is the path's cumulative log p - log q; the counts split
-    the step's paths by their own step tag.  The weight is exactly 1.0
-    whenever the log ratio is zero or no path at the step was re-used, and
-    p/q when every path was; a p/q beyond the float range (or a NaN log
-    ratio) raises ``NumericalError``.
-    """
-    if n_reused < 0 or n_nominal < 0 or n_reused + n_nominal < 1:
-        raise InvalidInput("tag counts must be non-negative and sum >= 1")
-    if n_reused == 0 or log_ratio == 0.0:
-        return 1.0
-    if n_nominal == 0:
-        if not log_ratio <= _LOG_MAX_WEIGHT:
-            raise NumericalError(
-                f"balance weight overflows: log p/q = {log_ratio!r} on an "
-                "all-re-used step")
-        return float(np.exp(log_ratio))
-    n = n_reused + n_nominal
-    log_den = np.logaddexp(math.log(n_reused / n) - log_ratio,
-                           math.log(n_nominal / n))
-    return float(np.exp(-log_den))
-
-
-def mis_objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
-    """Importance-reweighted sampled objective of one candidate sequence.
-
-    Each step averages its paths' rewards, each weighted by the balance
-    heuristic over the step's tag counts.  On a tree with no re-used paths
-    this equals the unweighted objective exactly (all weights are the float
-    1.0).
-    """
-    total = 0.0
-    for depth in range(1, tree.horizon + 1):
-        nodes = tree.paths_for_seq(seq, depth)
-        if not nodes:
-            raise IncompleteRecord(f"sequence {seq} has no paths at depth {depth}")
-        n_reused = sum(1 for n in nodes if n.tag == TAG_REUSED)
-        n_nominal = len(nodes) - n_reused
-        weights = [balance_weight(n.log_ratio, n_reused, n_nominal)
-                   for n in nodes]
-        acc = 0.0
-        for w, n in zip(weights, nodes):
-            acc += w * n.reward
-        total += acc / len(nodes)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +400,7 @@ def _plan_incremental(
 
     tree = build_tree(root, cfg, motion, meas, goal, base_seed,
                       most_likely=ml_mode, reuse=reuse)
-    return planning_result(tree, overlap_depths, objective_fn=mis_objective,
-                           reuse_info=info)
+    return planning_result(tree, overlap_depths, reuse_info=info)
 
 
 def plan_ixbsp(

@@ -7,10 +7,20 @@ single most-likely future), and conditions.  The objective of a candidate
 action sequence averages immediate rewards over that sequence's sample paths
 level by level:
 
-    J(u_seq) = sum_i (1/n_i) sum_{paths at step i} w * r_i,
+    J(u_seq) = sum_i (1/n_i) sum_{paths at step i} w * r_i.
 
-with unit weights for freshly sampled trees.  The argmax over sequences (ties
-to the lowest enumeration index) gives the action to execute.
+A path's weight is the balance heuristic of multiple importance sampling
+(Veach & Guibas, SIGGRAPH 1995) over its step's tags.  With p and q the path's
+densities under this session's propagated beliefs and under the generators
+that drew it, and n_r of the step's n paths re-used from an archived tree:
+
+    w = p / ((n_r / n) q + (1 - n_r / n) p) = 1 / (1 + (n_r / n) (exp(-log_ratio) - 1))
+
+so a weight reads one number per path, ``BeliefTreeNode.log_ratio`` =
+log p - log q.  Every step of a fresh tree draws its futures from this
+session's beliefs, so n_r = 0 and every weight is exactly the float 1.0: the
+objective is the plain sample mean.  The argmax over sequences (ties to the
+lowest enumeration index) gives the action to execute.
 
 All four planners share one level loop.  ``build_tree`` makes every
 session's tree: it times each level, propagates each ``(parent, action)``
@@ -313,35 +323,68 @@ def build_tree(
     return tree
 
 
+_LOG_MAX_WEIGHT = math.log(np.finfo(float).max)
+
+
+def balance_weight(log_ratio: float, n_reused: int, n_nominal: int) -> float:
+    """Balance-heuristic weight of one sample path at one step.
+
+    ``log_ratio`` is the path's cumulative log p - log q; the counts split
+    the step's paths by their own step tag.  The weight is exactly 1.0
+    whenever the log ratio is zero or no path at the step was re-used, and
+    p/q when every path was; a p/q beyond the float range (or a NaN log
+    ratio) raises ``NumericalError``.
+    """
+    if n_reused < 0 or n_nominal < 0 or n_reused + n_nominal < 1:
+        raise InvalidInput("tag counts must be non-negative and sum >= 1")
+    if n_reused == 0 or log_ratio == 0.0:
+        return 1.0
+    if n_nominal == 0:
+        if not log_ratio <= _LOG_MAX_WEIGHT:
+            raise NumericalError(
+                f"balance weight overflows: log p/q = {log_ratio!r} on an "
+                "all-re-used step")
+        return float(np.exp(log_ratio))
+    n = n_reused + n_nominal
+    log_den = np.logaddexp(math.log(n_reused / n) - log_ratio,
+                           math.log(n_nominal / n))
+    return float(np.exp(-log_den))
+
+
 def objective(tree: BeliefTree, seq: tuple[int, ...]) -> float:
-    """Unweighted sampled objective of one candidate sequence (fresh trees)."""
+    """Sampled objective of one candidate sequence, for every planner.
+
+    Each step averages its paths' rewards, each weighted by the balance
+    heuristic over the step's tag counts; a step with no re-used path, and
+    so every step of a fresh tree, has unit weights.
+    """
     total = 0.0
     for depth in range(1, tree.horizon + 1):
         nodes = tree.paths_for_seq(seq, depth)
         if not nodes:
             raise UnknownSequence(f"sequence {seq} has no paths at depth {depth}")
+        n_reused = sum(1 for n in nodes if n.tag == TAG_REUSED)
+        n_nominal = len(nodes) - n_reused
         acc = 0.0
         for n in nodes:
-            acc += 1.0 * n.reward
+            acc += balance_weight(n.log_ratio, n_reused, n_nominal) * n.reward
         total += acc / len(nodes)
     return total
 
 
 def best_action(
     tree: BeliefTree,
-    objective_fn=None,
 ) -> tuple[ActionId, tuple[int, ...], float, dict[tuple[int, ...], float]]:
     """Argmax over candidate sequences; ties resolve to the lowest index.
 
     NaN objectives never win; when every candidate is NaN or -inf there is
     no argmax and ``NumericalError`` is raised.
     """
-    fn = objective_fn if objective_fn is not None else objective
     best_seq: tuple[int, ...] | None = None
     best_val = -math.inf
     values: dict[tuple[int, ...], float] = {}
     for seq in tree.candidate_sequences():
-        val = fn(tree, seq)
+        val = objective(tree, seq)
         values[seq] = val
         if val > best_val:
             best_val = val
@@ -356,11 +399,10 @@ def planning_result(
     tree: BeliefTree,
     overlap_depths: int,
     *,
-    objective_fn=None,
     reuse_info: dict[str, float | int | str | None] | None = None,
 ) -> PlanningResult:
     """Score a built tree and time its first ``overlap_depths`` levels."""
-    act, seq, val, values = best_action(tree, objective_fn)
+    act, seq, val, values = best_action(tree)
     counts = tree.tag_counts()
     counts["gn_cap_hits"] = sum(
         1 for n in tree.nodes

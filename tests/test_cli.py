@@ -19,7 +19,7 @@ from ixbsp.cli import (
     main,
 )
 from ixbsp.errors import ConfigError
-from ixbsp.planner import objective
+from ixbsp.planner import TAG_REUSED, objective
 from ixbsp.serialize import tree_from_json_dict
 
 from _util import tiny_cfg
@@ -121,17 +121,24 @@ class TestRunCommand:
             assert (out3 / "snapshots" / name).read_bytes() == \
                    (out1 / "snapshots" / name).read_bytes()
 
-    def test_snapshot_rescores_the_logged_objective(self, cfg_path, tmp_path):
+    def test_snapshot_rescores_the_logged_objective(self, tmp_path):
+        # the third session re-uses archived futures, so imlbsp's final tree
+        # holds re-used paths whose weights are not one
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_cfg(max_sessions=3).to_json_dict()))
         out = tmp_path / "out"
-        assert self._run(cfg_path, out, seeds=("0",)) == 0
-        header, rows = _read_csv(out / "sessions_mlbsp_w0_s0.csv")
-        last = rows[-1]
-        seq = tuple(int(a) for a in last[header.index("chosen_seq")].split("-"))
-        logged = float(last[header.index("objective")])
-        raw = json.loads(
-            (out / "snapshots" / "tree_mlbsp_w0_s0.json").read_text())
-        tree = tree_from_json_dict(raw)
-        assert objective(tree, seq) == pytest.approx(logged, abs=1e-9)
+        assert self._run(str(path), out, seeds=("0",)) == 0
+        for planner in ("mlbsp", "imlbsp"):
+            header, rows = _read_csv(out / f"sessions_{planner}_w0_s0.csv")
+            last = rows[-1]
+            seq = tuple(
+                int(a) for a in last[header.index("chosen_seq")].split("-"))
+            raw = json.loads(
+                (out / "snapshots" / f"tree_{planner}_w0_s0.json").read_text())
+            tree = tree_from_json_dict(raw)
+            assert repr(objective(tree, seq)) == last[header.index("objective")]
+        assert any(n.tag == TAG_REUSED and n.log_ratio != 0.0
+                   for n in tree.nodes)
 
     def test_config_problems_exit_two(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -49,6 +49,7 @@ BAD_NUMBERS = [
     dict(n_z=1.0),
     dict(horizon=2.0),
     dict(overlap=1.0),
+    dict(horizon=3, overlap=2),
     dict(n_u=True),
     dict(world=dict(n_landmarks=2.5)),
     dict(world=dict(n_goals=1.5)),

@@ -23,9 +23,11 @@ MODULES = sorted(
 
 # "<module path>": names imported only for perfbench to wrap.
 PERFBENCH_ONLY: dict[str, tuple[str, ...]] = {
-    # planner.build_tree makes every level, so incremental no longer calls
-    # these; spans.py still wraps incremental's bindings of them
+    # planner.build_tree makes every level and planner.objective scores every
+    # session, so incremental no longer calls these; spans.py still wraps
+    # incremental's bindings of them
     "src/ixbsp/incremental.py": (
+        "mis_objective",  # planner.objective
         "most_likely_measurement",  # sampling.draw
         "propagate",  # beliefs.propagate
         "sample_future_measurements",  # sampling.draw
@@ -88,3 +90,26 @@ def test_no_unused_imports(path):
     unused = [name for name, _ in unused_imports(path.read_text())]
     # equality also keeps the allowlist from naming a used import
     assert unused == sorted(PERFBENCH_ONLY.get(str(path.relative_to(ROOT)), ()))
+
+
+def span_targets(source: str) -> set[tuple[str, str]]:
+    """``(module, attr)`` of each ``(module, "attr", ...)`` tuple in the
+    ``targets`` list of ``perfbench/spans.py``; class owners are skipped."""
+    found: set[tuple[str, str]] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "targets"
+                for t in node.targets):
+            for elt in node.value.elts:
+                owner, attr = elt.elts[:2]
+                if isinstance(owner, ast.Name):
+                    found.add((owner.id, attr.value))
+    return found
+
+
+def test_perfbench_only_names_are_span_targets():
+    targets = span_targets((ROOT / "perfbench" / "spans.py").read_text())
+    for path, names in PERFBENCH_ONLY.items():
+        module = Path(path).stem
+        for name in names:
+            assert (module, name) in targets, (path, name)

@@ -25,17 +25,15 @@ from ixbsp.errors import (
     IncompatibleHorizon,
     IncompatibleStates,
     IncompatibleTrees,
-    IncompleteRecord,
     InvalidInput,
     NumericalError,
+    UnknownSequence,
 )
 from ixbsp.incremental import (
     PlanningArchive,
     _CandidateScan,
-    balance_weight,
     closest_belief,
     is_rep_sample,
-    mis_objective,
     plan_iml,
     plan_ixbsp,
     select_closest_branch,
@@ -47,6 +45,7 @@ from ixbsp.planner import (
     TAG_WILDFIRE,
     BeliefTree,
     add_nominal_children,
+    balance_weight,
     build_tree,
     make_reward_fn,
     objective,
@@ -114,14 +113,29 @@ class TestBalanceWeight:
             balance_weight(0.0, -1, 2)
 
 
+def _plain_mean(tree, seq):
+    """Reference objective with no weights: each step's rewards summed in
+    path order, over the step's path count."""
+    total = 0.0
+    for depth in range(1, tree.horizon + 1):
+        nodes = tree.paths_for_seq(seq, depth)
+        acc = 0.0
+        for n in nodes:
+            acc += n.reward
+        total += acc / len(nodes)
+    return total
+
+
 class TestMisObjective:
-    def test_reduces_to_unweighted_on_fresh_tree(self):
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans())
+    def test_reduces_to_unweighted_on_fresh_tree(self, seed, ml):
         cfg = tiny_cfg(n_x=2)
         prior, motion, meas, goal = _setup(cfg)
-        root = planning_root(prior)
-        tree = build_tree(root, cfg, motion, meas, goal, base_seed=3, most_likely=False)
+        tree = build_tree(planning_root(prior), cfg, motion, meas, goal,
+                          base_seed=seed, most_likely=ml)
         for seq in tree.candidate_sequences():
-            assert mis_objective(tree, seq) == objective(tree, seq)
+            assert repr(objective(tree, seq)) == repr(_plain_mean(tree, seq))
 
     @staticmethod
     def _hand_tree(horizon, steps):
@@ -160,18 +174,32 @@ class TestMisObjective:
         for w, r in ((balance_weight(0.4, 1, 1), 8.0),
                      (balance_weight(0.4 + 0.5, 1, 1), 16.0)):
             acc2 += w * r
-        assert mis_objective(tree, (0, 0)) == 0.0 + acc / 3 + acc2 / 2
+        assert objective(tree, (0, 0)) == 0.0 + acc / 3 + acc2 / 2
+
+    def test_steps_without_reused_paths_have_unit_weights(self):
+        """Nominal and wildfire steps weigh every path one, even when the
+        paths carry log ratios from re-used steps above them."""
+        tree = self._hand_tree(3, [[(1.5, 0.7, TAG_WILDFIRE),
+                                    (2.25, -1.3, TAG_NOMINAL)],
+                                   [(0.3, 0.0, TAG_NOMINAL),
+                                    (4.0, 2.5, TAG_WILDFIRE),
+                                    (8.5, -0.2, TAG_NOMINAL)],
+                                   [(0.1, 0.0, TAG_WILDFIRE),
+                                    (6.0, 0.0, TAG_NOMINAL)]])
+        assert all(n.log_ratio != 0.0 for n in tree.nodes[1:])
+        assert repr(objective(tree, (0, 0, 0))) == repr(
+            _plain_mean(tree, (0, 0, 0)))
 
     def test_malformed_step_rejected(self):
         level = [(1.0, 0.0, TAG_NOMINAL)]
         tree = self._hand_tree(2, [level, level])
-        assert mis_objective(tree, (0, 0)) == 2.0
+        assert objective(tree, (0, 0)) == 2.0
         tree.node(1).children[0] = []  # empty slot at depth 2
-        with pytest.raises(IncompleteRecord):
-            mis_objective(tree, (0, 0))
+        with pytest.raises(UnknownSequence):
+            objective(tree, (0, 0))
         tree.root.children[0] = []  # empty slot at depth 1
-        with pytest.raises(IncompleteRecord):
-            mis_objective(tree, (0, 0))
+        with pytest.raises(UnknownSequence):
+            objective(tree, (0, 0))
 
 
 def _record_objective(tree, seq):
@@ -223,7 +251,7 @@ class TestMisObjectiveMatchesRecord:
         assert (TAG_REUSED if mode == "update" else TAG_WILDFIRE) in tags
         _assert_level_times(res, cfg)
         for seq in res.tree.candidate_sequences():
-            assert repr(mis_objective(res.tree, seq)) == repr(
+            assert repr(objective(res.tree, seq)) == repr(
                 _record_objective(res.tree, seq))
 
 

@@ -162,10 +162,13 @@ class TestObjective:
         cfg = tiny_cfg(n_x=1)
         root, motion, meas, goal = _setup(cfg)
         tree = build_tree(root, cfg, motion, meas, goal, base_seed=6, most_likely=False)
-        act, seq, val, _ = best_action(tree, objective_fn=lambda t, s: 7.25)
+        for node in tree.nodes[1:]:
+            node.reward = 3.625
+        act, seq, val, values = best_action(tree)
+        assert set(values.values()) == {3.625 * cfg.horizon}
         assert seq == tuple([0] * cfg.horizon)
         assert act == ActionId(0)
-        assert val == 7.25
+        assert val == 3.625 * cfg.horizon
 
     def test_nan_rewards_never_win_and_all_nan_raises(self):
         cfg = tiny_cfg(n_x=1)

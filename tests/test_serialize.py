@@ -18,7 +18,7 @@ from ixbsp.beliefs import (
     update_with_measurements,
 )
 from ixbsp.errors import InvalidInput
-from ixbsp.incremental import PlanningArchive, mis_objective, plan_iml, plan_ixbsp
+from ixbsp.incremental import PlanningArchive, plan_iml, plan_ixbsp
 from ixbsp.planner import (
     TAG_REUSED,
     TAG_WILDFIRE,
@@ -170,10 +170,7 @@ class TestTreeRoundTrip:
         for a0 in range(cfg.n_u):
             for a1 in range(cfg.n_u):
                 seq = (a0, a1)
-                assert objective(tree2, seq) == pytest.approx(
-                    objective(tree, seq), abs=1e-12)
-                assert mis_objective(tree2, seq) == pytest.approx(
-                    mis_objective(tree, seq), abs=1e-12)
+                assert repr(objective(tree2, seq)) == repr(objective(tree, seq))
 
     def test_unknown_format_rejected(self):
         tree, _ = _tree()
