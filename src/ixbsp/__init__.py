@@ -9,8 +9,8 @@ Four planners over one Gaussian belief engine:
   verbatim wildfire adoption.
 
 The four differ only in how an action slot is filled: fresh futures, re-used
-archived futures, or adopted archived subtrees.  ``build_tree`` is the one
-loop that makes tree levels; an incremental planner passes it an
+archived futures (iX-BSP only), or adopted archived subtrees.  ``build_tree``
+is the one loop that makes tree levels; an incremental planner passes it an
 ``ArchiveReuse``, which fills the slots it can from the archive.  Every
 fresh future becomes a node through ``planner.add_nominal_children``, so
 with nothing to re-use an incremental planner builds its fresh twin's tree

@@ -6,11 +6,11 @@ posterior and re-uses as much of that subtree as the distances allow:
 
 * distance <= eps_wf (with wildfire enabled): adopt verbatim, no update, no
   reward recomputation; weights stay neutral.
-* distance <= eps_c: keep the archived measurement futures whose generating
-  states still represent the new propagated belief, refresh the rest,
-  condition every kept measurement set on the new propagated belief (the
-  one-step update a fresh future gets), recompute rewards.
-* otherwise: plan from scratch.
+* distance <= eps_c, sampled futures only: keep the archived futures whose
+  generating states still represent the new propagated belief, refresh the
+  rest, condition every kept measurement set on the new propagated belief
+  (the one-step update a fresh future gets), recompute rewards.
+* otherwise, and in a most-likely session not adopted: plan from scratch.
 
 ``planner.build_tree`` makes every level of the new tree, as for the fresh
 planners.  ``ArchiveReuse`` carries the selected branch and answers, for each
@@ -232,16 +232,15 @@ class ArchiveReuse:
     Verbatim (wildfire) copies need wildfire on and a branch holding every
     variable of the new root: distances over shared variables cannot certify
     a copy that lacks one.  Planning adds one pose per level and no landmark,
-    so this one test decides every slot below.  Within eps_wf the root counts
-    as adopted from the branch (``mode`` ``"adopt"``, else ``"update"``).
+    so this one test decides every slot below.  Within eps_wf the root is
+    adopted (``mode`` ``"adopt"``) and ``copy`` fills every overlap level.
     """
 
     def __init__(self, archive: PlanningArchive, branch_id: int,
                  branch_dist: float, root: GaussianBelief, cfg: ScenarioConfig,
-                 meas: MeasModel, *, ml_mode: bool) -> None:
+                 meas: MeasModel) -> None:
         arch = self.arch_tree = archive.tree
         self.meas = meas
-        self.ml_mode = ml_mode
         self.epsilon_wf = cfg.epsilon_wf
         self.epsilon_c = cfg.epsilon_c
         self.beta_sigma = cfg.beta_sigma
@@ -277,10 +276,10 @@ class ArchiveReuse:
         return True
 
     def fill(self, tree: BeliefTree, parent: BeliefTreeNode, action_index: int,
-             prop: PropagatedBelief, rng: np.random.Generator | None,
+             prop: PropagatedBelief, rng: np.random.Generator,
              reward_fn) -> bool:
-        """The nearest archived slot to ``prop`` gives its children: copied
-        within eps_wf, re-used within eps_c, else none (fresh futures)."""
+        """Sampled sessions: the nearest archived slot to ``prop`` gives its
+        children, copied within eps_wf, re-used within eps_c, else none."""
         dist, (c_pid, c_a) = self.scans[parent.depth].closest(prop)
         arch_ids = self.arch_tree.node(c_pid).children[c_a]
         if self.wildfire and dist <= self.epsilon_wf:
@@ -305,16 +304,14 @@ class ArchiveReuse:
 
     def _reuse(self, tree: BeliefTree, parent: BeliefTreeNode,
                action_index: int, prop: PropagatedBelief, arch_ids: list[int],
-               rng: np.random.Generator | None, reward_fn) -> None:
+               rng: np.random.Generator, reward_fn) -> None:
         """Re-use archived futures where representative, refresh the rest.
 
         Archived children are grouped by generating state (state-major
         order); each group is accepted or rejected as a whole, mirroring how
         the state realization, not the value draw, decides
-        representativeness.  ML mode accepts every group: its one future has
-        no spread to test, and the eps_c gate already passed.  A re-used
-        child's step log ratio sums its kept entries' log densities under
-        ``prop`` minus their archived ones.
+        representativeness.  A re-used child's step log ratio sums its kept
+        entries' log densities under ``prop`` minus their archived ones.
         """
         meas = self.meas
         n_z = tree.n_z
@@ -323,8 +320,8 @@ class ArchiveReuse:
             group = [self.arch_tree.node(cid) for cid in arch_ids[g:g + n_z]]
             lead = group[0]
             arch_prop = lead.prop
-            if not (self.ml_mode or is_rep_sample(
-                    lead.sample.chi, arch_prop.index, prop, self.beta_sigma)):
+            if not is_rep_sample(lead.sample.chi, arch_prop.index, prop,
+                                 self.beta_sigma):
                 fresh = sample_state_futures(prop, meas, n_z, rng)
                 add_nominal_children(tree, parent, action_index, prop, fresh,
                                      meas, reward_fn, first_slot=slot)
@@ -393,8 +390,9 @@ def _plan_incremental(
         dist, branch_id = select_closest_branch(root, archive)
         overlap_depths = cfg.horizon - archive.overlap
         if dist <= cfg.epsilon_c:
-            reuse = ArchiveReuse(archive, branch_id, dist, root, cfg, meas,
-                                 ml_mode=ml_mode)
+            reuse = ArchiveReuse(archive, branch_id, dist, root, cfg, meas)
+            if ml_mode and reuse.adopted is None:
+                reuse = None  # see plan_iml
         info = {"mode": "fresh" if reuse is None else reuse.mode,
                 "branch_dist": dist, "branch_id": branch_id}
 
@@ -431,11 +429,11 @@ def plan_iml(
 ) -> PlanningResult:
     """Incremental maximum-likelihood planning session.
 
-    With no archive this reduces bit-for-bit to the fresh ML planner (the ML
-    tree is deterministic, so reuse only changes which futures are kept).
-    Archived ML futures are re-used whenever the propagated-belief distance
-    passes the eps_c gate; the per-state representativeness test does not
-    apply at a single deterministic sample.
+    It adopts the closest archived branch verbatim (the wildfire zone) or
+    plans exactly as the fresh ML planner.  Unlike the paper's iML-BSP it
+    never re-uses an archived ML future: that future's update starts off the
+    new optimum and iterates, while a fresh one starts at a zero gradient and
+    stops at once, so a fresh future is the cheaper one.
     """
     return _plan_incremental(posterior, archive, cfg, motion, meas, goal,
                              base_seed, ml_mode=True)

@@ -6,11 +6,17 @@ import functools
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import Phase
 
 from ixbsp import beliefs
 from ixbsp.beliefs import GaussianState, VariableIndex
 from ixbsp.config import RewardConfig, ScenarioConfig, WorldConfig
 from ixbsp.models import landmark_var, pose_var
+
+
+# hypothesis phases for tests that plan whole sessions: no shrinking, so a
+# failing example is reported at once instead of re-planning many seeds
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

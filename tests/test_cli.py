@@ -78,9 +78,10 @@ class TestArgPlumbing:
 
 
 class TestRunCommand:
-    def _run(self, cfg_path, out_dir, seeds=("0", "1")):
+    def _run(self, cfg_path, out_dir, seeds=("0", "1"),
+             planners="mlbsp,imlbsp"):
         return main(["run", "--config", cfg_path, "--out", str(out_dir),
-                     "--planners", "mlbsp,imlbsp", "--seeds", *seeds])
+                     "--planners", planners, "--seeds", *seeds])
 
     def test_grid_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -122,13 +123,14 @@ class TestRunCommand:
                    (out1 / "snapshots" / name).read_bytes()
 
     def test_snapshot_rescores_the_logged_objective(self, tmp_path):
-        # the third session re-uses archived futures, so imlbsp's final tree
+        # the third session re-uses archived futures, so ixbsp's final tree
         # holds re-used paths whose weights are not one
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_cfg(max_sessions=3).to_json_dict()))
         out = tmp_path / "out"
-        assert self._run(str(path), out, seeds=("0",)) == 0
-        for planner in ("mlbsp", "imlbsp"):
+        assert self._run(str(path), out, seeds=("0",),
+                         planners="xbsp,ixbsp") == 0
+        for planner in ("xbsp", "ixbsp"):
             header, rows = _read_csv(out / f"sessions_{planner}_w0_s0.csv")
             last = rows[-1]
             seq = tuple(

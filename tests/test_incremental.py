@@ -54,7 +54,7 @@ from ixbsp.planner import (
 )
 from ixbsp.sampling import MeasurementSample, measurement_likelihood_density
 
-from _util import cap_solves_at, tiny_cfg
+from _util import NO_SHRINK, cap_solves_at, tiny_cfg
 
 
 def _setup(cfg):
@@ -127,7 +127,7 @@ def _plain_mean(tree, seq):
 
 
 class TestMisObjective:
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans())
     def test_reduces_to_unweighted_on_fresh_tree(self, seed, ml):
         cfg = tiny_cfg(n_x=2)
@@ -227,17 +227,19 @@ _REUSE_CFGS = {
     "update": dict(n_x=2, use_wildfire=False),
     "adopt": dict(n_x=2, epsilon_c=1e9, epsilon_wf=1e9),
 }
+# (most likely, mode): an ML session adopts or plans fresh, never updates
+_REUSE_CASES = [(False, "adopt"), (False, "update"), (True, "adopt")]
 
 
 class TestMisObjectiveMatchesRecord:
     """The one-pass objective equals the record-based computation bit for
-    bit on re-used trees, in both sampled and ML mode."""
+    bit on re-used trees: sampled ones in both modes, adopted ML ones."""
 
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans(),
-           mode=st.sampled_from(sorted(_REUSE_CFGS)),
+    @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2**63 - 1), case=st.sampled_from(_REUSE_CASES),
            jitter=st.sampled_from([0.0, 0.005, 0.01]))
-    def test_every_sequence(self, seed, ml, mode, jitter):
+    def test_every_sequence(self, seed, case, jitter):
+        ml, mode = case
         cfg = tiny_cfg(**_REUSE_CFGS[mode])
         prior, motion, meas, goal = _setup(cfg)
         fresh, inc = _PLANNER_PAIRS[ml]
@@ -261,11 +263,11 @@ class TestLogRatio:
     entries of their log densities under the node's propagated belief minus
     those under the origin node's, recomputed here, bit for bit."""
 
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans(),
-           mode=st.sampled_from(sorted(_REUSE_CFGS)),
+    @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2**63 - 1), case=st.sampled_from(_REUSE_CASES),
            jitter=st.sampled_from([0.0, 0.005, 0.01]))
-    def test_parent_plus_step(self, seed, ml, mode, jitter):
+    def test_parent_plus_step(self, seed, case, jitter):
+        ml, mode = case
         # horizon 3 re-uses two levels, so re-used steps also stack
         cfg = tiny_cfg(horizon=3, **_REUSE_CFGS[mode])
         prior, motion, meas, goal = _setup(cfg)
@@ -464,9 +466,9 @@ class TestIncrementalPlanners:
             if na.depth > 0:
                 assert np.array_equal(na.sample.chi, nb.sample.chi)
 
-    def _session_pair(self, cfg, seed=0, fresh=plan_xbsp):
+    def _session_pair(self, cfg, seed=0):
         prior, motion, meas, goal = _setup(cfg)
-        res0 = fresh(prior, cfg, motion, meas, goal, base_seed=seed)
+        res0 = plan_xbsp(prior, cfg, motion, meas, goal, base_seed=seed)
         act = res0.best_action.index
         archive = PlanningArchive(res0.tree, (act,))
         posterior = _execute(prior, act, motion, meas, jitter=0.01)
@@ -507,15 +509,12 @@ class TestIncrementalPlanners:
                     run_tags.append(run[0].tag)
         assert TAG_REUSED in run_tags and TAG_NOMINAL in run_tags
 
-    @pytest.mark.parametrize("ml", [False, True])
-    def test_reused_node_gets_the_fresh_update(self, ml):
+    def test_reused_node_gets_the_fresh_update(self):
         """A re-used node's belief and reward are those a fresh node gets
         from the same propagated belief and measurement set, bit for bit."""
-        cfg = tiny_cfg(n_x=1 if ml else 2, use_wildfire=False)
-        fresh, plan = _PLANNER_PAIRS[ml]
-        posterior, archive, motion, meas, goal = self._session_pair(
-            cfg, fresh=fresh)
-        res = plan(posterior, archive, cfg, motion, meas, goal, base_seed=1)
+        cfg = tiny_cfg(n_x=2, use_wildfire=False)
+        posterior, archive, motion, meas, goal = self._session_pair(cfg)
+        res = plan_ixbsp(posterior, archive, cfg, motion, meas, goal, base_seed=1)
         reused = [n for n in res.tree.nodes if n.tag == TAG_REUSED]
         assert reused
         reward_fn = make_reward_fn(cfg.reward, goal)
@@ -618,20 +617,6 @@ class TestIncrementalPlanners:
         res = plan_ixbsp(novel, archive1, cfg, motion, meas, goal, base_seed=2)
         assert res.reuse_info["mode"] == "update"
 
-    def test_iml_reuses_under_archive(self):
-        cfg = tiny_cfg(use_wildfire=False)
-        prior, motion, meas, goal = _setup(cfg)
-        res0 = plan_iml(prior, None, cfg, motion, meas, goal, base_seed=0)
-        act = res0.best_action.index
-        archive = PlanningArchive(res0.tree, (act,))
-        posterior = _execute(prior, act, motion, meas, jitter=0.005)
-        res = plan_iml(posterior, archive, cfg, motion, meas, goal, base_seed=1)
-        assert res.reuse_info["mode"] == "update"
-        assert res.counts[TAG_REUSED] > 0
-        assert [len(res.tree.nodes_at_depth(d)) for d in (1, 2)] == [3, 9]
-        # ML keeps every archived future it re-uses: no representativeness test
-        assert {n.tag for n in res.tree.nodes_at_depth(1)} == {TAG_REUSED}
-
 
 def _assert_same_plan(fresh, inc):
     """Bit-for-bit equal trees and objectives."""
@@ -658,7 +643,7 @@ def _assert_level_times(res, cfg):
 class TestNothingReusedEqualsFresh:
     """With nothing to re-use, an incremental planner is its fresh twin."""
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**63 - 1), horizon=st.integers(1, 3),
            ml=st.booleans())
     def test_without_archive(self, seed, horizon, ml):
@@ -669,7 +654,7 @@ class TestNothingReusedEqualsFresh:
         _assert_same_plan(fresh(prior, cfg, motion, meas, goal, seed), res)
         _assert_level_times(res, cfg)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**63 - 1), ml=st.booleans())
     def test_fresh_mode_under_archive(self, seed, ml):
         cfg = tiny_cfg(n_x=2, epsilon_c=0.0, epsilon_wf=0.0, use_wildfire=False)
@@ -682,4 +667,31 @@ class TestNothingReusedEqualsFresh:
         res = inc(posterior, archive, cfg, motion, meas, goal, seed)
         assert res.reuse_info["mode"] == "fresh"
         _assert_same_plan(fresh(posterior, cfg, motion, meas, goal, seed), res)
+        _assert_level_times(res, cfg)
+
+
+class TestIncrementalMLAdoptsOrPlansFresh:
+    """An iML-BSP session adopts its archived branch verbatim or is the
+    fresh ML planner's session bit for bit; it never re-uses a future."""
+
+    @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2**63 - 1), horizon=st.integers(2, 3),
+           jitter=st.sampled_from([0.0, 0.01, 0.1, 0.2]))
+    def test_mlbsp_unless_adopted(self, seed, horizon, jitter):
+        # tiny_cfg's eps_wf 2.0 adopts up to jitter 0.05; larger ones do not
+        cfg = tiny_cfg(horizon=horizon)
+        prior, motion, meas, goal = _setup(cfg)
+        res0 = plan_mlbsp(prior, cfg, motion, meas, goal, 0)
+        act = res0.best_action.index
+        archive = PlanningArchive(res0.tree, (act,))
+        posterior = _execute(prior, act, motion, meas, jitter=jitter)
+        res = plan_iml(posterior, archive, cfg, motion, meas, goal, seed)
+        assert all(n.tag != TAG_REUSED for n in res.tree.nodes)
+        if res.reuse_info["mode"] == "adopt":
+            for node in res.tree.nodes[1:]:
+                assert (node.tag == TAG_WILDFIRE) == (node.depth < horizon)
+        else:
+            assert res.reuse_info["mode"] == "fresh"
+            _assert_same_plan(
+                plan_mlbsp(posterior, cfg, motion, meas, goal, seed), res)
         _assert_level_times(res, cfg)

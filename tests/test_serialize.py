@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from ixbsp.serialize import (
     unpack_sym,
 )
 
-from _util import random_spd, tiny_cfg
+from _util import NO_SHRINK, random_spd, tiny_cfg
 
 
 class TestPackedSymmetric:
@@ -87,8 +88,9 @@ class TestBeliefRoundTrip:
         assert b2.factors == ()
 
 
+# the update config keeps every archived state, so iX-BSP re-uses futures
 _REUSE_CFGS = {
-    "update": dict(n_x=2, use_wildfire=False),
+    "update": dict(n_x=2, use_wildfire=False, beta_sigma=math.inf),
     "adopt": dict(n_x=2, epsilon_c=1e9, epsilon_wf=1e9),
 }
 
@@ -96,10 +98,10 @@ _REUSE_CFGS = {
 def _planner_trees(seed):
     """(label, tree) for all four planners; each incremental planner plans
     once without an archive, and once from its previous session's tree in
-    each re-use mode."""
+    each re-use config.  An ML session plans fresh where iX-BSP updates."""
     out = []
     for fresh, inc in ((plan_xbsp, plan_ixbsp), (plan_mlbsp, plan_iml)):
-        for mode, overrides in _REUSE_CFGS.items():
+        for config, overrides in _REUSE_CFGS.items():
             cfg = tiny_cfg(**overrides)
             prior = _prior(cfg)
             motion, meas = cfg.motion_model(), cfg.meas_model()
@@ -111,9 +113,12 @@ def _planner_trees(seed):
                 prop, most_likely_measurement(prop, meas).z_set, meas)
             archive = PlanningArchive(res0.tree, (act.index,))
             res1 = inc(posterior, archive, cfg, motion, meas, goal, seed + 1)
+            mode = "fresh" if (inc, config) == (plan_iml, "update") else config
             assert res1.reuse_info["mode"] == mode
-            out.append((f"{inc.__name__}-{mode}", res1.tree))
             if mode == "update":
+                assert any(n.tag == TAG_REUSED for n in res1.tree.nodes)
+            out.append((f"{inc.__name__}-{config}", res1.tree))
+            if config == "update":
                 out.append((inc.__name__, res0.tree))
                 out.append((fresh.__name__,
                             fresh(prior, cfg, motion, meas, goal, seed).tree))
@@ -129,7 +134,7 @@ def _assert_same_belief(a, b):
 
 
 class TestTreeRoundTrip:
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2**63 - 2))
     def test_structure_scores_and_tags_survive(self, seed):
         """Every kept tree, node, sample and belief field survives bit for
