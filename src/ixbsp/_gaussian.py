@@ -22,6 +22,10 @@ def _factor(mat: np.ndarray, name: str, factorize):
     factorization (not positive definite) raises ``NumericalError``.
     ``mat`` may be a stack of square matrices (``(..., n, n)``) when
     ``factorize`` takes one; each matrix is checked on its own scale.
+    Input equal to its transpose (the inverses and information matrices
+    the program builds) skips only the asymmetry measurement; it is still
+    copied through the symmetrization, so a ``-0.0`` facing a ``0.0``
+    becomes ``0.0`` on both sides as before.
     """
     arr = np.asarray(mat, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
@@ -30,7 +34,8 @@ def _factor(mat: np.ndarray, name: str, factorize):
     scale = np.abs(arr).max(axis=(-2, -1))  # NaN or inf when any entry is
     if not np.isfinite(scale).all():
         raise InvalidInput(f"{name} must be finite")
-    if (np.abs(arr - trans).max(axis=(-2, -1)) > 1e-9 * (1.0 + scale)).any():
+    if not (arr == trans).all() and (
+            np.abs(arr - trans).max(axis=(-2, -1)) > 1e-9 * (1.0 + scale)).any():
         raise InvalidInput(f"{name} must be symmetric")
     sym = np.ascontiguousarray(0.5 * (arr + trans))
     try:
@@ -42,6 +47,16 @@ def _factor(mat: np.ndarray, name: str, factorize):
 def as_spd(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Validate an SPD candidate and return a symmetrized C-contiguous copy."""
     return _factor(mat, name, np.linalg.cholesky)[0]
+
+
+def spd_and_chol(mat: np.ndarray,
+                 name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
+    """``as_spd`` and the lower Cholesky factor its check computed.
+
+    The factor is ``chol_lower`` of the returned copy, bit for bit: the
+    copy is exactly symmetric, so symmetrizing it again changes nothing.
+    """
+    return _factor(mat, name, np.linalg.cholesky)
 
 
 def chol_lower(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
@@ -74,5 +89,10 @@ def whitener(cov: np.ndarray) -> np.ndarray:
     Whitened residuals W.T @ r have identity covariance; stacking them turns a
     weighted least-squares problem into an ordinary one.
     """
-    low = chol_lower(cov)
+    return chol_whitener(chol_lower(cov))
+
+
+def chol_whitener(low: np.ndarray) -> np.ndarray:
+    """``whitener`` of the covariance whose lower Cholesky factor is ``low``,
+    for a caller that already holds the factor."""
     return solve_triangular(low, np.eye(low.shape[0]), lower=True).T

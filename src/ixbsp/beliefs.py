@@ -31,22 +31,34 @@ problem starts at its optimum.  The solve then takes its covariance from the
 information matrix that iteration built: the heading wrap returns its own
 outputs unchanged, so that matrix is the one at the final linearization point.
 
+Each Gauss-Newton pass linearizes a step's measurement entries together:
+a run of consecutive ``MeasurementFactor``s on one pose is one
+``MeasModel.linearize`` call and a few batched products, added into the
+normal equations in factor order, so the pass equals the factor-by-factor
+one bit for bit (``solve_factors`` says why).  A ``DensePriorFactor``
+computes its information matrix once, when it is made.
+
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings, covariances come from the information matrix at the final
-linearization point.  ``propagate`` gives every child of one index the same
+linearization point.  Each belief keeps the Cholesky factor that validating
+its covariance computed (``cov_chol``); a planning node's prior and the
+state drawn for its future read that factor, so a propagated covariance is
+factored once.  ``propagate`` gives every child of one index the same
 extended index, so each tree level shares one layout and its cached factor
 positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 import numpy as np
 
-from ._gaussian import as_spd, chol_lower, spd_inverse, whitener
+from ._gaussian import chol_lower, chol_whitener, spd_and_chol, spd_inverse, whitener
 from .errors import (
     DaMismatch,
     DegenerateUpdate,
@@ -99,8 +111,9 @@ class VariableIndex:
     """Ordered variable layout of a joint state vector.
 
     The offset map, the heading mask and the newest pose are computed once,
-    at construction.  The extension by one variable (``extended``) and the
-    layout of each tuple of variables (``layout``) are computed once per
+    at construction.  The extension by one variable (``extended``), the
+    layout of each tuple of variables (``layout``) and of each run of
+    measurement factors (``measurement_run``) are computed once per
     instance, when first asked for.  Planning gives every node of one tree
     level the same index, so a level resolves each layout once.  An index
     holds its extensions weakly: one lives while a belief uses it, so a
@@ -117,6 +130,8 @@ class VariableIndex:
     _extended: WeakValueDictionary[VariableId, VariableIndex] = field(
         init=False, repr=False, compare=False)
     _layouts: dict[tuple[VariableId, ...], tuple[Layout, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+    _runs: dict[tuple[int, tuple[int, ...]], RunLayout] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -140,6 +155,7 @@ class VariableIndex:
         object.__setattr__(self, "_newest_pose", newest)
         object.__setattr__(self, "_extended", WeakValueDictionary())
         object.__setattr__(self, "_layouts", {})
+        object.__setattr__(self, "_runs", {})
 
     def __reduce__(self):
         return (VariableIndex, (self.vars,))
@@ -187,6 +203,24 @@ class VariableIndex:
             block.flags.writeable = False
             hit = ((tuple(self.slice_of(v) for v in vars_), idx), block)
             self._layouts[vars_] = hit
+        return hit
+
+    def measurement_run(self, t: int, lms: tuple[int, ...]) -> RunLayout:
+        """The ``RunLayout`` of consecutive measurement factors on pose ``t``,
+        one per landmark id of ``lms``; its arrays are read-only, and each
+        run is resolved once per index."""
+        key = (t, lms)
+        hit = self._runs.get(key)
+        if hit is None:
+            pose = pose_var(t)
+            per = self.indices_of(
+                [v for j in lms for v in (pose, landmark_var(j))]).reshape(len(lms), -1)
+            coords = per[:, POSE_DIM:].copy()
+            block = (per[:, :, None] * self.dim + per[:, None, :]).ravel()
+            idx = per.ravel()
+            for arr in (coords, idx, block):
+                arr.flags.writeable = False
+            hit = self._runs[key] = (self.slice_of(pose), coords, idx, block)
         return hit
 
     def theta_mask(self) -> np.ndarray:
@@ -282,20 +316,50 @@ class MeasurementSet:
 # residual, its jacobian and those coordinates.
 Layout = tuple[tuple[slice, ...], np.ndarray]
 
+# The place of k consecutive measurement factors on one pose: the pose's
+# slice, the (k, 2) coordinates of their landmarks, and the k factors'
+# coordinates (pose, then landmark, as in each factor's ``layout``) and
+# information-block positions, concatenated in factor order.
+RunLayout = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
+
+
+@functools.cache
+def _landmark_init_prior() -> tuple[np.ndarray, np.ndarray]:
+    """A new landmark's weak prior covariance and its Cholesky factor,
+    read-only and computed once."""
+    cov = _freeze(LANDMARK_INIT_VAR * np.eye(LANDMARK_DIM))
+    return cov, _freeze(chol_lower(cov))
+
 
 @dataclass(frozen=True)
 class DensePriorFactor:
-    """Gaussian prior over a tuple of variables (the belief-tree root anchor)."""
+    """Gaussian prior over a tuple of variables (the belief-tree root anchor).
+
+    Its whitener and information matrix are computed once, at construction;
+    every Gauss-Newton pass reads the same information.  A caller that
+    already holds ``chol_lower(cov)`` passes it as ``chol``, and one that
+    holds the index of ``vars_`` passes it as ``index``, so neither is
+    computed again.
+    """
 
     vars_: tuple[VariableId, ...]
     mean: np.ndarray
     cov: np.ndarray
+    chol: InitVar[np.ndarray | None] = None
+    index: InitVar[VariableIndex | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, chol: np.ndarray | None,
+                      index: VariableIndex | None) -> None:
         object.__setattr__(self, "mean", _freeze(self.mean))
         object.__setattr__(self, "cov", _freeze(self.cov))
-        object.__setattr__(self, "_wt", whitener(self.cov).T)
-        object.__setattr__(self, "_sub", VariableIndex(self.vars_))
+        wt = (whitener(self.cov) if chol is None else chol_whitener(chol)).T
+        if index is None:
+            index = VariableIndex(self.vars_)
+        elif index.vars != self.vars_:
+            raise InvalidBelief("prior index does not lay out the prior's variables")
+        object.__setattr__(self, "_wt", wt)
+        object.__setattr__(self, "_info", _freeze((wt.T @ wt).ravel()))
+        object.__setattr__(self, "_sub", index)
 
     def involved(self) -> tuple[VariableId, ...]:
         return self.vars_
@@ -339,7 +403,12 @@ class MotionFactor:
 
 @dataclass(frozen=True)
 class MeasurementFactor:
-    """Observation factor z = h(x_t, l_j) + v on pose ``t`` and landmark ``lm``."""
+    """Observation factor z = h(x_t, l_j) + v on pose ``t`` and landmark ``lm``.
+
+    It has no ``whitened`` of its own: ``solve_factors`` linearizes each run
+    of consecutive measurement factors on one pose in one
+    ``MeasModel.linearize`` call.
+    """
 
     t: int
     lm: int
@@ -353,24 +422,93 @@ class MeasurementFactor:
     def involved(self) -> tuple[VariableId, ...]:
         return (pose_var(self.t), landmark_var(self.lm))
 
-    def whitened(self, x: np.ndarray, layout: Layout):
-        (sl_pose, sl_lm), idx = layout
-        pose, lmv = x[sl_pose], x[sl_lm]
-        wt = self._wt
-        e = self.model.predict(pose, lmv) - self.z
-        e[1] = wrap_angle(e[1])
-        h_pose, h_lm = self.model.jacobians(pose, lmv)
-        a = np.empty((2, POSE_DIM + LANDMARK_DIM))
-        a[:, :POSE_DIM] = wt @ h_pose
-        a[:, POSE_DIM:] = wt @ h_lm
-        return wt @ e, a, idx
-
 
 Factor = DensePriorFactor | MotionFactor | MeasurementFactor
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton solve
+
+
+class _OneFactor:
+    """A factor that ``solve_factors`` linearizes alone, by its ``whitened``.
+
+    A ``DensePriorFactor``'s information is the constant it computed once,
+    so the covariance pass does not linearize it at all.
+    """
+
+    __slots__ = ("factor", "layout", "block", "info")
+
+    def __init__(self, factor: Factor, index: VariableIndex) -> None:
+        self.factor = factor
+        self.layout, self.block = index.layout(factor.involved())
+        self.info = factor._info if isinstance(factor, DensePriorFactor) else None
+
+    def add(self, x: np.ndarray, lam_flat: np.ndarray, rhs: np.ndarray) -> None:
+        ew, a, idx = self.factor.whitened(x, self.layout)
+        lam_flat[self.block] += (a.T @ a).ravel() if self.info is None else self.info
+        rhs[idx] -= a.T @ ew
+
+    def add_info(self, x: np.ndarray, lam_flat: np.ndarray) -> None:
+        if self.info is None:
+            _, a, _ = self.factor.whitened(x, self.layout)
+            lam_flat[self.block] += (a.T @ a).ravel()
+        else:
+            lam_flat[self.block] += self.info
+
+
+# ``linearize``'s Jacobian columns in each factor's (pose, landmark) order.
+# BLAS rounds a column of ``a' (W e)`` by its position in ``a``, so the
+# order must be the one-factor order for the gradient to keep its bits.
+_POSE_THEN_LANDMARK = (2, 3, 4, 0, 1)
+
+
+class _MeasurementRun:
+    """Consecutive ``MeasurementFactor``s on one pose and one model,
+    linearized in one ``MeasModel.linearize`` call, bit for bit as one by
+    one (see ``solve_factors``)."""
+
+    __slots__ = ("model", "wt", "z", "pose", "lms", "idx", "block")
+
+    def __init__(self, run: Sequence[MeasurementFactor], index: VariableIndex) -> None:
+        first = run[0]
+        self.model, self.wt = first.model, first._wt
+        self.z = np.array([f.z for f in run])
+        self.pose, self.lms, self.idx, self.block = index.measurement_run(
+            first.t, tuple(f.lm for f in run))
+
+    def _jacobians(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted measurements (k, 2) and whitened Jacobians (k, 2, 5),
+        whose columns are the pose's, then the landmark's."""
+        h, jac = self.model.linearize(x[self.pose], x[self.lms])
+        return h, self.wt @ jac[:, :, _POSE_THEN_LANDMARK]
+
+    def add(self, x: np.ndarray, lam_flat: np.ndarray, rhs: np.ndarray) -> None:
+        h, a = self._jacobians(x)
+        np.add.at(lam_flat, self.block, (a.transpose(0, 2, 1) @ a).ravel())
+        e = h - self.z
+        e[:, 1] = [wrap_angle(b) for b in e[:, 1].tolist()]
+        np.subtract.at(rhs, self.idx, ((e @ self.wt.T)[:, None, :] @ a).ravel())
+
+    def add_info(self, x: np.ndarray, lam_flat: np.ndarray) -> None:
+        _, a = self._jacobians(x)
+        np.add.at(lam_flat, self.block, (a.transpose(0, 2, 1) @ a).ravel())
+
+
+def _run_key(f: Factor) -> tuple[int, int] | None:
+    """Measurement factors group by pose and model; other factors stand alone."""
+    return (f.t, id(f.model)) if isinstance(f, MeasurementFactor) else None
+
+
+def _linearization_plan(factors: Sequence[Factor], index: VariableIndex):
+    """One step per factor, except one per run of measurement factors."""
+    plan: list[_OneFactor | _MeasurementRun] = []
+    for key, group in itertools.groupby(factors, _run_key):
+        if key is None:
+            plan.extend(_OneFactor(f, index) for f in group)
+        else:
+            plan.append(_MeasurementRun(tuple(group), index))
+    return plan
 
 
 def solve_factors(
@@ -406,22 +544,37 @@ def solve_factors(
     The solve is deterministic: fixed iteration order, fixed stopping rule.
     Linear systems converge in a single step.  Each factor's layout (its
     slices, index array and the flat positions of its information block) is
-    the index's cached ``layout``, not rebuilt per solve or per iteration;
-    the arithmetic and its order are those of rebuilding it every iteration.
+    the index's cached ``layout``, not rebuilt per solve or per iteration.
+
+    Each run of consecutive ``MeasurementFactor``s on one pose and model is
+    linearized as one stack, with its layout cached as the index's
+    ``measurement_run``: one ``MeasModel.linearize`` call, then batched
+    ``matmul``s for the whitened Jacobians ``a``, their ``a'a`` and the
+    gradient terms ``a'(W e)``.  Every number equals the one factor-by-factor
+    linearization gives, bit for bit: ``linearize`` takes each range and
+    bearing from ``math.hypot`` and ``math.atan2`` per landmark, the
+    bearing residual is wrapped per entry by ``wrap_angle``, and each
+    batched product is a two-term dot product that BLAS rounds as it rounds
+    the single one, given the single one's column order (pose, then
+    landmark), since BLAS rounds a column of ``a'(W e)`` by its position.
+    ``np.add.at`` and ``np.subtract.at`` then add a run's
+    terms unbuffered, in factor order, so the entries the factors share (the
+    pose block) are summed in the order of the factor list.  A
+    ``DensePriorFactor`` adds the information it computed at construction.
+    So the arithmetic and its order are those of linearizing every factor
+    on its own each iteration.
     """
     x = wrap_state(index, np.asarray(init, dtype=float))
     d = index.dim
-    plan = [(f,) + index.layout(f.involved()) for f in factors]
+    plan = _linearization_plan(factors, index)
     iters = 0
     stationary = False
     for _ in range(max_iter):
         lam = np.zeros((d, d))
         lam_flat = lam.reshape(-1)  # a view: writes land in lam
         rhs = np.zeros(d)
-        for f, layout, block in plan:
-            ew, a, idx = f.whitened(x, layout)
-            lam_flat[block] += (a.T @ a).ravel()
-            rhs[idx] -= a.T @ ew
+        for step in plan:
+            step.add(x, lam_flat, rhs)
         iters += 1
         if not rhs.any() and 0.0 < tol:  # y = L^-1 0 = 0 < tol
             stationary = True
@@ -438,9 +591,8 @@ def solve_factors(
     if not stationary:  # covariance at the final linearization point
         lam = np.zeros((d, d))
         lam_flat = lam.reshape(-1)
-        for f, layout, block in plan:
-            _, a, _ = f.whitened(x, layout)
-            lam_flat[block] += (a.T @ a).ravel()
+        for step in plan:
+            step.add_info(x, lam_flat)
     try:
         cov = spd_inverse(lam)
     except NumericalError as exc:
@@ -454,7 +606,15 @@ def solve_factors(
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Minimal Gaussian over an indexed joint: mean + covariance."""
+    """Minimal Gaussian over an indexed joint: mean + covariance.
+
+    ``cov_chol`` is the lower Cholesky factor of ``cov`` that validating it
+    computed, kept read-only and outside the dataclass fields (so it takes
+    no part in ``==`` or ``repr`` and no serializer writes it).  It is
+    ``chol_lower(cov)`` bit for bit, so a consumer of the factor (a
+    planning node's prior, a sampled state) reads it instead of factoring
+    ``cov`` again.
+    """
 
     index: VariableIndex
     mean: np.ndarray
@@ -471,13 +631,14 @@ class GaussianState:
         if not np.isfinite(mean).all():
             raise InvalidBelief("mean must be finite")
         try:
-            sym = as_spd(cov)
+            sym, low = spd_and_chol(cov)
         except InvalidInput as exc:  # non-finite or asymmetric
             raise InvalidBelief(str(exc)) from exc
         except NumericalError as exc:
             raise InvalidBelief("covariance must be positive definite") from exc
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "cov", _freeze(sym))
+        object.__setattr__(self, "cov_chol", _freeze(low))
 
     @property
     def dim(self) -> int:
@@ -562,7 +723,8 @@ def planning_root(belief: GaussianBelief) -> GaussianBelief:
     """
     keep = canonical_order(list(belief.index.landmarks()) + [belief.index.newest_pose()])
     marg = belief.marginal(keep)
-    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov)
+    prior = DensePriorFactor(marg.index.vars, marg.mean, marg.cov,
+                             chol=marg.cov_chol, index=marg.index)
     return GaussianBelief(index=marg.index, mean=marg.mean, cov=marg.cov,
                           factors=(prior,), time=belief.time)
 
@@ -645,7 +807,9 @@ def update_with_measurements(
                          for e in measurements)
 
     if not inference:
-        factors = (DensePriorFactor(index.vars, prop.mean, prop.cov),) + meas_factors
+        prior = DensePriorFactor(index.vars, prop.mean, prop.cov,
+                                 chol=prop.cov_chol, index=index)
+        factors = (prior,) + meas_factors
         mean, cov, iters = solve_factors(factors, index, prop.mean, tol=_PLAN_TOL)
         return GaussianBelief(index=index, mean=mean, cov=cov, factors=factors,
                               time=prop.time, gn_iters=iters)
@@ -656,10 +820,11 @@ def update_with_measurements(
         vars_ = canonical_order(index.vars + tuple(landmark_var(j) for j, _ in new_lms))
         new_index = VariableIndex(vars_)
         init = overlay(new_index, np.zeros(new_index.dim), index, init)
+        lm_cov, lm_chol = _landmark_init_prior()
         for j, guess in new_lms:
             init[new_index.slice_of(landmark_var(j))] = guess
             lm_priors.append(DensePriorFactor(
-                (landmark_var(j),), guess, LANDMARK_INIT_VAR * np.eye(2)))
+                (landmark_var(j),), guess, lm_cov, chol=lm_chol))
         index = new_index
 
     factors = prop.factors + tuple(lm_priors) + meas_factors

@@ -188,38 +188,19 @@ class MeasModel(_NoiseFactors):
         bearing = wrap_angle(math.atan2(dy, dx) - pose[2])
         return np.array([rng, bearing])
 
-    def jacobians(
-        self, pose: np.ndarray, landmark: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(d h / d pose, d h / d landmark) at the linearization point."""
-        dx = landmark[0] - pose[0]
-        dy = landmark[1] - pose[1]
-        q = dx * dx + dy * dy
-        rng = math.sqrt(q)
-        if rng < 1e-9:
-            raise InvalidInput("landmark coincides with pose; range-bearing undefined")
-        h_pose = np.array(
-            [[-dx / rng, -dy / rng, 0.0],
-             [dy / q, -dx / q, -1.0]]
-        )
-        h_lm = np.array(
-            [[dx / rng, dy / rng],
-             [-dy / q, dx / q]]
-        )
-        return h_pose, h_lm
-
     def linearize(
         self, pose: np.ndarray, landmarks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``predict`` and ``jacobians`` of k landmarks seen from one pose,
-        stacked.
+        """``predict`` of k landmarks seen from one pose and its Jacobians,
+        stacked: the model's one linearization.
 
         ``landmarks`` is (k, 2).  Returns h (k, 2) and the Jacobians
         (k, 2, 5), whose columns are d h / d landmark, then d h / d pose
         (the canonical landmark-then-pose order).  Each row and block equals
-        the scalar pair's bit for bit: range and bearing come from
-        ``math.hypot`` and ``math.atan2`` per landmark, because ``np.hypot``
-        and ``np.arctan2`` differ from them in the last bit.
+        the one computed landmark by landmark with Python floats, bit for
+        bit: range and bearing come from ``math.hypot`` and ``math.atan2``
+        per landmark, because ``np.hypot`` and ``np.arctan2`` differ from
+        them in the last bit.  A landmark on the pose raises ``InvalidInput``.
         """
         x, y, heading = pose.tolist()
         dx = landmarks[:, 0] - x

@@ -4,6 +4,8 @@ Given a propagated belief b-minus, lookahead measurements are generated in
 three moves: sample a joint state realization chi ~ b-minus, gate landmarks
 through the sensor's field of view at chi (the predicted data association),
 then draw measurement values from the observation model at chi.  The
+state is drawn with b-minus's ``cov_chol``, the Cholesky factor computed
+when its covariance was validated, so a draw factors nothing.  The
 most-likely variant replaces every draw with the model mean at the propagated
 mean.
 
@@ -19,15 +21,15 @@ A set's k entries are evaluated in one stacked pass: the (k, 2, 5)
 Jacobians, the k predictive covariances from one stacked matmul, one batched
 Cholesky factorization and a 2x2 forward substitution.  Each entry's log
 density equals, bit for bit, the entry-by-entry evaluation
-(``MeasModel.predict`` and ``jacobians``, a Cholesky factor,
-``scipy.linalg.solve_triangular`` and ``y @ y``), so archived densities and
-re-use weights do not depend on how a set is evaluated.  The numpy calls
-that round differently are avoided: ``np.hypot`` and ``np.arctan2`` differ
-from ``math.hypot`` and ``math.atan2`` in the last bit, so range and bearing
-are computed per entry with ``math``; ``einsum`` and ``(y * y).sum()``
-differ from the BLAS dot behind ``y @ y``, which ``np.vecdot`` reproduces.
-The substitution ``y1 = (d1 - l10 * y0) / l11`` reproduces
-``solve_triangular``'s bits.
+(``MeasModel.predict`` and the scalar range-bearing Jacobian, a Cholesky
+factor, ``scipy.linalg.solve_triangular`` and ``y @ y``), so archived
+densities and re-use weights do not depend on how a set is evaluated.  The
+numpy calls that round differently are avoided: ``np.hypot`` and
+``np.arctan2`` differ from ``math.hypot`` and ``math.atan2`` in the last
+bit, so range and bearing are computed per entry with ``math``; ``einsum``
+and ``(y * y).sum()`` differ from the BLAS dot behind ``y @ y``, which
+``np.vecdot`` reproduces.  The substitution ``y1 = (d1 - l10 * y0) / l11``
+reproduces ``solve_triangular``'s bits.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def sample_state_futures(
     rng: np.random.Generator,
 ) -> list[MeasurementSample]:
     """n_z measurement sets from one drawn state realization."""
-    low = chol_lower(prop.cov)
+    low = prop.cov_chol
     chi = wrap_state(prop.index, prop.mean + low @ rng.standard_normal(prop.dim))
     da = predicted_da(prop, model, chi)
     out = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,21 @@ from ixbsp.models import landmark_var, pose_var
 # hypothesis phases for tests that plan whole sessions: no shrinking, so a
 # failing example is reported at once instead of re-planning many seeds
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def range_bearing_jacobians(pose, landmark) -> tuple[np.ndarray, np.ndarray]:
+    """(d h / d pose, d h / d landmark) of ``MeasModel``'s range and bearing
+    at one (pose, landmark) pair, computed with scalars: the reference that
+    ``MeasModel.linearize`` stacks bit for bit."""
+    dx = landmark[0] - pose[0]
+    dy = landmark[1] - pose[1]
+    q = dx * dx + dy * dy
+    rng = math.sqrt(q)
+    h_pose = np.array([[-dx / rng, -dy / rng, 0.0],
+                       [dy / q, -dx / q, -1.0]])
+    h_lm = np.array([[dx / rng, dy / rng],
+                     [-dy / q, dx / q]])
+    return h_pose, h_lm
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

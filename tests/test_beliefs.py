@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _util import random_spd
+from _util import random_spd, range_bearing_jacobians
 from ixbsp import beliefs
 from ixbsp._gaussian import chol_lower, spd_inverse, whitener
 from ixbsp.beliefs import (
@@ -40,7 +40,16 @@ from ixbsp.errors import (
     UnknownLandmark,
     UnknownVariable,
 )
-from ixbsp.models import ActionId, MeasModel, MotionModel, landmark_var, pose_var
+from ixbsp.models import (
+    LANDMARK_DIM,
+    POSE_DIM,
+    ActionId,
+    MeasModel,
+    MotionModel,
+    landmark_var,
+    pose_var,
+    wrap_angle,
+)
 
 
 def _entry(lm, value):
@@ -349,7 +358,9 @@ class _LinearMeasModel:
     """``z = H_pose x_t + H_lm l_j + v``: a linear stand-in for ``MeasModel``.
 
     ``MeasurementFactor`` wraps the second residual coordinate as a bearing,
-    so problems built from it keep residuals far from +-pi.
+    so problems built from it keep residuals far from +-pi.  ``linearize``
+    is what ``solve_factors`` calls; ``jacobians`` is the per-factor form
+    that ``_whitened`` uses as the reference.
     """
 
     def __init__(self, h_pose, h_lm, noise_cov):
@@ -362,6 +373,11 @@ class _LinearMeasModel:
 
     def jacobians(self, pose, lm):
         return self.h_pose, self.h_lm
+
+    def linearize(self, pose, landmarks):
+        h = np.array([self.predict(pose, lm) for lm in landmarks]).reshape(-1, 2)
+        jac = np.hstack((self.h_lm, self.h_pose))
+        return h, np.broadcast_to(jac, (len(landmarks),) + jac.shape)
 
 
 class TestPlanningUpdate:
@@ -539,8 +555,30 @@ def _fresh_layout(f, index):
     return tuple(index.slice_of(v) for v in vars_), index.indices_of(vars_)
 
 
+def _whitened(f, x, layout):
+    """A factor's whitened residual, Jacobian and coordinates, one factor at
+    a time: a measurement factor from its model's scalar Jacobians, any
+    other factor from its own ``whitened``."""
+    if not isinstance(f, MeasurementFactor):
+        return f.whitened(x, layout)
+    (sl_pose, sl_lm), idx = layout
+    pose, lmv = x[sl_pose], x[sl_lm]
+    wt = f.model.noise_wt
+    e = f.model.predict(pose, lmv) - f.z
+    e[1] = wrap_angle(e[1])
+    if isinstance(f.model, _LinearMeasModel):
+        h_pose, h_lm = f.model.jacobians(pose, lmv)
+    else:
+        h_pose, h_lm = range_bearing_jacobians(pose, lmv)
+    a = np.empty((2, POSE_DIM + LANDMARK_DIM))
+    a[:, :POSE_DIM] = wt @ h_pose
+    a[:, POSE_DIM:] = wt @ h_lm
+    return wt @ e, a, idx
+
+
 def _reference_solve(factors, index, init, max_iter):
-    """Gauss-Newton with every layout and ``np.ix_`` block rebuilt per iteration."""
+    """Gauss-Newton with every factor linearized on its own (``_whitened``)
+    and every layout and ``np.ix_`` block rebuilt per iteration."""
     x = wrap_state(index, np.asarray(init, dtype=float))
     d = index.dim
     iters = 0
@@ -548,7 +586,7 @@ def _reference_solve(factors, index, init, max_iter):
         lam = np.zeros((d, d))
         rhs = np.zeros(d)
         for f in factors:
-            ew, a, idx = f.whitened(x, _fresh_layout(f, index))
+            ew, a, idx = _whitened(f, x, _fresh_layout(f, index))
             lam[np.ix_(idx, idx)] += a.T @ a
             rhs[idx] -= a.T @ ew
         low = chol_lower(lam, "information matrix")
@@ -560,41 +598,65 @@ def _reference_solve(factors, index, init, max_iter):
             break
     lam = np.zeros((d, d))
     for f in factors:
-        _, a, idx = f.whitened(x, _fresh_layout(f, index))
+        _, a, idx = _whitened(f, x, _fresh_layout(f, index))
         lam[np.ix_(idx, idx)] += a.T @ a
     return x, spd_inverse(lam), iters
 
 
-def _range_bearing_problem(rng, n_lm, n_steps, new_lm):
+def _range_bearing_problem(rng, n_lm, n_steps, new_lm, *, behind=False,
+                           split=False, linear=False):
     """Dense prior over landmarks and pose 0, a motion chain, range-bearing
     measurements of every landmark, and optionally one landmark first seen
-    at the last step (weak ``DensePriorFactor`` plus its measurement)."""
+    at the last step (weak ``DensePriorFactor`` plus its measurement).
+
+    ``behind`` drives straight with the heading within 1e-3 of +-pi and puts
+    the landmarks behind, so headings and bearings (predicted and measured)
+    fall on both sides of +-pi and every wrap fires.  ``split`` puts each
+    step's motion factor, and the new landmark's prior and measurement,
+    after the step's first measurement factor, so the step's measurements
+    are linearized as more than one run.  ``linear`` measures through a
+    ``_LinearMeasModel`` instead of ``MeasModel``.
+    """
     motion = MotionModel()
     meas = MeasModel(fov=2 * math.pi, min_range=0.0)
-    lms = {j: rng.uniform(-8.0, 8.0, 2) + np.array([0.0, 12.0]) for j in range(n_lm)}
+    if linear:
+        meas = _LinearMeasModel(rng.standard_normal((2, 3)),
+                                rng.standard_normal((2, 2)),
+                                random_spd(rng, 2, 0.01) * 0.02)
+    if behind:
+        heading = rng.choice([-1.0, 1.0]) * (math.pi - rng.uniform(0.0, 1e-3))
+        lms = {j: np.array([4.0 + 3.0 * j, rng.uniform(-1e-3, 1e-3)])
+               for j in range(n_lm)}
+    else:
+        heading = rng.uniform(-math.pi, math.pi)
+        lms = {j: rng.uniform(-8.0, 8.0, 2) + np.array([0.0, 12.0]) for j in range(n_lm)}
     prior_vars = canonical_order([landmark_var(j) for j in lms] + [pose_var(0)])
     prior_index = VariableIndex(prior_vars)
-    truth = {pose_var(0): np.array([0.0, 0.0, rng.uniform(-math.pi, math.pi)])}
+    truth = {pose_var(0): np.array([0.0, 0.0, heading])}
     truth.update({landmark_var(j): p for j, p in lms.items()})
     prior_mean = np.concatenate([truth[v] for v in prior_vars])
     prior_mean = prior_mean + 0.1 * rng.standard_normal(prior_index.dim)
     factors = [DensePriorFactor(prior_vars, prior_mean,
                                 random_spd(rng, prior_index.dim, 0.05))]
     for t in range(1, n_steps + 1):
-        act = ActionId(int(rng.integers(0, 3)))
+        act = ActionId(0 if behind else int(rng.integers(0, 3)))
         truth[pose_var(t)] = motion.step_mean(truth[pose_var(t - 1)], act)
-        factors.append(MotionFactor(t - 1, t, act, motion))
-        for j in lms:
-            z = meas.predict(truth[pose_var(t)], lms[j]) + 0.02 * rng.standard_normal(2)
-            factors.append(MeasurementFactor(t, j, z, meas))
-    if new_lm:
-        j = n_lm
-        pos = truth[pose_var(n_steps)][:2] + np.array([3.0, 4.0])
-        truth[landmark_var(j)] = pos
-        z = meas.predict(truth[pose_var(n_steps)], pos)
-        factors.append(DensePriorFactor((landmark_var(j),), meas.invert(
-            truth[pose_var(n_steps)], z), LANDMARK_INIT_VAR * np.eye(2)))
-        factors.append(MeasurementFactor(n_steps, j, z, meas))
+        step = [MeasurementFactor(t, j, meas.predict(truth[pose_var(t)], lms[j])
+                                  + 0.02 * rng.standard_normal(2), meas)
+                for j in lms]
+        if new_lm and t == n_steps:
+            j = n_lm
+            pos = truth[pose_var(t)][:2] + np.array([3.0, 4.0])
+            truth[landmark_var(j)] = pos
+            z = meas.predict(truth[pose_var(t)], pos)
+            guess = (pos + 0.5 * rng.standard_normal(2) if linear
+                     else meas.invert(truth[pose_var(t)], z))
+            new = [DensePriorFactor((landmark_var(j),), guess,
+                                    LANDMARK_INIT_VAR * np.eye(2)),
+                   MeasurementFactor(t, j, z, meas)]
+            step = step[:1] + new + step[1:] if split else step + new
+        move = MotionFactor(t - 1, t, act, motion)
+        factors += step[:1] + [move] + step[1:] if split else [move] + step
     index = VariableIndex.of(truth)
     init = np.concatenate([truth[v] for v in index.vars])
     return factors, index, init + 0.2 * rng.standard_normal(index.dim)
@@ -617,14 +679,20 @@ def _linear_problem(rng, n_steps):
 
 
 class TestSolveFactorsBitIdentity:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
            n_steps=st.integers(1, 3), new_lm=st.booleans(),
-           max_iter=st.sampled_from([1, 2, 5, 60]))
+           max_iter=st.sampled_from([1, 2, 5, 60]), behind=st.booleans(),
+           split=st.booleans(), linear=st.booleans())
     def test_equals_per_iteration_reference(self, seed, n_lm, n_steps, new_lm,
-                                            max_iter):
+                                            max_iter, behind, split, linear):
+        """The stacked linearization equals the one-factor-at-a-time
+        reference bit for bit: with wraps at +-pi, measurement runs split by
+        a motion factor or a landmark prior, runs of one entry (``n_lm`` 1)
+        and the linear stand-in model."""
         rng = np.random.default_rng(seed)
-        factors, index, init = _range_bearing_problem(rng, n_lm, n_steps, new_lm)
+        factors, index, init = _range_bearing_problem(
+            rng, n_lm, n_steps, new_lm, behind=behind, split=split, linear=linear)
         mean, cov, iters = solve_factors(factors, index, init, max_iter=max_iter)
         ref_mean, ref_cov, ref_iters = _reference_solve(factors, index, init, max_iter)
         assert iters == ref_iters
@@ -712,7 +780,7 @@ def _cost(factors, index, x):
     """Whitened least-squares cost 0.5 * sum |e|^2 at ``x``."""
     total = 0.0
     for f in factors:
-        ew, _, _ = f.whitened(x, _fresh_layout(f, index))
+        ew, _, _ = _whitened(f, x, _fresh_layout(f, index))
         total += 0.5 * float(ew @ ew)
     return total
 

@@ -61,6 +61,11 @@ class TestSpdKernels:
         assert np.allclose(out, out.T)
         with pytest.raises((InvalidInput, NumericalError)):
             as_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        # equal to its transpose, yet -0.0 faces 0.0: still symmetrized
+        zeros = np.array([[1.0, -0.0], [0.0, 1.0]])
+        for mat in (zeros, np.stack((zeros, zeros))):
+            out = as_spd(mat)
+            assert out is not mat and not np.signbit(out).any()
 
     def test_stack_factors_each_matrix_as_alone(self):
         rng = np.random.default_rng(6)
@@ -87,6 +92,9 @@ class TestSpdKernels:
 
 
 def _bad_matrices():
+    """Kind -> (matrix, error, message).  Every matrix but the asymmetric
+    one equals its transpose exactly (NaN compares unequal, so "nan" does
+    not), which is the input whose asymmetry check is skipped."""
     base = np.array([[2.0, 0.3], [0.3, 1.0]])
     nan = base.copy()
     nan[0, 1] = nan[1, 0] = np.nan
@@ -94,16 +102,24 @@ def _bad_matrices():
     inf[1, 1] = np.inf
     neg_inf = base.copy()
     neg_inf[0, 0] = -np.inf
+    inf_pair = base.copy()
+    inf_pair[0, 1] = inf_pair[1, 0] = np.inf
     asym = base.copy()
     asym[0, 1] += 1e-3
-    return {"nan": nan, "inf": inf, "-inf": neg_inf, "asymmetric": asym}
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    finite = (InvalidInput, "finite")
+    return {"nan": (nan, *finite), "inf": (inf, *finite),
+            "-inf": (neg_inf, *finite), "inf-pair": (inf_pair, *finite),
+            "asymmetric": (asym, InvalidInput, "symmetric"),
+            "indefinite": (indefinite, NumericalError, "positive definite")}
 
 
 BAD = _bad_matrices()
 
 
 class TestRejectsBadInput:
-    """Non-finite or asymmetric input raises a typed error and warns nothing."""
+    """Non-finite, asymmetric or indefinite input raises a typed error and
+    warns nothing, alone and in a stack."""
 
     @pytest.mark.parametrize("kind", sorted(BAD))
     @pytest.mark.parametrize("kernel", [
@@ -111,20 +127,20 @@ class TestRejectsBadInput:
         lambda m: chol_lower(np.stack((np.eye(2), m)))],
         ids=["as_spd", "chol_lower", "spd_solve", "chol_lower_stack"])
     def test_kernels(self, kernel, kind):
+        mat, error, message = BAD[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInput,
-                               match="symmetric" if kind == "asymmetric" else "finite"):
-                kernel(BAD[kind])
+            with pytest.raises(error, match=message):
+                kernel(mat)
 
     @pytest.mark.parametrize("kind", sorted(BAD))
     def test_gaussian_state(self, kind):
         index = VariableIndex((landmark_var(0),))
+        mat, _, message = BAD[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidBelief,
-                               match="symmetric" if kind == "asymmetric" else "finite"):
-                GaussianState(index, np.zeros(2), BAD[kind])
+            with pytest.raises(InvalidBelief, match=message):
+                GaussianState(index, np.zeros(2), mat)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gaussian_state_mean(self, bad):
@@ -137,7 +153,7 @@ class TestRejectsBadInput:
     def test_gaussian_state_keeps_its_messages(self):
         index = VariableIndex((landmark_var(0),))
         with pytest.raises(InvalidBelief, match="^covariance must be symmetric$"):
-            GaussianState(index, np.zeros(2), BAD["asymmetric"])
+            GaussianState(index, np.zeros(2), BAD["asymmetric"][0])
         with pytest.raises(InvalidBelief, match="^covariance must be positive definite$"):
             GaussianState(index, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _util import range_bearing_jacobians
 from ixbsp._gaussian import chol_lower
 from ixbsp.errors import InvalidInput
 from ixbsp.models import (
@@ -110,21 +111,26 @@ class TestRangeBearing:
         assert np.allclose(model.invert(pose, z), lm, atol=1e-12)
 
     def test_jacobians_match_finite_difference(self):
+        """The scalar reference and ``linearize``'s stacked Jacobian both
+        match central differences of ``predict``."""
         model = MeasModel()
         pose = np.array([0.0, 0.0, 0.3])
         lm = np.array([3.0, 4.0])
-        h_pose, h_lm = model.jacobians(pose, lm)
+        h_pose, h_lm = range_bearing_jacobians(pose, lm)
+        _, jac = model.linearize(pose, lm[None, :])
         eps = 1e-6
         for i in range(3):
             d = np.zeros(3)
             d[i] = eps
             num = (model.predict(pose + d, lm) - model.predict(pose - d, lm)) / (2 * eps)
             assert np.allclose(h_pose[:, i], num, atol=1e-5)
+            assert np.allclose(jac[0, :, 2 + i], num, atol=1e-5)
         for i in range(2):
             d = np.zeros(2)
             d[i] = eps
             num = (model.predict(pose, lm + d) - model.predict(pose, lm - d)) / (2 * eps)
             assert np.allclose(h_lm[:, i], num, atol=1e-5)
+            assert np.allclose(jac[0, :, i], num, atol=1e-5)
 
     def test_visibility_gates(self):
         model = MeasModel(fov=math.pi / 2, min_range=2.0, max_range=10.0)
@@ -136,8 +142,6 @@ class TestRangeBearing:
 
     def test_coincident_landmark_rejected(self):
         model = MeasModel()
-        with pytest.raises(InvalidInput):
-            model.jacobians(np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(InvalidInput, match="coincides with pose"):
             model.linearize(np.array([1.0, 1.0, 0.0]),
                             np.array([[4.0, 1.0], [1.0, 1.0]]))
@@ -157,7 +161,7 @@ class TestRangeBearing:
         z, jac = model.linearize(pose, lms)
         assert z.shape == (len(lms), 2) and jac.shape == (len(lms), 2, 5)
         for i, lm in enumerate(lms):
-            h_pose, h_lm = model.jacobians(pose, lm)
+            h_pose, h_lm = range_bearing_jacobians(pose, lm)
             assert z[i].tobytes() == model.predict(pose, lm).tobytes()
             assert jac[i].tobytes() == np.hstack((h_lm, h_pose)).tobytes()
 

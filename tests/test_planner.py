@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ixbsp import beliefs
+from ixbsp import beliefs, sampling
 from ixbsp.beliefs import DensePriorFactor, make_prior_belief, propagate, update_with_measurements
 from ixbsp._gaussian import spd_logdet
 from ixbsp.config import RewardConfig
@@ -275,6 +275,28 @@ class TestPlanSessions:
         res = plan_mlbsp(posterior, cfg, motion, meas, goal, base_seed=1)
         assert {n.belief.gn_iters for n in res.tree.nodes[1:]} == {1}
         assert res.counts["gn_cap_hits"] == 0
+
+    def test_sampled_session_factors_each_propagated_covariance_once(
+            self, monkeypatch):
+        """A propagated covariance is factored once, when its belief
+        validates it: drawing a state and whitening the planning prior read
+        that factor, so neither ``chol_lower`` in ``sampling`` nor
+        ``whitener`` in ``beliefs`` is handed a propagated covariance."""
+        cfg = bench_cfg(horizon=2)
+        posterior, motion, meas, goal = self._posterior_with_history(cfg)
+        seen = []
+        for module, name in ((sampling, "chol_lower"), (beliefs, "whitener")):
+            def spy(mat, *args, _fn=getattr(module, name), **kwargs):
+                seen.append(np.asarray(mat))
+                return _fn(mat, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        res = plan_xbsp(posterior, cfg, motion, meas, goal, base_seed=0)
+        covs = [node.prop.cov for node in res.tree.nodes[1:]]
+        assert len(covs) == 3 + 9 and seen
+        for mat in seen:
+            assert not any(mat.shape == cov.shape and np.array_equal(mat, cov)
+                           for cov in covs)
 
     def test_ml_session_factors_nothing_and_shares_one_index_per_level(
             self, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 
-from _util import random_spd
+from _util import random_spd, range_bearing_jacobians
 from ixbsp._gaussian import as_spd
 from ixbsp.beliefs import (
     MeasurementEntry,
@@ -146,7 +146,7 @@ def _predictive(prop, model, lm):
     marg = prop.marginal([prop.new_pose(), landmark_var(lm)])
     assert marg.index.vars == (landmark_var(lm), prop.new_pose())
     lpos, pose = marg.mean[:2], marg.mean[2:]
-    h_pose, h_lm = model.jacobians(pose, lpos)
+    h_pose, h_lm = range_bearing_jacobians(pose, lpos)
     jac = np.hstack((h_lm, h_pose))
     return model.predict(pose, lpos), model.noise_cov + jac @ marg.cov @ jac.T
 
