@@ -4,28 +4,49 @@ Thin wrappers around Cholesky factorizations so every module spells SPD
 solves, log-determinants and whiteners the same way.  All inputs are plain
 ``numpy`` arrays; covariance arguments must be finite and symmetric (else
 ``InvalidInput``) and positive definite (else ``NumericalError``).
+
+Every helper works on the lower Cholesky factor through LAPACK, called
+directly (``scipy.linalg.lapack``): ``potrf`` factors one matrix
+(``as_spd``, ``spd_and_chol``, ``chol_lower``; a stack goes to
+``np.linalg.cholesky``), ``trtrs`` solves with the factor or its transpose
+(``lower_solve``, ``chol_whitener``), ``potrs`` solves with the whole
+matrix (``spd_solve``) and ``potri`` inverts it (``spd_inverse``).  A
+single matrix's factor is Fortran-ordered, as LAPACK returns it.  No LAPACK
+status escapes: a failed factorization, inversion or solve raises
+``NumericalError``, and an illegal argument raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import InvalidInput, NumericalError
 
 
-def _factor(mat: np.ndarray, name: str, factorize):
-    """Validate an SPD candidate; return its symmetrized copy and factor.
+def _check(info: int, routine: str, failure: str) -> None:
+    """Raise for a nonzero LAPACK status: ``failure`` (a ``NumericalError``)
+    when the routine failed on its data, ``ValueError`` on an illegal
+    argument."""
+    if info > 0:
+        raise NumericalError(failure)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _factor(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an SPD candidate; return its symmetrized copy and lower factor.
 
     The single SPD check: shape, a non-finite entry and asymmetry beyond
     ``1e-9 * (1 + max|A|)`` raise ``InvalidInput``, and a failed
     factorization (not positive definite) raises ``NumericalError``.
-    ``mat`` may be a stack of square matrices (``(..., n, n)``) when
-    ``factorize`` takes one; each matrix is checked on its own scale.
-    Input equal to its transpose (the inverses and information matrices
-    the program builds) skips only the asymmetry measurement; it is still
-    copied through the symmetrization, so a ``-0.0`` facing a ``0.0``
-    becomes ``0.0`` on both sides as before.
+    ``mat`` may be a stack of square matrices (``(..., n, n)``), factored by
+    ``np.linalg.cholesky``; each matrix is checked on its own scale.  A
+    single matrix is factored by ``dpotrf``.  Input equal to its transpose
+    (the inverses and information matrices the program builds) skips only
+    the asymmetry measurement; it is still copied through the
+    symmetrization, so a ``-0.0`` facing a ``0.0`` becomes ``0.0`` on both
+    sides.
     """
     arr = np.asarray(mat, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
@@ -38,15 +59,20 @@ def _factor(mat: np.ndarray, name: str, factorize):
             np.abs(arr - trans).max(axis=(-2, -1)) > 1e-9 * (1.0 + scale)).any():
         raise InvalidInput(f"{name} must be symmetric")
     sym = np.ascontiguousarray(0.5 * (arr + trans))
-    try:
-        return sym, factorize(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{name} is not positive definite") from exc
+    failure = f"{name} is not positive definite"
+    if sym.ndim > 2:
+        try:
+            return sym, np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(failure) from exc
+    low, info = lapack.dpotrf(sym, lower=1, clean=1)
+    _check(info, "dpotrf", failure)
+    return sym, low
 
 
 def as_spd(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Validate an SPD candidate and return a symmetrized C-contiguous copy."""
-    return _factor(mat, name, np.linalg.cholesky)[0]
+    return _factor(mat, name)[0]
 
 
 def spd_and_chol(mat: np.ndarray,
@@ -56,25 +82,44 @@ def spd_and_chol(mat: np.ndarray,
     The factor is ``chol_lower`` of the returned copy, bit for bit: the
     copy is exactly symmetric, so symmetrizing it again changes nothing.
     """
-    return _factor(mat, name, np.linalg.cholesky)
+    return _factor(mat, name)
 
 
 def chol_lower(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Lower Cholesky factor of a validated SPD matrix, or of each matrix of
     a stack."""
-    return _factor(mat, name, np.linalg.cholesky)[1]
+    return _factor(mat, name)[1]
+
+
+def lower_solve(low: np.ndarray, rhs: np.ndarray, *,
+                trans: bool = False) -> np.ndarray:
+    """Solve ``low @ x = rhs`` (or ``low.T @ x = rhs`` with ``trans``) for a
+    lower-triangular factor, by ``dtrtrs``; a zero on the diagonal raises
+    ``NumericalError``."""
+    x, info = lapack.dtrtrs(low, rhs, lower=1, trans=int(trans))
+    _check(info, "dtrtrs", "triangular factor is singular")
+    return x
 
 
 def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs for SPD mat."""
-    _, factor = _factor(mat, "matrix", cho_factor)
-    return cho_solve(factor, np.asarray(rhs, dtype=float))
+    """Solve mat @ x = rhs for SPD mat, by ``dpotrs`` on its factor.
+    ``rhs`` is a vector or a matrix of right-hand sides."""
+    _, low = _factor(mat, "matrix")
+    x, info = lapack.dpotrs(low, np.asarray(rhs, dtype=float), lower=1)
+    _check(info, "dpotrs", "matrix is singular")
+    return x
 
 
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Explicit SPD inverse, symmetrized."""
-    inv = spd_solve(mat, np.eye(mat.shape[0]))
-    return 0.5 * (inv + inv.T)
+    """Explicit SPD inverse by ``dpotri`` on the validated factor.
+
+    ``dpotri`` fills the lower triangle; the upper one is its mirror, so the
+    result equals its transpose exactly.
+    """
+    _, low = _factor(mat, "matrix")
+    inv, info = lapack.dpotri(low, lower=1)
+    _check(info, "dpotri", "matrix is singular")
+    return inv + np.tril(inv, -1).T  # the upper triangle of inv is zero
 
 
 def spd_logdet(mat: np.ndarray) -> float:
@@ -95,4 +140,4 @@ def whitener(cov: np.ndarray) -> np.ndarray:
 def chol_whitener(low: np.ndarray) -> np.ndarray:
     """``whitener`` of the covariance whose lower Cholesky factor is ``low``,
     for a caller that already holds the factor."""
-    return solve_triangular(low, np.eye(low.shape[0]), lower=True).T
+    return lower_solve(low, np.eye(low.shape[0])).T

@@ -39,11 +39,14 @@ one bit for bit (``solve_factors`` says why).  A ``DensePriorFactor``
 computes its information matrix once, when it is made.
 
 Beliefs are immutable; every operation returns a new object.  Means carry
-wrapped headings, covariances come from the information matrix at the final
-linearization point.  Each belief keeps the Cholesky factor that validating
-its covariance computed (``cov_chol``); a planning node's prior and the
-state drawn for its future read that factor, so a propagated covariance is
-factored once.  ``propagate`` gives every child of one index the same
+wrapped headings.  A solved belief's covariance is the inverse of the
+information matrix at the final linearization point, taken by LAPACK's
+``dpotri`` from that matrix's Cholesky factor and exactly symmetric
+(``_gaussian.spd_inverse``); a propagated one is assembled from its
+parent's covariance and the motion Jacobian.  Each belief keeps the
+Cholesky factor that validating its covariance computed (``cov_chol``); a
+planning node's prior and the state drawn for its future read that factor,
+so a propagated covariance is factored once.  ``propagate`` gives every child of one index the same
 extended index, so each tree level shares one layout and its cached factor
 positions.
 """
@@ -58,7 +61,14 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
-from ._gaussian import chol_lower, chol_whitener, spd_and_chol, spd_inverse, whitener
+from ._gaussian import (
+    chol_lower,
+    chol_whitener,
+    lower_solve,
+    spd_and_chol,
+    spd_inverse,
+    whitener,
+)
 from .errors import (
     DaMismatch,
     DegenerateUpdate,
@@ -242,10 +252,14 @@ def wrap_state(index: VariableIndex, x: np.ndarray) -> np.ndarray:
     ``x`` is one state laid out by ``index`` or a stack of them (the last
     axis is the state); a difference of states wraps the same way.
     """
-    out = np.array(x, dtype=float)
+    return _wrap_own(index, np.array(x, dtype=float))
+
+
+def _wrap_own(index: VariableIndex, x: np.ndarray) -> np.ndarray:
+    """``wrap_state`` of an array the caller owns, wrapped in place."""
     mask = index.theta_mask()
-    out[..., mask] = wrap_angle_array(out[..., mask])
-    return out
+    x[..., mask] = wrap_angle_array(x[..., mask])
+    return x
 
 
 def overlay(index: VariableIndex, x: np.ndarray,
@@ -312,9 +326,10 @@ class MeasurementSet:
 # factors
 
 # A factor's place in an index: one slice per involved variable, and their
-# stacked coordinates.  ``whitened(x, layout)`` returns the whitened
-# residual, its jacobian and those coordinates.
-Layout = tuple[tuple[slice, ...], np.ndarray]
+# stacked coordinates; a prior over the whole index has ``((), slice(None))``.
+# ``whitened(x, layout)`` returns the whitened residual, its jacobian and
+# those coordinates.
+Layout = tuple[tuple[slice, ...], np.ndarray | slice]
 
 # The place of k consecutive measurement factors on one pose: the pose's
 # slice, the (k, 2) coordinates of their landmarks, and the k factors'
@@ -366,7 +381,7 @@ class DensePriorFactor:
 
     def whitened(self, x: np.ndarray, layout: Layout):
         _, idx = layout
-        e = wrap_state(self._sub, x[idx] - self.mean)
+        e = _wrap_own(self._sub, x[idx] - self.mean)
         a = self._wt  # jacobian of e wrt the stacked vars is identity
         return self._wt @ e, a, idx
 
@@ -430,6 +445,9 @@ Factor = DensePriorFactor | MotionFactor | MeasurementFactor
 # Gauss-Newton solve
 
 
+_ALL = slice(None)
+
+
 class _OneFactor:
     """A factor that ``solve_factors`` linearizes alone, by its ``whitened``.
 
@@ -441,8 +459,13 @@ class _OneFactor:
 
     def __init__(self, factor: Factor, index: VariableIndex) -> None:
         self.factor = factor
-        self.layout, self.block = index.layout(factor.involved())
         self.info = factor._info if isinstance(factor, DensePriorFactor) else None
+        if self.info is not None and factor.vars_ == index.vars:
+            # a planning node's prior lays out the whole index: its terms go
+            # in through basic slices, with no gather, scatter or layout
+            self.layout, self.block = ((), _ALL), _ALL
+        else:
+            self.layout, self.block = index.layout(factor.involved())
 
     def add(self, x: np.ndarray, lam_flat: np.ndarray, rhs: np.ndarray) -> None:
         ew, a, idx = self.factor.whitened(x, self.layout)
@@ -523,7 +546,10 @@ def solve_factors(
 
     Each iteration factors the information matrix ``Lambda = L L'`` and
     solves ``L y = g`` then ``L' delta = y`` for the step, where ``g`` is the
-    whitened gradient.  The solve stops after a step with ``|y| < tol``, or
+    whitened gradient: two triangular solves on ``L`` (LAPACK's ``dtrtrs``,
+    through ``_gaussian.lower_solve``), with no second factorization.  A
+    ``Lambda`` that is not positive definite, or a singular ``L``, raises
+    ``DegenerateUpdate``.  The solve stops after a step with ``|y| < tol``, or
     after ``max_iter`` steps.  ``|y|^2 = delta' Lambda delta = g' Lambda^-1 g``
     is the squared Newton decrement: the step's length in posterior standard
     deviations, and twice GN's predicted decrease of the whitened cost (so
@@ -535,9 +561,9 @@ def solve_factors(
     A gradient that is exactly zero (a most-likely future starts at its own
     optimum) makes ``y`` exactly zero, so that iteration counts and the rule
     fires without factoring ``Lambda`` or solving for the zero step.  The
-    state is then the final linearization point: ``x`` is always an output
-    of ``wrap_state``, which returns its own outputs unchanged, so the zero
-    step would leave it bitwise as it is.  The covariance comes from the
+    state is then the final linearization point: ``x`` is always a wrapped
+    state, which wrapping returns unchanged, so the zero step would leave it
+    bitwise as it is.  The covariance comes from the
     ``Lambda`` just built, with no second pass; ``spd_inverse`` checks it,
     and a singular one raises ``DegenerateUpdate``.
 
@@ -560,7 +586,9 @@ def solve_factors(
     ``np.add.at`` and ``np.subtract.at`` then add a run's
     terms unbuffered, in factor order, so the entries the factors share (the
     pose block) are summed in the order of the factor list.  A
-    ``DensePriorFactor`` adds the information it computed at construction.
+    ``DensePriorFactor`` adds the information it computed at construction;
+    one over the whole index (a planning node's prior) adds it and its
+    gradient through basic slices, the same sums without a scatter.
     So the arithmetic and its order are those of linearizing every factor
     on its own each iteration.
     """
@@ -581,11 +609,11 @@ def solve_factors(
             break
         try:
             low = chol_lower(lam, "information matrix")
+            y = lower_solve(low, rhs)
+            delta = lower_solve(low, y, trans=True)
         except NumericalError as exc:
             raise DegenerateUpdate(str(exc)) from exc
-        y = np.linalg.solve(low, rhs)
-        delta = np.linalg.solve(low.T, y)
-        x = wrap_state(index, x + delta)
+        x = _wrap_own(index, x + delta)
         if float(np.linalg.norm(y)) < tol:
             break
     if not stationary:  # covariance at the final linearization point

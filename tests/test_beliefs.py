@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import warnings
 import weakref
 from unittest import mock
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from _util import random_spd, range_bearing_jacobians
 from ixbsp import beliefs
@@ -590,8 +592,8 @@ def _reference_solve(factors, index, init, max_iter):
             lam[np.ix_(idx, idx)] += a.T @ a
             rhs[idx] -= a.T @ ew
         low = chol_lower(lam, "information matrix")
-        y = np.linalg.solve(low, rhs)
-        delta = np.linalg.solve(low.T, y)
+        y = solve_triangular(low, rhs, lower=True)
+        delta = solve_triangular(low, y, lower=True, trans=1)
         x = wrap_state(index, x + delta)
         iters += 1
         if float(np.linalg.norm(y)) < beliefs._GN_TOL:
@@ -699,6 +701,29 @@ class TestSolveFactorsBitIdentity:
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(cov, ref_cov)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
+           action=st.integers(0, 2), max_iter=st.sampled_from([1, 2, 5, 60]),
+           data=st.data())
+    def test_planning_factors_equal_the_reference(self, seed, n_lm, action,
+                                                  max_iter, data):
+        """A planning node's factors, whose prior lays out the whole index,
+        solved from off their optimum (measurements away from the model
+        mean), equal the reference bit for bit."""
+        seen = data.draw(st.lists(st.integers(0, n_lm - 1), min_size=1,
+                                  max_size=n_lm, unique=True))
+        rng = np.random.default_rng(seed)
+        prop, z_set, meas = _most_likely_prop(rng, n_lm, action, seen)
+        z_set = MeasurementSet(tuple(
+            _entry(e.lm, e.value + rng.normal(0.0, 0.05, 2)) for e in z_set))
+        factors = update_with_measurements(prop, z_set, meas).factors
+        assert factors[0].vars_ == prop.index.vars
+        got = solve_factors(factors, prop.index, prop.mean, max_iter=max_iter)
+        ref = _reference_solve(factors, prop.index, prop.mean, max_iter)
+        assert got[2] == ref[2]
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+
 
 def _most_likely_prop(rng, n_lm, action, seen):
     """A propagated belief over random landmarks and a random pose, and the
@@ -753,6 +778,30 @@ class TestStationaryStart:
         seen_once = _LinearFactor((landmark_var(0),), [[1.0, 0.0]], [2.0], [[0.5]])
         with pytest.raises(DegenerateUpdate):
             solve_factors([seen_once], index, np.array([2.0, 7.0]))
+
+
+class TestDegenerateInformation:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 12),
+           log_scale=st.floats(-6.0, 6.0), data=st.data())
+    def test_information_not_positive_definite_raises(self, seed, n_lm,
+                                                      log_scale, data):
+        """With a nonzero gradient, an information matrix that is not
+        positive definite (one coordinate no factor observes) fails the
+        step's factorization and raises ``DegenerateUpdate``, with no
+        warning."""
+        rng = np.random.default_rng(seed)
+        index = VariableIndex.of([landmark_var(j) for j in range(n_lm)])
+        blind = data.draw(st.integers(0, index.dim - 1))
+        h = np.delete(np.eye(index.dim), blind, axis=0)
+        noise = 10.0 ** log_scale * random_spd(rng, index.dim - 1)
+        factor = _LinearFactor(index.vars, h, rng.standard_normal(index.dim - 1),
+                               noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateUpdate,
+                               match="^information matrix is not positive definite$"):
+                solve_factors([factor], index, rng.standard_normal(index.dim))
 
 
 class TestLinearSolve:

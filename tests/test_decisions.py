@@ -20,19 +20,19 @@ from ixbsp.simulation import run_rollout, world_from_config
 PINNED = {
     ("xbsp", "ixbsp", (("horizon", 2),)): {
         "xbsp": [("6.066387469132808", (0, 0)),
-                 ("6.254504829018536", (1, 0)),
-                 ("6.155768330226828", (2, 0))],
+                 ("6.254504829017769", (1, 0)),
+                 ("6.155768330226836", (2, 0))],
         "ixbsp": [("6.066387469132808", (0, 0)),
-                  ("6.254504829018536", (1, 0)),
-                  ("6.17091922490044", (2, 0))],
+                  ("6.254504829017769", (1, 0)),
+                  ("6.170919224899617", (2, 0))],
     },
     ("mlbsp", "imlbsp", ()): {
         "mlbsp": [("8.993130306663883", (0, 0, 0)),
-                  ("8.948448359029666", (0, 0, 0)),
-                  ("8.860674333037046", (1, 2, 0))],
+                  ("8.948448359029175", (0, 0, 0)),
+                  ("8.86067433303654", (1, 2, 0))],
         "imlbsp": [("8.993130306663883", (0, 0, 0)),
-                   ("8.948448359029666", (0, 0, 0)),
-                   ("8.913132001453317", (1, 2, 0))],
+                   ("8.948448359029175", (0, 0, 0)),
+                   ("8.913132001452777", (1, 2, 0))],
     },
 }
 

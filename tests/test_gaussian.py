@@ -6,13 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from _util import random_spd
 from ixbsp._gaussian import (
+    _check,
     as_spd,
     chol_lower,
+    lower_solve,
     spd_inverse,
     spd_logdet,
     spd_solve,
@@ -91,6 +95,39 @@ class TestSpdKernels:
             chol_lower(np.array([[0.0]]))
 
 
+@st.composite
+def _scaled_spd(draw):
+    """A well-conditioned SPD matrix of size 1-25 at a scale of 1e-6 to 1e6."""
+    n = draw(st.integers(1, 25))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return scale * random_spd(rng, n), rng
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_scaled_spd())
+    def test_inverse_is_exactly_symmetric(self, case):
+        mat, _ = case
+        inv = spd_inverse(mat)
+        assert inv.tobytes() == inv.T.tobytes()
+        assert _rel_err(inv, np.linalg.inv(mat)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_scaled_spd(), n_rhs=st.sampled_from([None, 1, 3]))
+    def test_solve_matches_numpy(self, case, n_rhs):
+        mat, rng = case
+        shape = (mat.shape[0],) if n_rhs is None else (mat.shape[0], n_rhs)
+        rhs = rng.standard_normal(shape)
+        got = spd_solve(mat, rhs)
+        assert got.shape == shape
+        assert _rel_err(got, np.linalg.solve(mat, rhs)) < 1e-9
+
+
 def _bad_matrices():
     """Kind -> (matrix, error, message).  Every matrix but the asymmetric
     one equals its transpose exactly (NaN compares unequal, so "nan" does
@@ -123,15 +160,24 @@ class TestRejectsBadInput:
 
     @pytest.mark.parametrize("kind", sorted(BAD))
     @pytest.mark.parametrize("kernel", [
-        as_spd, chol_lower, lambda m: spd_solve(m, np.ones(2)),
+        as_spd, chol_lower, lambda m: spd_solve(m, np.ones(2)), spd_inverse,
         lambda m: chol_lower(np.stack((np.eye(2), m)))],
-        ids=["as_spd", "chol_lower", "spd_solve", "chol_lower_stack"])
+        ids=["as_spd", "chol_lower", "spd_solve", "spd_inverse", "chol_lower_stack"])
     def test_kernels(self, kernel, kind):
         mat, error, message = BAD[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
                 kernel(mat)
+
+    def test_lapack_status_never_leaks(self):
+        """A failure on the data raises ``NumericalError`` and an illegal
+        argument ``ValueError``; neither returns a status."""
+        with pytest.raises(NumericalError, match="^triangular factor is singular$"):
+            lower_solve(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="argument 3 of dpotrf"):
+            _check(-3, "dpotrf", "unused")
+        assert _check(0, "dpotrf", "unused") is None
 
     @pytest.mark.parametrize("kind", sorted(BAD))
     def test_gaussian_state(self, kind):
