@@ -8,7 +8,8 @@ solves, log-determinants and whiteners the same way.  All inputs are plain
 Every helper works on the lower Cholesky factor through LAPACK, called
 directly (``scipy.linalg.lapack``): ``potrf`` factors one matrix
 (``as_spd``, ``spd_and_chol``, ``chol_lower``; a stack goes to
-``np.linalg.cholesky``), ``trtrs`` solves with the factor or its transpose
+``np.linalg.cholesky``, whose LAPACK build may round a matrix larger than
+2x2 differently in the last bit), ``trtrs`` solves with the factor or its transpose
 (``lower_solve``, ``chol_whitener``), ``potrs`` solves with the whole
 matrix (``spd_solve``) and ``potri`` inverts it (``spd_inverse``).  A
 single matrix's factor is Fortran-ordered, as LAPACK returns it.  No LAPACK
@@ -42,7 +43,10 @@ def _factor(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     factorization (not positive definite) raises ``NumericalError``.
     ``mat`` may be a stack of square matrices (``(..., n, n)``), factored by
     ``np.linalg.cholesky``; each matrix is checked on its own scale.  A
-    single matrix is factored by ``dpotrf``.  Input equal to its transpose
+    single matrix is factored by ``dpotrf``.  The two are separate LAPACK
+    builds: a stacked factor equals the matrix's own bit for bit at the 2x2
+    size the program stacks (predictive measurement covariances), but may
+    differ in the last bit for larger matrices.  Input equal to its transpose
     (the inverses and information matrices the program builds) skips only
     the asymmetry measurement; it is still copied through the
     symmetrization, so a ``-0.0`` facing a ``0.0`` becomes ``0.0`` on both
@@ -87,7 +91,7 @@ def spd_and_chol(mat: np.ndarray,
 
 def chol_lower(mat: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Lower Cholesky factor of a validated SPD matrix, or of each matrix of
-    a stack."""
+    a stack (``_factor`` says when the two agree bit for bit)."""
     return _factor(mat, name)[1]
 
 
@@ -113,13 +117,16 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
     """Explicit SPD inverse by ``dpotri`` on the validated factor.
 
-    ``dpotri`` fills the lower triangle; the upper one is its mirror, so the
-    result equals its transpose exactly.
+    ``dpotri`` fills the lower triangle and leaves the upper one as the
+    factor's, which is zero.  Adding the transposed strict lower triangle
+    mirrors each entry and adds ``+0.0`` to each lower one, so a ``-0.0``
+    (``dpotri`` makes one from an off-diagonal zero) is ``+0.0`` on both
+    sides: the result equals its transpose byte for byte.
     """
     _, low = _factor(mat, "matrix")
     inv, info = lapack.dpotri(low, lower=1)
     _check(info, "dpotri", "matrix is singular")
-    return inv + np.tril(inv, -1).T  # the upper triangle of inv is zero
+    return inv + np.tril(inv, -1).T
 
 
 def spd_logdet(mat: np.ndarray) -> float:

@@ -46,9 +46,9 @@ information matrix at the final linearization point, taken by LAPACK's
 parent's covariance and the motion Jacobian.  Each belief keeps the
 Cholesky factor that validating its covariance computed (``cov_chol``); a
 planning node's prior and the state drawn for its future read that factor,
-so a propagated covariance is factored once.  ``propagate`` gives every child of one index the same
-extended index, so each tree level shares one layout and its cached factor
-positions.
+so a propagated covariance is factored once.  ``propagate`` gives every
+child of one index the same extended index, so each tree level shares one
+layout and its cached factor positions.
 """
 
 from __future__ import annotations
@@ -326,10 +326,9 @@ class MeasurementSet:
 # factors
 
 # A factor's place in an index: one slice per involved variable, and their
-# stacked coordinates; a prior over the whole index has ``((), slice(None))``.
-# ``whitened(x, layout)`` returns the whitened residual, its jacobian and
-# those coordinates.
-Layout = tuple[tuple[slice, ...], np.ndarray | slice]
+# stacked coordinates.  ``whitened(x, layout)`` returns the whitened
+# residual, its jacobian and those coordinates.
+Layout = tuple[tuple[slice, ...], np.ndarray]
 
 # The place of k consecutive measurement factors on one pose: the pose's
 # slice, the (k, 2) coordinates of their landmarks, and the k factors'
@@ -445,9 +444,6 @@ Factor = DensePriorFactor | MotionFactor | MeasurementFactor
 # Gauss-Newton solve
 
 
-_ALL = slice(None)
-
-
 class _OneFactor:
     """A factor that ``solve_factors`` linearizes alone, by its ``whitened``.
 
@@ -459,13 +455,8 @@ class _OneFactor:
 
     def __init__(self, factor: Factor, index: VariableIndex) -> None:
         self.factor = factor
+        self.layout, self.block = index.layout(factor.involved())
         self.info = factor._info if isinstance(factor, DensePriorFactor) else None
-        if self.info is not None and factor.vars_ == index.vars:
-            # a planning node's prior lays out the whole index: its terms go
-            # in through basic slices, with no gather, scatter or layout
-            self.layout, self.block = ((), _ALL), _ALL
-        else:
-            self.layout, self.block = index.layout(factor.involved())
 
     def add(self, x: np.ndarray, lam_flat: np.ndarray, rhs: np.ndarray) -> None:
         ew, a, idx = self.factor.whitened(x, self.layout)
@@ -586,9 +577,7 @@ def solve_factors(
     ``np.add.at`` and ``np.subtract.at`` then add a run's
     terms unbuffered, in factor order, so the entries the factors share (the
     pose block) are summed in the order of the factor list.  A
-    ``DensePriorFactor`` adds the information it computed at construction;
-    one over the whole index (a planning node's prior) adds it and its
-    gradient through basic slices, the same sums without a scatter.
+    ``DensePriorFactor`` adds the information it computed at construction.
     So the arithmetic and its order are those of linearizing every factor
     on its own each iteration.
     """

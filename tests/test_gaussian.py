@@ -72,8 +72,13 @@ class TestSpdKernels:
             assert out is not mat and not np.signbit(out).any()
 
     def test_stack_factors_each_matrix_as_alone(self):
+        """At the 2x2 size the program stacks, a stack's factors equal each
+        matrix's own bit for bit (a stack and a single matrix go to
+        different LAPACK builds, which may differ in the last bit on larger
+        matrices)."""
         rng = np.random.default_rng(6)
-        covs = np.stack([random_spd(rng, 2, scale) for scale in (1e-3, 1.0, 1e3)])
+        covs = np.stack([random_spd(rng, 2, 10.0 ** rng.uniform(-6.0, 6.0))
+                         for _ in range(500)])
         low = chol_lower(covs)
         for cov, block in zip(covs, low):
             assert block.tobytes() == chol_lower(cov).tobytes()
@@ -108,14 +113,36 @@ def _rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
+@st.composite
+def _block_diagonal_spd(draw):
+    """``_scaled_spd`` with its off-diagonal entries zeroed outside random
+    diagonal blocks (blocks of size 1 make it diagonal), its rows and
+    columns permuted: off-diagonal zeros from which ``dpotri`` makes
+    ``-0.0``."""
+    mat, rng = draw(_scaled_spd())
+    n = mat.shape[0]
+    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=False))
+    labels = np.searchsorted(cuts, np.arange(n), side="right")
+    mat = np.where(labels[:, None] == labels[None, :], mat, 0.0)
+    perm = rng.permutation(n)
+    return mat[np.ix_(perm, perm)], rng
+
+
 class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
-    @given(case=_scaled_spd())
+    @given(case=st.one_of(_scaled_spd(), _block_diagonal_spd()))
     def test_inverse_is_exactly_symmetric(self, case):
         mat, _ = case
         inv = spd_inverse(mat)
         assert inv.tobytes() == inv.T.tobytes()
         assert _rel_err(inv, np.linalg.inv(mat)) < 1e-9
+
+    def test_inverse_zeros_are_positive(self):
+        for mat in (np.diag([4.0, 9.0]), np.diag([1e-6, 2.0, 1e6]),
+                    np.kron(np.eye(3), np.array([[2.0, 1.0], [1.0, 2.0]]))):
+            inv = spd_inverse(mat)
+            assert inv.tobytes() == inv.T.tobytes()
+            assert not np.signbit(inv[inv == 0.0]).any()
 
     @settings(max_examples=60, deadline=None)
     @given(case=_scaled_spd(), n_rhs=st.sampled_from([None, 1, 3]))
