@@ -11,7 +11,8 @@ directly (``scipy.linalg.lapack``): ``potrf`` factors one matrix
 ``np.linalg.cholesky``, whose LAPACK build may round a matrix larger than
 2x2 differently in the last bit), ``trtrs`` solves with the factor or its transpose
 (``lower_solve``, ``chol_whitener``), ``potrs`` solves with the whole
-matrix (``spd_solve``) and ``potri`` inverts it (``spd_inverse``).  A
+matrix (``spd_solve``) and ``potri`` inverts it from its factor
+(``chol_inverse``, which ``spd_inverse`` calls on the factor it checks).  A
 single matrix's factor is Fortran-ordered, as LAPACK returns it.  No LAPACK
 status escapes: a failed factorization, inversion or solve raises
 ``NumericalError``, and an illegal argument raises ``ValueError``.
@@ -114,8 +115,9 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def spd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Explicit SPD inverse by ``dpotri`` on the validated factor.
+def chol_inverse(low: np.ndarray) -> np.ndarray:
+    """Explicit inverse of ``low @ low.T`` by ``dpotri``, for a caller that
+    already holds the lower Cholesky factor of one matrix (``chol_lower``).
 
     ``dpotri`` fills the lower triangle and leaves the upper one as the
     factor's, which is zero.  Adding the transposed strict lower triangle
@@ -123,10 +125,14 @@ def spd_inverse(mat: np.ndarray) -> np.ndarray:
     (``dpotri`` makes one from an off-diagonal zero) is ``+0.0`` on both
     sides: the result equals its transpose byte for byte.
     """
-    _, low = _factor(mat, "matrix")
     inv, info = lapack.dpotri(low, lower=1)
     _check(info, "dpotri", "matrix is singular")
     return inv + np.tril(inv, -1).T
+
+
+def spd_inverse(mat: np.ndarray) -> np.ndarray:
+    """Explicit SPD inverse: ``chol_inverse`` of the validated factor."""
+    return chol_inverse(_factor(mat, "matrix")[1])
 
 
 def spd_logdet(mat: np.ndarray) -> float:

@@ -24,12 +24,10 @@ there, and the belief it makes records its iteration count as ``gn_iters``,
 so a capped solve is never silent.
 
 A solve whose gradient is exactly zero is already at its optimum: that
-iteration's step is exactly zero, so the rule fires without a factorization
-or a step.  A most-likely lookahead future makes such a solve: its
-measurements are the model mean at the propagated mean, so the one-step
-problem starts at its optimum.  The solve then takes its covariance from the
-information matrix that iteration built: the heading wrap returns its own
-outputs unchanged, so that matrix is the one at the final linearization point.
+iteration's step is exactly zero, so the rule fires as soon as the
+information matrix is factored, with no triangular solve.  A most-likely
+lookahead future makes such a solve: its measurements are the model mean at
+the propagated mean, so the one-step problem starts at its optimum.
 
 Each Gauss-Newton pass linearizes a step's measurement entries together:
 a run of consecutive ``MeasurementFactor``s on one pose is one
@@ -40,15 +38,16 @@ computes its information matrix once, when it is made.
 
 Beliefs are immutable; every operation returns a new object.  Means carry
 wrapped headings.  A solved belief's covariance is the inverse of the
-information matrix at the final linearization point, taken by LAPACK's
-``dpotri`` from that matrix's Cholesky factor and exactly symmetric
-(``_gaussian.spd_inverse``); a propagated one is assembled from its
-parent's covariance and the motion Jacobian.  Each belief keeps the
-Cholesky factor that validating its covariance computed (``cov_chol``); a
-planning node's prior and the state drawn for its future read that factor,
-so a propagated covariance is factored once.  ``propagate`` gives every
-child of one index the same extended index, so each tree level shares one
-layout and its cached factor positions.
+information matrix its last Gauss-Newton step was solved with, as in the
+iterated EKF (``solve_factors``): LAPACK's ``dpotri`` on that step's
+Cholesky factor, exactly symmetric (``_gaussian.chol_inverse``).  A
+propagated one is assembled from its parent's covariance and the motion
+Jacobian.  Each belief keeps the Cholesky factor that validating its
+covariance computed (``cov_chol``); a planning node's prior and the state
+drawn for its future read that factor, so a propagated covariance is
+factored once.  ``propagate`` gives every child of one index the same
+extended index, so each tree level shares one layout and its cached factor
+positions.
 """
 
 from __future__ import annotations
@@ -62,11 +61,11 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from ._gaussian import (
+    chol_inverse,
     chol_lower,
     chol_whitener,
     lower_solve,
     spd_and_chol,
-    spd_inverse,
     whitener,
 )
 from .errors import (
@@ -445,11 +444,8 @@ Factor = DensePriorFactor | MotionFactor | MeasurementFactor
 
 
 class _OneFactor:
-    """A factor that ``solve_factors`` linearizes alone, by its ``whitened``.
-
-    A ``DensePriorFactor``'s information is the constant it computed once,
-    so the covariance pass does not linearize it at all.
-    """
+    """A factor that ``solve_factors`` linearizes alone, by its ``whitened``;
+    a ``DensePriorFactor`` adds the information it computed once."""
 
     __slots__ = ("factor", "layout", "block", "info")
 
@@ -462,13 +458,6 @@ class _OneFactor:
         ew, a, idx = self.factor.whitened(x, self.layout)
         lam_flat[self.block] += (a.T @ a).ravel() if self.info is None else self.info
         rhs[idx] -= a.T @ ew
-
-    def add_info(self, x: np.ndarray, lam_flat: np.ndarray) -> None:
-        if self.info is None:
-            _, a, _ = self.factor.whitened(x, self.layout)
-            lam_flat[self.block] += (a.T @ a).ravel()
-        else:
-            lam_flat[self.block] += self.info
 
 
 # ``linearize``'s Jacobian columns in each factor's (pose, landmark) order.
@@ -503,10 +492,6 @@ class _MeasurementRun:
         e = h - self.z
         e[:, 1] = [wrap_angle(b) for b in e[:, 1].tolist()]
         np.subtract.at(rhs, self.idx, ((e @ self.wt.T)[:, None, :] @ a).ravel())
-
-    def add_info(self, x: np.ndarray, lam_flat: np.ndarray) -> None:
-        _, a = self._jacobians(x)
-        np.add.at(lam_flat, self.block, (a.transpose(0, 2, 1) @ a).ravel())
 
 
 def _run_key(f: Factor) -> tuple[int, int] | None:
@@ -547,16 +532,21 @@ def solve_factors(
     ``tol`` = 1e-4 means a predicted decrease under 5e-9 in chi-square
     units).  It needs no problem-specific scale and costs nothing, since
     ``y`` is the first triangular solve.  ``iters == max_iter`` means the
-    rule did not fire.
+    rule did not fire.  A ``max_iter`` below 1 raises ``InvalidInput``.
+
+    The covariance is ``Lambda^-1`` of the last iteration, by ``dpotri`` on
+    its factor ``L`` (``_gaussian.chol_inverse``): the iterated EKF's
+    posterior covariance, the information at the iterate the last step was
+    solved from (Bell & Cathey, IEEE TAC 1993).  No pass linearizes the
+    factors at the returned mean, so a solve of ``iters`` iterations
+    assembles and factors ``Lambda`` exactly ``iters`` times.
 
     A gradient that is exactly zero (a most-likely future starts at its own
-    optimum) makes ``y`` exactly zero, so that iteration counts and the rule
-    fires without factoring ``Lambda`` or solving for the zero step.  The
-    state is then the final linearization point: ``x`` is always a wrapped
+    optimum) makes ``y = L^-1 0`` exactly zero, so the rule fires right
+    after that iteration's factorization, with no triangular solve.  The
+    state is then the one ``Lambda`` was built at: ``x`` is always a wrapped
     state, which wrapping returns unchanged, so the zero step would leave it
-    bitwise as it is.  The covariance comes from the
-    ``Lambda`` just built, with no second pass; ``spd_inverse`` checks it,
-    and a singular one raises ``DegenerateUpdate``.
+    bitwise as it is.
 
     The solve is deterministic: fixed iteration order, fixed stopping rule.
     Linear systems converge in a single step.  Each factor's layout (its
@@ -581,11 +571,12 @@ def solve_factors(
     So the arithmetic and its order are those of linearizing every factor
     on its own each iteration.
     """
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
     x = wrap_state(index, np.asarray(init, dtype=float))
     d = index.dim
     plan = _linearization_plan(factors, index)
     iters = 0
-    stationary = False
     for _ in range(max_iter):
         lam = np.zeros((d, d))
         lam_flat = lam.reshape(-1)  # a view: writes land in lam
@@ -593,11 +584,10 @@ def solve_factors(
         for step in plan:
             step.add(x, lam_flat, rhs)
         iters += 1
-        if not rhs.any() and 0.0 < tol:  # y = L^-1 0 = 0 < tol
-            stationary = True
-            break
         try:
             low = chol_lower(lam, "information matrix")
+            if not rhs.any() and 0.0 < tol:  # y = L^-1 0 = 0 < tol
+                break
             y = lower_solve(low, rhs)
             delta = lower_solve(low, y, trans=True)
         except NumericalError as exc:
@@ -605,16 +595,7 @@ def solve_factors(
         x = _wrap_own(index, x + delta)
         if float(np.linalg.norm(y)) < tol:
             break
-    if not stationary:  # covariance at the final linearization point
-        lam = np.zeros((d, d))
-        lam_flat = lam.reshape(-1)
-        for step in plan:
-            step.add_info(x, lam_flat)
-    try:
-        cov = spd_inverse(lam)
-    except NumericalError as exc:
-        raise DegenerateUpdate("posterior information matrix is singular") from exc
-    return x, cov, iters
+    return x, chol_inverse(low), iters
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +672,10 @@ class GaussianBelief(GaussianState):
     per step absorbed since the root prior, whose ``t_to`` is the step's
     time, and one ``MeasurementFactor`` per measurement entry.  A lookahead
     node's list is one step: a ``DensePriorFactor`` on its propagated
-    Gaussian and that step's ``MeasurementFactor``s.  ``gn_iters`` is the
+    Gaussian and that step's ``MeasurementFactor``s.  The covariance is the
+    inverse of the information matrix the solve's last step was solved with
+    (``solve_factors``), so it is linearized one iterate before ``mean``
+    unless the solve started at its optimum.  ``gn_iters`` is the
     iteration count of the solve that made the belief (0 when none ran).
     """
 
@@ -796,7 +780,10 @@ def update_with_measurements(
     Carlone & Dellaert, IJRR 2015), iterated as Gauss-Newton on the one-step
     problem (Bell & Cathey, IEEE TAC 1993).  It stops once a step is under
     0.1 posterior standard deviations, and the belief's factor list is that
-    prior and those measurement factors.  ``prop`` alone fixes the result, so
+    prior and those measurement factors.  As in that iterated EKF, the
+    covariance is ``(Sigma^-1 + sum_i H_i' R^-1 H_i)^-1``, with ``Sigma``
+    ``prop``'s covariance and each Jacobian ``H_i`` taken at the iterate the
+    last step was solved from.  ``prop`` alone fixes the result, so
     a re-used lookahead node gets exactly the update of a fresh one.  An
     unknown landmark raises ``UnknownLandmark``.
 

@@ -39,6 +39,7 @@ from ixbsp.errors import (
     DaMismatch,
     DegenerateUpdate,
     InvalidBelief,
+    InvalidInput,
     UnknownLandmark,
     UnknownVariable,
 )
@@ -580,7 +581,8 @@ def _whitened(f, x, layout):
 
 def _reference_solve(factors, index, init, max_iter):
     """Gauss-Newton with every factor linearized on its own (``_whitened``)
-    and every layout and ``np.ix_`` block rebuilt per iteration."""
+    and every layout and ``np.ix_`` block rebuilt per iteration; the
+    covariance inverts the last information matrix factored."""
     x = wrap_state(index, np.asarray(init, dtype=float))
     d = index.dim
     iters = 0
@@ -598,10 +600,6 @@ def _reference_solve(factors, index, init, max_iter):
         iters += 1
         if float(np.linalg.norm(y)) < beliefs._GN_TOL:
             break
-    lam = np.zeros((d, d))
-    for f in factors:
-        _, a, idx = _whitened(f, x, _fresh_layout(f, index))
-        lam[np.ix_(idx, idx)] += a.T @ a
     return x, spd_inverse(lam), iters
 
 
@@ -750,8 +748,8 @@ class TestStationaryStart:
     def test_most_likely_update_equals_the_reference(self, seed, n_lm, action,
                                                      data):
         """A solve that starts at a zero gradient counts one iteration and
-        factors no information matrix, and its belief is the reference
-        solve's bit for bit."""
+        factors its information matrix once, and its belief is the
+        reference solve's bit for bit."""
         seen = data.draw(st.lists(st.integers(0, n_lm - 1), min_size=1,
                                   max_size=n_lm, unique=True))
         prop, z_set, meas = _most_likely_prop(np.random.default_rng(seed),
@@ -764,7 +762,7 @@ class TestStationaryStart:
 
         with mock.patch.object(beliefs, "chol_lower", spy):
             belief = update_with_measurements(prop, z_set, meas)
-        assert names == []
+        assert names == ["information matrix"]
         mean, cov, iters = _reference_solve(belief.factors, prop.index, prop.mean,
                                             beliefs._GN_MAX_ITER)
         assert belief.gn_iters == iters == 1
@@ -772,8 +770,8 @@ class TestStationaryStart:
         assert belief.cov.tobytes() == cov.tobytes()
 
     def test_singular_information_still_raises(self):
-        """A zero gradient skips the step's factorization, not the check of
-        the information matrix the covariance comes from."""
+        """A zero gradient skips the step's triangular solves, not the
+        factorization the covariance comes from."""
         index = VariableIndex.of([landmark_var(0)])
         seen_once = _LinearFactor((landmark_var(0),), [[1.0, 0.0]], [2.0], [[0.5]])
         with pytest.raises(DegenerateUpdate):
@@ -816,9 +814,84 @@ class TestLinearSolve:
         assert iters1 == 1
         assert np.allclose(mean1, mean_ref, rtol=1e-9, atol=1e-9)
         assert np.allclose(cov1, cov_ref, rtol=1e-9, atol=1e-12)
-        mean, _, iters = solve_factors(factors, index, init)
+        mean, cov, iters = solve_factors(factors, index, init)
         assert iters == 2
         assert np.allclose(mean, mean_ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(cov, cov_ref, rtol=1e-9, atol=1e-12)
+
+
+class TestCovarianceFromLastFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_lm=st.integers(1, 3),
+           action=st.integers(0, 2), noise=st.sampled_from([0.0, 0.05, 0.3]),
+           data=st.data())
+    def test_planning_node_has_the_iterated_ekf_covariance(self, seed, n_lm,
+                                                           action, noise, data):
+        """A planning node's covariance is ``(Sigma^-1 + sum_i H_i' R^-1
+        H_i)^-1``: its propagated prior plus each range-bearing entry, with
+        the Jacobians taken at the mean the last step was solved from."""
+        seen = data.draw(st.lists(st.integers(0, n_lm - 1), min_size=1,
+                                  max_size=n_lm, unique=True))
+        rng = np.random.default_rng(seed)
+        prop, z_set, meas = _most_likely_prop(rng, n_lm, action, seen)
+        z_set = MeasurementSet(tuple(
+            _entry(e.lm, e.value + rng.normal(0.0, noise, 2)) for e in z_set))
+        belief = update_with_measurements(prop, z_set, meas)
+        index = prop.index
+        last = prop.mean
+        if belief.gn_iters > 1:  # the solve's means do not depend on max_iter
+            last = solve_factors(belief.factors, index, prop.mean,
+                                 tol=beliefs._PLAN_TOL,
+                                 max_iter=belief.gn_iters - 1)[0]
+        info = np.linalg.inv(prop.cov)
+        r_inv = np.linalg.inv(meas.noise_cov)
+        pose = index.indices_of([prop.new_pose()])
+        for e in z_set:
+            lm = index.indices_of([landmark_var(e.lm)])
+            h_pose, h_lm = range_bearing_jacobians(last[pose], last[lm])
+            h = np.zeros((2, index.dim))
+            h[:, pose], h[:, lm] = h_pose, h_lm
+            info += h.T @ r_inv @ h
+        ref = np.linalg.inv(info)
+        assert np.abs(belief.cov - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 60])
+    def test_each_iteration_assembles_and_factors_once(self, max_iter):
+        """A solve of ``iters`` iterations linearizes each factor and each
+        measurement run, and factors its information matrix, ``iters``
+        times; its covariance is one inversion of the last factor."""
+        rng = np.random.default_rng(max_iter)
+        prop, z_set, meas = _most_likely_prop(rng, 3, 1, [0, 1, 2])
+        z_set = MeasurementSet(tuple(
+            _entry(e.lm, e.value + rng.normal(0.0, 0.3, 2)) for e in z_set))
+        factors = update_with_measurements(prop, z_set, meas).factors
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        with mock.patch.object(beliefs._OneFactor, "add",
+                               spy("prior", beliefs._OneFactor.add)), \
+                mock.patch.object(beliefs._MeasurementRun, "add",
+                                  spy("run", beliefs._MeasurementRun.add)), \
+                mock.patch.object(beliefs, "chol_lower",
+                                  spy("factor", beliefs.chol_lower)), \
+                mock.patch.object(beliefs, "chol_inverse",
+                                  spy("inverse", beliefs.chol_inverse)):
+            iters = solve_factors(factors, prop.index, prop.mean, tol=0.0,
+                                  max_iter=max_iter)[2]
+        assert iters == max_iter
+        assert calls == ["prior", "run", "factor"] * iters + ["inverse"]
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iteration_is_invalid_input(self, max_iter):
+        index = VariableIndex.of([landmark_var(0)])
+        factor = _LinearFactor((landmark_var(0),), np.eye(2), [1.0, 2.0], np.eye(2))
+        with pytest.raises(InvalidInput, match="max_iter"):
+            solve_factors([factor], index, np.zeros(2), max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,19 @@ from ixbsp.simulation import run_rollout, world_from_config
 PINNED = {
     ("xbsp", "ixbsp", (("horizon", 2),)): {
         "xbsp": [("6.066387469132808", (0, 0)),
-                 ("6.254504829017769", (1, 0)),
-                 ("6.155768330226836", (2, 0))],
+                 ("6.2540141350000065", (1, 0)),
+                 ("6.155323475209075", (2, 0))],
         "ixbsp": [("6.066387469132808", (0, 0)),
-                  ("6.254504829017769", (1, 0)),
-                  ("6.170919224899617", (2, 0))],
+                  ("6.2540141350000065", (1, 0)),
+                  ("6.170514972335122", (2, 0))],
     },
     ("mlbsp", "imlbsp", ()): {
         "mlbsp": [("8.993130306663883", (0, 0, 0)),
-                  ("8.948448359029175", (0, 0, 0)),
-                  ("8.86067433303654", (1, 2, 0))],
+                  ("8.948448359029463", (0, 0, 0)),
+                  ("8.860674269885706", (1, 2, 0))],
         "imlbsp": [("8.993130306663883", (0, 0, 0)),
-                   ("8.948448359029175", (0, 0, 0)),
-                   ("8.913132001452777", (1, 2, 0))],
+                   ("8.948448359029463", (0, 0, 0)),
+                   ("8.91313200145266", (1, 2, 0))],
     },
 }
 

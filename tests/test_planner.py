@@ -298,12 +298,12 @@ class TestPlanSessions:
             assert not any(mat.shape == cov.shape and np.array_equal(mat, cov)
                            for cov in covs)
 
-    def test_ml_session_factors_nothing_and_shares_one_index_per_level(
+    def test_ml_session_factors_once_per_solve_and_shares_one_index_per_level(
             self, monkeypatch):
-        """Every most-likely solve starts at its optimum, so no planning
-        solve factors its information matrix.  The nodes of one level share
-        one index, the extension of the level above's, and each factor's
-        layout is cached on it read-only."""
+        """Every most-likely solve starts at its optimum, so each planning
+        solve factors its information matrix once, for its covariance.  The
+        nodes of one level share one index, the extension of the level
+        above's, and each factor's layout is cached on it read-only."""
         cfg = bench_cfg()
         posterior, motion, meas, goal = self._posterior_with_history(cfg)
         names = []
@@ -315,7 +315,7 @@ class TestPlanSessions:
 
         monkeypatch.setattr(beliefs, "chol_lower", spy)
         res = plan_mlbsp(posterior, cfg, motion, meas, goal, base_seed=0)
-        assert "information matrix" not in names
+        assert names.count("information matrix") == len(res.tree.nodes) - 1
         above = res.tree.root.belief.index
         for depth in range(1, cfg.horizon + 1):
             level = res.tree.nodes_at_depth(depth)
