@@ -6,7 +6,7 @@ solves, log-determinants and whiteners the same way.  All inputs are plain
 ``InvalidInput``) and positive definite (else ``NumericalError``).
 
 Every helper works on the lower Cholesky factor through LAPACK, called
-directly (``scipy.linalg.lapack``): ``potrf`` factors one matrix
+directly (``scipy.linalg.lapack``'s routines): ``potrf`` factors one matrix
 (``as_spd``, ``spd_and_chol``, ``chol_lower``; a stack goes to
 ``np.linalg.cholesky``, whose LAPACK build may round a matrix larger than
 2x2 differently in the last bit), ``trtrs`` solves with the factor or its transpose
@@ -16,14 +16,52 @@ matrix (``spd_solve``) and ``potri`` inverts it from its factor
 single matrix's factor is Fortran-ordered, as LAPACK returns it.  No LAPACK
 status escapes: a failed factorization, inversion or solve raises
 ``NumericalError``, and an illegal argument raises ``ValueError``.
+
+The routines come from ``scipy.linalg._flapack``, the private compiled
+module behind the public ``scipy.linalg.lapack``, so they are the same
+objects and every result is the same bit for bit.  ``_load_flapack`` loads
+that one extension module by its import spec without running the
+``scipy.linalg`` package, which is most of the program's cold start: on a
+2-core x86-64 host (Python 3.11, scipy 1.17), ``python -X importtime -c
+"import ixbsp.simulation"`` put ``scipy.linalg`` at 246-267 ms cumulative
+of the package's 400-424 ms, because it imports
+``scipy._lib.array_api_compat.numpy``, which clones ``numpy`` with
+``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and more.  ``_flapack``
+itself takes about 1.4 ms.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from types import ModuleType
+
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidInput, NumericalError
+
+
+def _load_flapack() -> ModuleType:
+    """``scipy.linalg._flapack``, loaded without importing ``scipy.linalg``.
+
+    Finding ``scipy.linalg``'s spec imports only the top-level ``scipy``.
+    The module is registered under its own full name, so a later ``import
+    scipy.linalg`` reuses this module object, and one loaded before is
+    reused here.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        path = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 def _check(info: int, routine: str, failure: str) -> None:

@@ -134,6 +134,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _require_ints(self, _INT_FIELDS)
+        # a JSON string such as "false" is truthy, so it would turn reuse on
+        if type(self.use_wildfire) is not bool:
+            raise ConfigError(
+                f"use_wildfire must be true or false, got {self.use_wildfire!r}")
         if self.n_u < 1 or self.n_u > len(self.primitives):
             raise ConfigError("n_u must be in [1, len(primitives)]")
         for name, dist, deg in self.primitives:

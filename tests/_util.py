@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import Phase
@@ -13,6 +17,19 @@ from ixbsp import beliefs
 from ixbsp.beliefs import GaussianState, VariableIndex
 from ixbsp.config import RewardConfig, ScenarioConfig, WorldConfig
 from ixbsp.models import landmark_var, pose_var
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` and ``tests`` on the
+    path; return its stdout."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 # hypothesis phases for tests that plan whole sessions: no shrinking, so a

@@ -80,6 +80,16 @@ def test_bad_number_rejected(overrides, tmp_path):
                  "--planners", "mlbsp"]) == 2
 
 
+@pytest.mark.parametrize("value", ["false", 1, 0, None], ids=repr)
+def test_use_wildfire_must_be_a_bool(value):
+    raw = tiny_cfg().to_json_dict()
+    raw["use_wildfire"] = value
+    with pytest.raises(ConfigError, match="use_wildfire"):
+        ScenarioConfig.from_json_dict(raw)
+    with pytest.raises(ConfigError, match="use_wildfire"):
+        replace(tiny_cfg(), use_wildfire=value).validate()
+
+
 def test_infinite_beta_sigma_and_zero_tolerance_kept():
     cfg = tiny_cfg(beta_sigma=math.inf, goal_tolerance=0.0)
     assert cfg.beta_sigma == math.inf and cfg.goal_tolerance == 0.0

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
-from _util import random_spd
+from _util import random_spd, run_python
+from ixbsp import _gaussian
 from ixbsp._gaussian import (
     _check,
     as_spd,
@@ -126,6 +127,36 @@ def _block_diagonal_spd(draw):
     mat = np.where(labels[:, None] == labels[None, :], mat, 0.0)
     perm = rng.permutation(n)
     return mat[np.ix_(perm, perm)], rng
+
+
+ROUTINES = ("dpotrf", "dtrtrs", "dpotrs", "dpotri")
+
+
+class TestLapackRoutines:
+    """``_gaussian`` calls the very routines of ``scipy.linalg.lapack``,
+    whichever of the two is imported first."""
+
+    def test_same_routines_as_scipy_linalg_lapack(self):
+        import scipy.linalg.lapack
+
+        for routine in ROUTINES:
+            assert (getattr(_gaussian.lapack, routine)
+                    is getattr(scipy.linalg.lapack, routine))
+
+    @pytest.mark.parametrize("first, second", [
+        ("import scipy.linalg", "from ixbsp import _gaussian"),
+        ("from ixbsp import _gaussian", "import scipy.linalg")],
+        ids=["scipy_linalg_first", "ixbsp_first"])
+    def test_one_module_in_either_import_order(self, first, second):
+        out = run_python(
+            f"import gc, sys, types\n{first}\n{second}\n"
+            "from scipy.linalg import _flapack\n"
+            "print(all(getattr(_gaussian.lapack, r) is getattr(scipy.linalg.lapack, r)\n"
+            f"          for r in {ROUTINES!r}))\n"
+            "print(_gaussian.lapack is _flapack is sys.modules[_flapack.__name__])\n"
+            "print(sum(isinstance(m, types.ModuleType) and m.__name__ == _flapack.__name__\n"
+            "          for m in gc.get_objects()))\n")
+        assert out.split() == ["True", "True", "1"]
 
 
 class TestKernelProperties:

@@ -1,4 +1,5 @@
-"""Every module uses every name it imports (no linter is installed).
+"""Every module uses every name it imports (no linter is installed), and a
+rollout imports no more than it needs.
 
 The one exception would be an import that a module keeps only so that
 ``perfbench/spans.py`` can wrap it: spans.py looks each binding it wraps up
@@ -13,6 +14,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from _util import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -113,3 +116,17 @@ def test_perfbench_only_names_are_span_targets():
         module = Path(path).stem
         for name in names:
             assert (module, name) in targets, (path, name)
+
+
+def test_rollout_leaves_scipy_linalg_unimported():
+    """``_gaussian`` loads only the compiled LAPACK module: the
+    ``scipy.linalg`` package is most of the cold start when imported."""
+    out = run_python(
+        "import sys\n"
+        "from ixbsp.simulation import run_rollout, world_from_config\n"
+        "from _util import tiny_cfg\n"
+        "cfg = tiny_cfg()\n"
+        "run_rollout(world_from_config(cfg.world, seed=0), 'ixbsp', cfg, 0,\n"
+        "            shadow_kinds=('imlbsp',))\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n")
+    assert out.split() == ["False", "True"]
