@@ -48,7 +48,10 @@ def _load_flapack() -> ModuleType:
     Finding ``scipy.linalg``'s spec imports only the top-level ``scipy``.
     The module is registered under its own full name, so a later ``import
     scipy.linalg`` reuses this module object, and one loaded before is
-    reused here.
+    reused here.  That later package import does not bind it as the
+    attribute ``scipy.linalg._flapack``; ``from scipy.linalg import
+    _flapack``, the form ``scipy.linalg.lapack`` uses, finds it in
+    ``sys.modules``.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
